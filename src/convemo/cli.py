@@ -22,7 +22,7 @@ from .analysis import dump_embeddings, run_ablation, run_context_sweep, run_wind
 from .config import ConfigError, TrainConfig
 from .dataset import CorpusError, SynthSpec, load_corpus, save_corpus, synth_corpus
 from .graph import build_graph
-from .tensor import NonFiniteError
+from .tensor import NonFiniteError, atomic_open
 from .training import (
     TrainingAbort,
     evaluate_model,
@@ -36,6 +36,11 @@ from .training import (
 
 def _fingerprint(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _write(path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _out_dir(args) -> Path:
@@ -93,7 +98,7 @@ def _write_manifest(out: Path, command: str, config: TrainConfig | None,
         "artifacts": {k: str(v) for k, v in artifacts.items()},
     }
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
 
 
@@ -114,7 +119,7 @@ def cmd_train(args) -> int:
                     result.best_epoch, result.best_valid_wf1, result.label_names,
                     corpus_fingerprint=fingerprint)
     history_path = out / "history.csv"
-    history_path.write_text(result.history_csv())
+    _write(history_path, result.history_csv())
     _write_manifest(out, "train", config, corpus_path, fingerprint,
                     {"checkpoint": ckpt_path, "history": history_path})
     print(f"trained {len(result.history)} epochs; best epoch {result.best_epoch} "
@@ -134,7 +139,7 @@ def cmd_eval(args) -> int:
     report_path = out / f"report_{args.split}.json"
     if corpus.task_mode == "multi":
         report = evaluate_multilabel(corpus, ckpt.model, ckpt.config, args.split)
-        report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write(report_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
         for name, value in report["per_class_f1"].items():
             print(f"{name:>16s}  wF1 {value * 100:.1f}")
         print(f"{'mean':>16s}  wF1 {report['mean_f1'] * 100:.1f}  "
@@ -142,7 +147,7 @@ def cmd_eval(args) -> int:
     else:
         report = evaluate_model(corpus, ckpt.model, ckpt.config, args.split,
                                 args.shift_level)
-        report_path.write_text(report.to_json())
+        _write(report_path, report.to_json())
         print(report.format_table())
     _write_manifest(out, "eval", ckpt.config, corpus_path, fingerprint,
                     {"report": report_path, "checkpoint": args.checkpoint})
@@ -157,7 +162,7 @@ def cmd_graph(args) -> int:
     payload = json.dumps(g.to_json_dict(), sort_keys=True) + "\n"
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(payload)
+        _write(args.out, payload)
         print(f"graph for '{args.dialogue_id}' written to {args.out}")
     else:
         sys.stdout.write(payload)
@@ -176,7 +181,7 @@ def cmd_mask(args) -> int:
     text = "\n".join(lines) + "\n"
     out = _out_dir(args)
     csv_path = out / f"mask_{args.dialogue_id}.csv"
-    csv_path.write_text(text)
+    _write(csv_path, text)
     _write_manifest(out, "mask", ckpt.config, corpus_path, fingerprint,
                     {"mask_csv": csv_path, "checkpoint": args.checkpoint})
     sys.stdout.write(text)
@@ -211,7 +216,7 @@ def cmd_study(args) -> int:
     out = _out_dir(args)
     stamp = time.strftime("%Y%m%d-%H%M%S")
     csv_path = out / f"{args.kind}_{stamp}.csv"
-    csv_path.write_text(result.to_csv())
+    _write(csv_path, result.to_csv())
     _write_manifest(out, f"study:{args.kind}", config, corpus_path, fingerprint,
                     {"table": csv_path})
     print(result.format_table())
@@ -225,7 +230,7 @@ def cmd_embed(args) -> int:
     text = dump_embeddings(corpus, ckpt.model, ckpt.config, args.stage, args.split)
     out = _out_dir(args)
     csv_path = out / f"embeddings_{args.stage}.csv"
-    csv_path.write_text(text)
+    _write(csv_path, text)
     _write_manifest(out, "embed", ckpt.config, corpus_path, fingerprint,
                     {"embeddings": csv_path, "checkpoint": args.checkpoint})
     print(f"embeddings ({args.stage}, {args.split} split) written to {csv_path}")

@@ -166,6 +166,7 @@ def load_corpus(path) -> Corpus:
         raise CorpusError(f"{path}:1: at least one modality dimension must be positive")
 
     dialogues = []
+    first_line: dict[str, int] = {}  # dialogue_id -> line it was defined on
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -177,6 +178,10 @@ def load_corpus(path) -> Corpus:
         did = rec.get("dialogue_id")
         if not did:
             raise CorpusError(f"{where}: missing dialogue_id")
+        if did in first_line:
+            raise CorpusError(f"{where}: duplicate dialogue_id '{did}' "
+                              f"(first at line {first_line[did]})")
+        first_line[did] = lineno
         num_speakers = rec.get("num_speakers")
         if not isinstance(num_speakers, int) or num_speakers < 1:
             raise CorpusError(f"{where}: dialogue '{did}' needs a positive num_speakers")

@@ -15,12 +15,17 @@ letting the value propagate silently.
 from __future__ import annotations
 
 import json
+import os
+import zipfile
+from collections.abc import Mapping
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
 
 PARAMS_FORMAT = "convemo-params"
-PARAMS_VERSION = 1
+PARAMS_VERSION = 2   # version 1 was JSON float lists; it is still read
+_HEADER = "__header__"
 
 
 class ShapeError(ValueError):
@@ -193,10 +198,14 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
     return _make(np.maximum(x.data, 0.0), (x,), "relu", tape, grad_fn)
 
 
+def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:
-    z = x.data
-    out = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                   np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    out = _stable_sigmoid(x.data)
 
     def grad_fn(d):
         return (d * out * (1.0 - out),)
@@ -351,8 +360,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, tape: Tape | None = Non
         raise ShapeError(f"targets shape {t.shape} does not match logits {logits.shape}")
     z = logits.data
     loss = (np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean()
-    sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                   np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    sig = _stable_sigmoid(z)
     size = z.size
 
     def grad_fn(d):
@@ -364,31 +372,111 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, tape: Tape | None = Non
 # ---------------------------------------------------------------------------
 # parameter serialization
 
-def save_params(path, params: dict[str, Tensor]) -> None:
-    """Write a named parameter map as versioned JSON (name -> shape + flat data)."""
-    payload = {
-        "format": PARAMS_FORMAT,
-        "version": PARAMS_VERSION,
-        "params": {
-            name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
-            for name, t in params.items()
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a sibling temp file for writing and, once the block completes,
+    ``os.replace`` it onto ``path``: a reader, or a run killed mid-write,
+    sees either the old file or the whole new one, never a truncated one."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def save_params(path, params: Mapping[str, Tensor | np.ndarray],
+                header: dict | None = None, fmt: str = PARAMS_FORMAT) -> None:
+    """Write named arrays as one version-2 container: an uncompressed zip
+    (``np.savez``) of one float64 ``.npy`` member per name plus a JSON header
+    member carrying ``fmt``, the version and ``header``. Members are streamed
+    in chunks, and zip members carry a fixed timestamp, so identical inputs
+    give identical bytes. The file is written atomically at exactly ``path``."""
+    meta = json.dumps({**(header or {}), "format": fmt, "version": PARAMS_VERSION},
+                      sort_keys=True)
+    members = {_HEADER: np.frombuffer(meta.encode(), dtype=np.uint8)}
+    for name, value in params.items():
+        members[name] = np.asarray(value.data if isinstance(value, Tensor) else value,
+                                   dtype=np.float64)
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False, **members)
+
+
+def is_container(path) -> bool:
+    """Whether ``path`` holds a version-2 container (a zip) rather than v1 JSON."""
+    with open(path, "rb") as fh:
+        return fh.read(2) == b"PK"
+
+
+class _Members(Mapping):
+    """Name -> float64 array view of an open container; each lookup reads one
+    member, so a caller can hold one array at a time."""
+
+    def __init__(self, npz, path, fmt: str):
+        self._npz, self._path, self._fmt = npz, path, fmt
+
+    def __iter__(self):
+        return (name for name in self._npz.files if name != _HEADER)
+
+    def __len__(self) -> int:
+        return len(self._npz.files) - 1
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        try:
+            arr = self._npz[name]
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+            raise _damaged(self._path, self._fmt, exc) from None
+        if arr.dtype != np.float64:
+            raise _damaged(self._path, self._fmt, f"member '{name}' is {arr.dtype}, not float64")
+        return arr
+
+
+def _damaged(path, fmt: str, why) -> ValueError:
+    return ValueError(f"corrupt or truncated {fmt} file {path}: " + " ".join(str(why).split()))
+
+
+@contextmanager
+def open_params(path, fmt: str = PARAMS_FORMAT):
+    """Open a container written by ``save_params``; yields its header dict and a
+    lazy name -> array ``Mapping``. Never unpickles. A damaged file raises a
+    one-line ``ValueError`` naming ``path``."""
+    with open(path, "rb") as fh:
+        try:
+            npz = np.load(fh, allow_pickle=False)
+            header = json.loads(npz[_HEADER].tobytes())
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+            raise _damaged(path, fmt, exc) from None
+        if not isinstance(header, dict) or header.get("format") != fmt:
+            raise ValueError(f"not a {fmt} file: {path}")
+        if header.get("version") != PARAMS_VERSION:
+            raise ValueError(f"unsupported {fmt} version {header.get('version')} in {path}")
+        yield header, _Members(npz, path, fmt)
+
+
+def read_json_v1(path, fmt: str) -> dict:
+    """Parse a version-1 JSON file and check its format tag."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except ValueError:  # not UTF-8 or not JSON
+        payload = None
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise ValueError(f"not a {fmt} file: {path}")
+    if payload.get("version") != 1:
+        raise ValueError(f"unsupported {fmt} version {payload.get('version')} in {path}")
+    return payload
 
 
 def load_params(path) -> dict[str, np.ndarray]:
-    """Read a parameter map written by ``save_params``; validates header and shapes."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != PARAMS_FORMAT:
-        raise ValueError(f"not a {PARAMS_FORMAT} file: {path}")
-    if payload.get("version") != PARAMS_VERSION:
-        raise ValueError(f"unsupported params version {payload.get('version')} in {path}")
+    """Read a parameter map written by ``save_params`` (or a v1 JSON params file)."""
+    if is_container(path):
+        with open_params(path) as (_, members):
+            return dict(members)
     out = {}
-    for name, entry in payload["params"].items():
+    for name, entry in read_json_v1(path, PARAMS_FORMAT)["params"].items():
         shape = tuple(entry["shape"])
         arr = np.asarray(entry["data"], dtype=np.float64)
         if arr.size != int(np.prod(shape, dtype=np.int64)):

@@ -10,7 +10,7 @@ checkpoints byte for byte.
 
 from __future__ import annotations
 
-import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +28,18 @@ from .model import (
     forward_fused,
     fused_matrix,
 )
-from .tensor import NonFiniteError, Tape, Tensor, backward
+from .tensor import (
+    NonFiniteError,
+    Tape,
+    Tensor,
+    backward,
+    is_container,
+    open_params,
+    read_json_v1,
+    save_params,
+)
 
 CHECKPOINT_FORMAT = "convemo-checkpoint"
-CHECKPOINT_VERSION = 1
 
 
 class TrainingAbort(RuntimeError):
@@ -140,11 +148,11 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
                      config.beta1, config.beta2, config.adam_eps)
 
     history: list[EpochStats] = []
+    # Weighted F1 is >= 0, so epoch 0 always sets the best snapshot.
     best_wf1 = -1.0
     best_epoch = -1
-    best_snapshot = model.snapshot()
-    best_opt_state = optimizer.state_dict()
-    final_snapshot = model.snapshot()
+    best_snapshot: dict[str, np.ndarray] = {}
+    best_opt_state: dict = {}
 
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(train_dialogues))
@@ -178,6 +186,9 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         if valid_wf1 > best_wf1:
             best_wf1 = valid_wf1
             best_epoch = epoch
+            # free the previous best's three copies before taking new ones
+            best_snapshot.clear()
+            best_opt_state.clear()
             best_snapshot = model.snapshot()
             best_opt_state = optimizer.state_dict()
         elif epoch - best_epoch > config.patience:
@@ -256,26 +267,23 @@ def mask_importance(dialogue: Dialogue, model: ModelParams,
 def save_checkpoint(path, model: ModelParams, config: TrainConfig,
                     optimizer_state: dict, epoch: int, valid_wf1: float,
                     label_names: list[str], corpus_fingerprint: str = "") -> None:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
+    """Write the model, its Adam moments and run metadata as one container
+    (``tensor.save_params``): members ``param/<name>``, ``m/<name>`` and
+    ``v/<name>``, in the model's parameter order."""
+    header = {
         "config": config.to_dict(),
         "dims": model.dims.to_dict(),
         "label_names": label_names,
         "epoch": epoch,
         "valid_weighted_f1": valid_wf1,
         "corpus_fingerprint": corpus_fingerprint,
-        "params": {name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
-                   for name, t in model.named().items()},
-        "optimizer": {
-            "step_count": optimizer_state["step_count"],
-            "m": {k: v.reshape(-1).tolist() for k, v in optimizer_state["m"].items()},
-            "v": {k: v.reshape(-1).tolist() for k, v in optimizer_state["v"].items()},
-        },
+        "step_count": optimizer_state["step_count"],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    named = model.named()
+    arrays = {f"param/{name}": t for name, t in named.items()}
+    for key in ("m", "v"):
+        arrays.update((f"{key}/{name}", optimizer_state[key][name]) for name in named)
+    save_params(path, arrays, header, CHECKPOINT_FORMAT)
 
 
 @dataclass
@@ -290,29 +298,31 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    config = TrainConfig.from_dict(payload["config"])
-    dims = ModelDims.from_dict(payload["dims"])
-    model = ModelParams.init(config, dims, np.random.default_rng(0))
-    snapshot = {name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-                for name, entry in payload["params"].items()}
-    model.restore(snapshot)
+    """Read a checkpoint written by ``save_checkpoint``, or a version-1 JSON one."""
+    if is_container(path):
+        with open_params(path, CHECKPOINT_FORMAT) as (header, members):
+            return _checkpoint_from(header, members)
+    # version 1: one JSON object holding flat float lists
+    payload = read_json_v1(path, CHECKPOINT_FORMAT)
     opt = payload["optimizer"]
-    named = model.named()
-    optimizer_state = {
-        "step_count": opt["step_count"],
-        "m": {k: np.asarray(v, dtype=np.float64).reshape(named[k].shape)
-              for k, v in opt["m"].items()},
-        "v": {k: np.asarray(v, dtype=np.float64).reshape(named[k].shape)
-              for k, v in opt["v"].items()},
-    }
-    return Checkpoint(model, config, int(payload["epoch"]),
-                      float(payload["valid_weighted_f1"]),
-                      list(payload["label_names"]),
-                      payload.get("corpus_fingerprint", ""),
-                      optimizer_state)
+    members = {f"param/{name}": np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+               for name, entry in payload["params"].items()}
+    for key in ("m", "v"):
+        members.update((f"{key}/{name}", flat) for name, flat in opt[key].items())
+    return _checkpoint_from({**payload, "step_count": opt["step_count"]}, members)
+
+
+def _checkpoint_from(header: dict, members: Mapping) -> Checkpoint:
+    config = TrainConfig.from_dict(header["config"])
+    model = ModelParams.init(config, ModelDims.from_dict(header["dims"]),
+                             np.random.default_rng(0))
+    # Parameters replace the blank model's arrays before the moments are
+    # read, so at most three parameter-sized copies are resident.
+    model.restore({name.removeprefix("param/"): members[name]
+                   for name in members if name.startswith("param/")})
+    state: dict = {"step_count": int(header["step_count"])}
+    for key in ("m", "v"):
+        state[key] = {name: np.asarray(members[f"{key}/{name}"], dtype=np.float64).reshape(t.shape)
+                      for name, t in model.named().items()}
+    return Checkpoint(model, config, int(header["epoch"]), float(header["valid_weighted_f1"]),
+                      list(header["label_names"]), header.get("corpus_fingerprint", ""), state)

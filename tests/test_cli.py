@@ -46,7 +46,7 @@ def test_train_is_deterministic_and_fast(tmp_path):
     h1 = (out1 / "history.csv").read_text()
     h2 = (out2 / "history.csv").read_text()
     assert h1 == h2
-    assert (out1 / "checkpoint.json").read_text() == (out2 / "checkpoint.json").read_text()
+    assert (out1 / "checkpoint.json").read_bytes() == (out2 / "checkpoint.json").read_bytes()
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["resolved_config"]["seed"] == 7
     assert manifest["tool_version"]
@@ -116,7 +116,9 @@ def test_eval_fingerprint_mismatch(tmp_path, capsys):
     # both fingerprints printed
     import hashlib
 
-    fp_ckpt = json.loads(Path(ckpt).read_text())["corpus_fingerprint"]
+    from convemo.training import load_checkpoint
+
+    fp_ckpt = load_checkpoint(ckpt).corpus_fingerprint
     fp_other = hashlib.sha256(other.read_bytes()).hexdigest()
     assert fp_ckpt in err and fp_other in err
     # --force allows it

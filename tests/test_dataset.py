@@ -150,6 +150,18 @@ def test_load_unknown_speaker(tmp_path):
         load_corpus(path)
 
 
+def test_load_rejects_duplicate_dialogue_id(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    save_corpus(path, _tiny_corpus())
+    lines = path.read_text().splitlines()
+    lines.append(lines[1])  # dialogue 'dlg-a' again, as line len(lines) + 1
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError) as info:
+        load_corpus(path)
+    assert str(info.value) == (f"{path}:{len(lines)}: duplicate dialogue_id 'dlg-a' "
+                               f"(first at line 2)")
+
+
 def test_load_parse_failure_has_line_number(tmp_path):
     path = tmp_path / "broken.jsonl"
     corpus = _tiny_corpus()

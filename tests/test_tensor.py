@@ -401,12 +401,62 @@ def test_params_roundtrip(tmp_path):
         "layer.w": parameter(rng.standard_normal((3, 4))),
         "layer.b": parameter(rng.standard_normal(4)),
     }
-    path = tmp_path / "params.json"
+    path = tmp_path / "params.npz"
     T.save_params(path, params)
+    assert path.read_bytes()[:2] == b"PK"
     loaded = T.load_params(path)
-    assert set(loaded) == set(params)
+    assert list(loaded) == list(params)
     for name, t in params.items():
         np.testing.assert_array_equal(loaded[name], t.data)
+    # saving what was loaded gives the same bytes
+    T.save_params(tmp_path / "again.npz", loaded)
+    assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.npz", "params.npz"]
+
+
+def test_params_version1_json_still_loads(tmp_path):
+    import json
+
+    w = np.random.default_rng(3).standard_normal((2, 3))
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps({"format": "convemo-params", "version": 1, "params": {
+        "w": {"shape": [2, 3], "data": w.reshape(-1).tolist()}}}))
+    loaded = T.load_params(path)
+    assert list(loaded) == ["w"]
+    np.testing.assert_array_equal(loaded["w"], w)
+
+
+def test_params_damaged_or_pickled_rejected(tmp_path):
+    import json
+
+    path = tmp_path / "p.npz"
+    T.save_params(path, {"w": np.arange(6.0).reshape(2, 3)})
+    data = path.read_bytes()
+    path.write_bytes(data[:-10])
+    with pytest.raises(ValueError, match="corrupt or truncated convemo-params file") as info:
+        T.load_params(path)
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
+    header = json.dumps({"format": "convemo-params", "version": 2}).encode()
+    with open(path, "wb") as fh:
+        np.savez(fh, __header__=np.frombuffer(header, dtype=np.uint8),
+                 w=np.array([{"a": 1}], dtype=object))
+    with pytest.raises(ValueError, match="allow_pickle=False"):
+        T.load_params(path)
+
+
+def test_atomic_open_keeps_old_file_on_failure(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with T.atomic_open(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("killed mid-write")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    with T.atomic_open(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_params_header_validation(tmp_path):

@@ -170,7 +170,67 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     path2 = tmp_path / "ckpt2.json"
     save_checkpoint(path2, ckpt.model, ckpt.config, ckpt.optimizer_state,
                     ckpt.epoch, ckpt.valid_wf1, ckpt.label_names, "abc123")
-    assert path.read_text() == path2.read_text()
+    assert path.read_bytes() == path2.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json", "ckpt2.json"]
+
+
+def _assert_same_checkpoint(ckpt, model, state):
+    got, want = ckpt.model.named(), model.named()
+    assert list(got) == list(want)
+    for name in want:
+        np.testing.assert_array_equal(got[name].data, want[name].data)
+        for key in ("m", "v"):
+            np.testing.assert_array_equal(ckpt.optimizer_state[key][name], state[key][name])
+    assert ckpt.optimizer_state["step_count"] == state["step_count"]
+
+
+def test_version1_json_checkpoint_loads_bitwise(tmp_path):
+    import json
+
+    corpus = _none_corpus(n=10, utts=4)
+    cfg = _fast_config(epochs=2)
+    result = train(corpus, cfg)
+    state = result.best_optimizer_state
+    # the version-1 layout: one JSON object holding flat float lists
+    payload = {
+        "format": "convemo-checkpoint", "version": 1,
+        "config": cfg.to_dict(), "dims": result.model.dims.to_dict(),
+        "label_names": result.label_names, "epoch": result.best_epoch,
+        "valid_weighted_f1": result.best_valid_wf1, "corpus_fingerprint": "v1fp",
+        "params": {name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
+                   for name, t in result.model.named().items()},
+        "optimizer": {"step_count": state["step_count"],
+                      "m": {k: v.reshape(-1).tolist() for k, v in state["m"].items()},
+                      "v": {k: v.reshape(-1).tolist() for k, v in state["v"].items()}},
+    }
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    ckpt = load_checkpoint(path)
+    _assert_same_checkpoint(ckpt, result.model, state)
+    assert (ckpt.epoch, ckpt.valid_wf1, ckpt.corpus_fingerprint) == (
+        result.best_epoch, result.best_valid_wf1, "v1fp")
+    # re-saved, it is a version-2 file that loads to the same arrays
+    save_checkpoint(tmp_path / "v2.json", ckpt.model, ckpt.config, ckpt.optimizer_state,
+                    ckpt.epoch, ckpt.valid_wf1, ckpt.label_names, "v1fp")
+    _assert_same_checkpoint(load_checkpoint(tmp_path / "v2.json"), result.model, state)
+
+
+def test_damaged_checkpoint_raises_one_line_error(tmp_path):
+    cfg = _fast_config()
+    model = ModelParams.init(cfg, ModelDims(width=6, num_speakers=2, num_classes=3),
+                             np.random.default_rng(0))
+    state = Adam(model.named(), cfg.learning_rate).state_dict()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, model, cfg, state, 0, 0.5, ["a", "b", "c"])
+    _assert_same_checkpoint(load_checkpoint(path), model, state)
+    data = path.read_bytes()
+    flipped = bytearray(data)
+    flipped[len(data) // 2] ^= 0xFF  # caught by the zip member CRCs
+    for damaged in (data[:len(data) // 2], data[:1], bytes(flipped)):
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value) and "\n" not in str(info.value)
 
 
 def test_checkpoint_header_rejected(tmp_path):

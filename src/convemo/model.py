@@ -93,6 +93,8 @@ class ModelParams:
         return {name: t.data.copy() for name, t in self.named().items()}
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
+        """Copy ``snapshot`` into the model's own arrays, which later in-place
+        updates then never share with the caller."""
         named = self.named()
         missing = set(named) - set(snapshot)
         extra = set(snapshot) - set(named)
@@ -103,7 +105,7 @@ class ModelParams:
             arr = np.asarray(snapshot[name], dtype=np.float64)
             if arr.shape != t.shape:
                 raise ValueError(f"parameter '{name}': shape {arr.shape} != {t.shape}")
-            t.data = np.ascontiguousarray(arr)
+            np.copyto(t.data, arr)
 
 
 @dataclass

@@ -10,6 +10,7 @@ checkpoints byte for byte.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -43,11 +44,22 @@ CHECKPOINT_FORMAT = "convemo-checkpoint"
 
 
 class TrainingAbort(RuntimeError):
-    """Training hit a non-finite loss; message names the dialogue."""
+    """Training hit a non-finite loss or optimizer step; the message names
+    the dialogue or the parameter, and the epoch."""
+
+
+ADAM_CHUNK = 1 << 15   # float64 elements per operand per pass: 256 KB, cache-resident
 
 
 class Adam:
-    """Adaptive-moment optimizer over a named parameter map."""
+    """Adaptive-moment optimizer over a named parameter map.
+
+    ``step`` updates the moments ``m``/``v`` and every parameter's array in
+    place, walking each tensor in ``ADAM_CHUNK``-element pieces through two
+    scratch buffers, so a step allocates nothing parameter-sized. The
+    optimizer owns ``m`` and ``v`` (``load_state`` copies into them); the
+    parameter arrays belong to the model.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -57,19 +69,55 @@ class Adam:
         self.step_count = 0
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        largest = max((t.data.size for t in params.values()), default=0)
+        self._scratch = a, b = np.empty((2, min(largest, ADAM_CHUNK)))
+        # a tensor that fits in one chunk is updated whole, through scratch
+        # views of its own shape
+        self._whole = {k: (a[:t.data.size].reshape(t.shape), b[:t.data.size].reshape(t.shape))
+                       for k, t in params.items() if t.data.size <= ADAM_CHUNK}
 
     def step(self) -> None:
+        """One update, bit-identical to ``m = b1*m + (1-b1)*g``,
+        ``v = b2*v + (1-b2)*g*g``, ``p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)``.
+
+        Tensors without a gradient are skipped. Raises ``NonFiniteError``
+        naming the parameter if a gradient, moment or update is NaN or Inf;
+        the optimizer state and parameters are then undefined.
+        """
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1, c2 = 1 - b1, 1 - b2
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
         for name, t in self.params.items():
             g = t.grad
             if g is None:
                 continue
-            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            t.data = t.data - self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            whole = self._whole.get(name)
+            if whole is not None:
+                chunks = ((t.data, self.m[name], self.v[name], g, *whole),)
+            else:
+                chunks = self._chunks(t, self.m[name], self.v[name], g)
+            for p, m, v, g, a, b in chunks:
+                np.multiply(m, b1, m)
+                np.add(m, np.multiply(g, c1, a), m)
+                np.multiply(v, b2, v)
+                np.add(v, np.multiply(np.multiply(g, c2, a), g, a), v)
+                np.add(np.sqrt(np.divide(v, bias2, a), a), eps, a)          # denominator
+                np.divide(np.multiply(np.divide(m, bias1, b), lr, b), a, b)  # update
+                # update * denominator is about lr*m/bias1 while every element is
+                # finite, and NaN or Inf once a gradient, moment or update is not
+                if not math.isfinite(np.vdot(b, a)):
+                    raise NonFiniteError(f"Adam.step: non-finite gradient or update in '{name}'")
+                np.subtract(p, b, p)
+
+    def _chunks(self, t: Tensor, m: np.ndarray, v: np.ndarray, g: np.ndarray):
+        """(param, m, v, grad, scratch, scratch) views of successive chunks."""
+        t.data = np.ascontiguousarray(t.data)  # the same array unless rebound to a view
+        flat = [x.reshape(-1) for x in (t.data, m, v, g)]
+        for lo in range(0, t.data.size, ADAM_CHUNK):
+            part = [x[lo:lo + ADAM_CHUNK] for x in flat]
+            yield (*part, *(s[:part[0].size] for s in self._scratch))
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -81,10 +129,11 @@ class Adam:
                 "v": {k: v.copy() for k, v in self.v.items()}}
 
     def load_state(self, state: dict) -> None:
+        """Copy ``state`` into the optimizer's own moment arrays."""
         self.step_count = int(state["step_count"])
-        for k in self.m:
-            self.m[k] = np.asarray(state["m"][k], dtype=np.float64).reshape(self.m[k].shape)
-            self.v[k] = np.asarray(state["v"][k], dtype=np.float64).reshape(self.v[k].shape)
+        for key, own in (("m", self.m), ("v", self.v)):
+            for k, arr in own.items():
+                np.copyto(arr, np.asarray(state[key][k], dtype=np.float64).reshape(arr.shape))
 
 
 @dataclass
@@ -154,6 +203,13 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
     best_snapshot: dict[str, np.ndarray] = {}
     best_opt_state: dict = {}
 
+    def step(epoch: int) -> None:
+        try:
+            optimizer.step()
+        except NonFiniteError as exc:
+            raise TrainingAbort(f"non-finite optimizer step at epoch {epoch}: {exc}") from exc
+        optimizer.zero_grad()
+
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(train_dialogues))
         losses = []
@@ -174,12 +230,10 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
             losses.append(loss.item())
             pending += 1
             if pending == config.grad_accum:
-                optimizer.step()
-                optimizer.zero_grad()
+                step(epoch)
                 pending = 0
         if pending:
-            optimizer.step()
-            optimizer.zero_grad()
+            step(epoch)
 
         valid_wf1 = _validation_score(valid_dialogues, model, config)
         history.append(EpochStats(epoch, float(np.mean(losses)), valid_wf1))
@@ -312,12 +366,20 @@ def load_checkpoint(path) -> Checkpoint:
     return _checkpoint_from({**payload, "step_count": opt["step_count"]}, members)
 
 
+class _NoDraw:
+    """Stands in for the init generator of a model whose weights are about to
+    be overwritten: weights come back uninitialised, and nothing is drawn."""
+
+    @staticmethod
+    def uniform(low, high, size) -> np.ndarray:
+        return np.empty(size)
+
+
 def _checkpoint_from(header: dict, members: Mapping) -> Checkpoint:
     config = TrainConfig.from_dict(header["config"])
-    model = ModelParams.init(config, ModelDims.from_dict(header["dims"]),
-                             np.random.default_rng(0))
-    # Parameters replace the blank model's arrays before the moments are
-    # read, so at most three parameter-sized copies are resident.
+    model = ModelParams.init(config, ModelDims.from_dict(header["dims"]), _NoDraw())
+    # Parameters are copied into the blank model, and the read copies freed,
+    # before the moments are read: at most three parameter-sized copies.
     model.restore({name.removeprefix("param/"): members[name]
                    for name in members if name.startswith("param/")})
     state: dict = {"step_count": int(header["step_count"])}

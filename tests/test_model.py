@@ -17,6 +17,7 @@ from convemo.model import (
     fused_matrix,
 )
 from convemo.tensor import Tensor
+from convemo.training import Adam
 from helpers import FD_TOL, check_grads
 
 
@@ -115,6 +116,21 @@ def test_snapshot_restore_roundtrip():
     model.restore(snap)
     restored = forward_dialogue(d, model, config).probs.data
     np.testing.assert_array_equal(before, restored)
+
+
+def test_step_after_restore_leaves_snapshot_unchanged():
+    _, _, model = _small_setup()
+    snap = model.snapshot()
+    kept = {k: a.copy() for k, a in snap.items()}
+    model.restore(snap)
+    opt = Adam(model.named(), 1e-2)
+    rng = np.random.default_rng(0)
+    for t in model.named().values():
+        t.grad = rng.standard_normal(t.shape)
+    opt.step()
+    assert not np.array_equal(model.classifier.w1.data, kept["classifier.w1"])
+    for k, a in snap.items():
+        np.testing.assert_array_equal(a, kept[k])
 
 
 def test_restore_validates_names_and_shapes():

@@ -6,7 +6,9 @@ from convemo.config import ConfigError, TrainConfig
 from convemo.dataset import Corpus, Dialogue, SynthSpec, Utterance, synth_corpus
 from convemo.model import ModelDims, ModelParams, forward_dialogue, forward_fused, fused_matrix
 from convemo.tensor import Tensor
+from convemo import training
 from convemo.training import (
+    ADAM_CHUNK,
     Adam,
     TrainingAbort,
     evaluate_model,
@@ -48,6 +50,103 @@ def test_adam_moves_against_gradient():
     p.grad = np.ones((2, 2))
     opt.step()
     assert (p.data < 0).all()
+
+
+def _adam_reference_step(p, m, v, g, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The allocating update Adam.step must reproduce bit for bit."""
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    bias1, bias2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+    return p - lr * (m / bias1) / (np.sqrt(v / bias2) + eps), m, v
+
+
+def test_adam_step_bit_identical_to_reference_across_chunks():
+    shapes = {"one": (1,), "bias": (7,), "small": (5, 6), "large": (300, 250)}
+    large = 300 * 250
+    assert large > ADAM_CHUNK and large % ADAM_CHUNK  # several chunks, a ragged last one
+    rng = np.random.default_rng(0)
+    params = {k: T.parameter(rng.standard_normal(s)) for k, s in shapes.items()}
+    ref = {k: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for k, t in params.items()}
+    opt = Adam(params, lr=1e-2)
+    for step in (1, 2, 3):
+        for name, t in params.items():
+            t.grad = None if (step == 2 and name == "small") else rng.standard_normal(t.shape)
+            if t.grad is not None:
+                ref[name] = _adam_reference_step(*ref[name], t.grad, step, 1e-2)
+        opt.step()
+        for name, t in params.items():
+            p, m, v = ref[name]
+            np.testing.assert_array_equal(t.data, p)
+            np.testing.assert_array_equal(opt.m[name], m)
+            np.testing.assert_array_equal(opt.v[name], v)
+    assert opt.step_count == 3
+
+
+def test_adam_step_keeps_array_identity():
+    """A step writes into the existing parameter and moment arrays."""
+    rng = np.random.default_rng(1)
+    params = {"w": T.parameter(rng.standard_normal((300, 250))),
+              "b": T.parameter(rng.standard_normal(4))}
+    opt = Adam(params, lr=1e-2)
+    before = {k: (t.data, opt.m[k], opt.v[k]) for k, t in params.items()}
+    values = {k: t.data.copy() for k, t in params.items()}
+    for t in params.values():
+        t.grad = rng.standard_normal(t.shape)
+    opt.step()
+    for k, t in params.items():
+        assert all(a is b for a, b in zip((t.data, opt.m[k], opt.v[k]), before[k]))
+        assert not np.array_equal(t.data, values[k])
+
+
+# 1e200 is finite, but its square overflows v, which zeroes the update
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_adam_non_finite_gradient_or_moment_names_parameter(bad):
+    rng = np.random.default_rng(2)
+    params = {"ok": T.parameter(rng.standard_normal(3)),
+              "rgcn.theta_rel3": T.parameter(rng.standard_normal((300, 250)))}
+    opt = Adam(params, lr=1e-2)
+    for t in params.values():
+        t.grad = rng.standard_normal(t.shape)
+    params["rgcn.theta_rel3"].grad[299, 17] = bad
+    with np.errstate(all="ignore"), \
+            pytest.raises(T.NonFiniteError, match=r"Adam\.step: .*'rgcn\.theta_rel3'"):
+        opt.step()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_aborts_on_non_finite_gradient(monkeypatch, bad):
+    models = []
+    real_init, real_backward = ModelParams.init.__func__, training.backward
+
+    def init(cls, *args):
+        models.append(real_init(cls, *args))
+        return models[-1]
+
+    def poisoned(loss, tape):
+        real_backward(loss, tape)
+        models[0].classifier.w2.grad[0, 0] = bad
+
+    monkeypatch.setattr(ModelParams, "init", classmethod(init))
+    monkeypatch.setattr(training, "backward", poisoned)
+    with np.errstate(all="ignore"), \
+            pytest.raises(TrainingAbort, match=r"epoch 0: Adam\.step: .*'classifier\.w2'"):
+        train(_none_corpus(n=6, utts=4), _fast_config(epochs=2))
+
+
+def test_adam_load_state_copies():
+    rng = np.random.default_rng(3)
+    params = {"w": T.parameter(rng.standard_normal((4, 5)))}
+    opt = Adam(params, lr=1e-2)
+    state = {"step_count": 2, "m": {"w": rng.standard_normal((4, 5))},
+             "v": {"w": rng.random((4, 5))}}
+    kept = {k: state[k]["w"].copy() for k in ("m", "v")}
+    opt.load_state(state)
+    np.testing.assert_array_equal(opt.m["w"], kept["m"])
+    params["w"].grad = rng.standard_normal((4, 5))
+    opt.step()
+    assert not np.array_equal(opt.m["w"], kept["m"])
+    for k in ("m", "v"):
+        np.testing.assert_array_equal(state[k]["w"], kept[k])
 
 
 def test_config_validation():

@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import ABLATIONS, TrainConfig
 from .dataset import Corpus, truncate_context
 from .model import ModelParams, forward_dialogue
 from .training import evaluate_model, train
-
-ABLATION_VARIANTS = ("full", "no_gnn", "no_relations")
 
 
 @dataclass
@@ -81,7 +79,7 @@ def _train_and_score(corpus: Corpus, config: TrainConfig, seed: int) -> float:
 
 
 def run_ablation(corpus: Corpus, base_config: TrainConfig, seeds: list[int],
-                 variants: tuple[str, ...] = ABLATION_VARIANTS,
+                 variants: tuple[str, ...] = ABLATIONS,
                  modality_sets: list[str] | None = None) -> StudyResult:
     """Variant x modality-set grid of retrained models."""
     modality_sets = modality_sets or [base_config.active_modalities]

@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import dump_embeddings, run_ablation, run_context_sweep, run_window_sweep
-from .config import ConfigError, TrainConfig
-from .dataset import CorpusError, SynthSpec, load_corpus, save_corpus, synth_corpus
-from .graph import build_graph
+from .config import ABLATIONS, ConfigError, TrainConfig
+from .dataset import SPLITS, CorpusError, SynthSpec, load_corpus, save_corpus, synth_corpus
+from .graph import EDGE_MODES, build_graph
 from .tensor import NonFiniteError, atomic_open
 from .training import (
     TrainingAbort,
@@ -270,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", default=None, help="flat JSON config file")
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--epochs", type=int, default=None)
-            p.add_argument("--ablation", choices=("full", "no_gnn", "no_relations"),
-                           default=None)
+            p.add_argument("--ablation", choices=ABLATIONS, default=None)
             p.add_argument("--modalities", default=None, help="subset of 'atv'")
             p.add_argument("--lr", type=float, default=None)
             p.add_argument("--past", default=None, help="past window (int or 'inf')")
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus split")
     add_common(p, config=False)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", default="test", choices=("train", "valid", "test"))
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--shift-level", dest="shift_level", default="utterance",
                    choices=("utterance", "speaker"))
     p.add_argument("--force", action="store_true",
@@ -297,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--past", default="10")
     p.add_argument("--future", default="10")
     p.add_argument("--edge-mode", dest="edge_mode", default="both_directions",
-                   choices=("both_directions", "single_direction"))
+                   choices=EDGE_MODES)
     p.add_argument("--no-self-loops", dest="no_self_loops", action="store_true")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(func=cmd_graph)
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, config=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--stage", default="after_gnn", choices=("before_gnn", "after_gnn"))
-    p.add_argument("--split", default="test", choices=("train", "valid", "test"))
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus file")

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 
+from .dataset import CorpusError, normalize_modalities
+from .graph import EDGE_MODES
+
 ABLATIONS = ("full", "no_gnn", "no_relations")
 
 
@@ -55,14 +58,12 @@ class TrainConfig:
             w = getattr(self, name)
             if w is not None and w < 0:
                 raise ConfigError(f"{name} must be >= 0 or null for unbounded")
-        if self.edge_mode not in ("both_directions", "single_direction"):
+        if self.edge_mode not in EDGE_MODES:
             raise ConfigError(f"unknown edge_mode '{self.edge_mode}'")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {ABLATIONS}")
         if self.patience < 0:
             raise ConfigError("patience must be >= 0")
-        from .dataset import CorpusError, normalize_modalities
-
         try:
             object.__setattr__(self, "active_modalities",
                                normalize_modalities(self.active_modalities))
@@ -96,8 +97,6 @@ def mosei_defaults(modalities: str = "atv") -> TrainConfig:
         "at": dict(dropout=0.103, gnn_heads=1, seq_context_layers=2, learning_rate=6.9e-3),
         "atv": dict(dropout=0.337, gnn_heads=2, seq_context_layers=1, learning_rate=1.1e-3),
     }
-    from .dataset import normalize_modalities
-
     key = normalize_modalities(modalities)
     if key not in table:
         raise ConfigError(f"no preset for modality set '{key}'")

@@ -107,7 +107,7 @@ def encode(x: Tensor, params: EncoderParams, training: bool = False,
             layer_maps.append(alpha)
             heads.append(T.matmul(alpha, v, tape))
         maps.append(layer_maps)
-        u_prime = T.matmul(T.concat_cols(heads, tape), layer.w_o, tape)
+        u_prime = T.matmul(T.concat(heads, 1, tape), layer.w_o, tape)
         u_prime = T.dropout(u_prime, dropout_p, training, rng, tape)
         u = T.layer_norm(T.add(x, u_prime, tape), layer.gamma1, layer.beta1, tape=tape)
         z_prime = T.matmul(T.relu(T.matmul(u, layer.w_ffn1, tape), tape), layer.w_ffn2, tape)

@@ -3,10 +3,16 @@
 ``rgcn_forward`` is a plain relational graph convolution: a root
 transform of each node plus, for every relation type, the mean of the
 type's in-neighbor features pushed through that type's own weight
-matrix. ``graph_transformer_forward`` then runs dot-product attention
-restricted to graph neighborhoods (relation types ignored at this
-layer), combining a transformed self term with attention-weighted
-neighbor messages; multiple heads are concatenated and projected.
+matrix. It runs as one aggregation: the messages ``z @ theta_r`` of the
+P relation types present in the graph are stacked by rows into a
+(P*n) x d' matrix, and one constant n x (P*n) mean matrix, holding
+1/|N_r(i)| at [i, slot(r)*n + j] for each edge j -> i of type r, sums
+and averages them for every node at once.
+
+``graph_transformer_forward`` then runs dot-product attention restricted
+to graph neighborhoods (relation types ignored at this layer), combining
+a transformed self term with attention-weighted neighbor messages;
+multiple heads are concatenated and projected.
 
 ``bypass_gnn`` is the identity, so the "no graph layers" ablation is an
 ordinary pipeline configuration rather than a special case.
@@ -97,39 +103,38 @@ def _check_nodes(x: Tensor, g: ConversationGraph, name: str) -> None:
                            f"{g.num_nodes} graph nodes")
 
 
-def _relation_adjacency(g: ConversationGraph) -> dict[int, np.ndarray]:
-    """Per relation type, the in-neighbor averaging matrix A_r with
-    A_r[i, j] = 1/|N_r(i)| for every edge (j -> i) of type r."""
-    mats: dict[int, np.ndarray] = {}
-    for src, dst, rel in g.edges:
-        mats.setdefault(rel, np.zeros((g.num_nodes, g.num_nodes)))[dst, src] += 1.0
-    for rel, mat in mats.items():
-        deg = mat.sum(axis=1, keepdims=True)
-        np.divide(mat, deg, out=mat, where=deg > 0)
-    return mats
+def _edge_arrays(g: ConversationGraph) -> np.ndarray:
+    """The edge list as three int arrays: src, dst, rel."""
+    return np.array(g.edges, dtype=np.intp).reshape(-1, 3).T
 
 
 def rgcn_forward(z: Tensor, g: ConversationGraph, params: RgcnParams,
                  tape: Tape | None = None) -> Tensor:
     """theta_root z_i plus per-relation mean of transformed in-neighbors."""
     _check_nodes(z, g, "rgcn_forward")
-    if g.edges:
-        max_rel = max(rel for _, _, rel in g.edges)
-        if max_rel >= params.relation_count:
-            raise ValueError(f"graph uses relation id {max_rel} but parameters "
-                             f"cover only {params.relation_count} types")
+    src, dst, rel = _edge_arrays(g)
+    bad = rel[(rel < 0) | (rel >= params.relation_count)]
+    if bad.size:
+        raise ValueError(f"graph uses relation id {bad.max()} but parameters "
+                         f"cover only {params.relation_count} types")
     out = T.matmul(z, params.theta_root, tape)
-    for rel, adj in sorted(_relation_adjacency(g).items()):
-        msg = T.matmul(Tensor(adj), T.matmul(z, params.thetas[rel], tape), tape)
-        out = T.add(out, msg, tape)
-    return out
+    if not rel.size:
+        return out
+    present, slot = np.unique(rel, return_inverse=True)
+    n, p = g.num_nodes, present.size
+    # edge counts per (dst, relation slot, src); parallel edges count twice
+    counts = np.bincount((dst * p + slot) * n + src, minlength=n * p * n).reshape(n, p, n)
+    deg = counts.sum(axis=2, keepdims=True)
+    mean = np.divide(counts, deg, out=np.zeros((n, p, n)), where=deg > 0)
+    messages = T.concat([T.matmul(z, params.thetas[r], tape) for r in present], 0, tape)
+    return T.add(out, T.matmul(Tensor(mean.reshape(n, p * n)), messages, tape), tape)
 
 
 def neighborhood_mask(g: ConversationGraph) -> np.ndarray:
     """mask[i, j] is true when j is an in-neighbor of i (any relation type)."""
+    src, dst, _ = _edge_arrays(g)
     mask = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
-    for src, dst, _ in g.edges:
-        mask[dst, src] = True
+    mask[dst, src] = True
     return mask
 
 
@@ -158,7 +163,7 @@ def graph_transformer_forward(xp: Tensor, g: ConversationGraph,
         outs.append(T.add(T.matmul(xp, head.w_self, tape), messages, tape))
     if capture is not None:
         capture["graph_attention"] = alphas
-    return T.matmul(T.concat_cols(outs, tape), params.w_out, tape)
+    return T.matmul(T.concat(outs, 1, tape), params.w_out, tape)
 
 
 def bypass_gnn(z: Tensor) -> Tensor:

@@ -2,8 +2,8 @@
 
 The conversation model runs entirely on the primitives in this module:
 2-D matmul, row softmax (plain and neighborhood-masked), layer norm,
-relu, column concatenation, inverted dropout, bias adds, and the two
-classification losses. Forward ops record onto an explicit ``Tape``;
+relu, row or column concatenation, inverted dropout, bias adds, and the
+two classification losses. Forward ops record onto an explicit ``Tape``;
 ``backward`` replays the tape in reverse and accumulates adjoints, so a
 tensor consumed by several ops receives the sum of all contributions.
 
@@ -23,8 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-PARAMS_FORMAT = "convemo-params"
-PARAMS_VERSION = 2   # version 1 was JSON float lists; it is still read
+PARAMS_VERSION = 2   # version 1 was JSON float lists; ``read_json_v1`` reads it
 _HEADER = "__header__"
 
 
@@ -133,9 +132,12 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     a_data, b_data = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def grad_fn(d):
-        return d @ b_data.T, a_data.T @ d
+        # an operand that takes no gradient gets no adjoint (None)
+        return (d @ b_data.T if need_a else None,
+                a_data.T @ d if need_b else None)
 
     return _make(a_data @ b_data, (a, b), "matmul", tape, grad_fn)
 
@@ -280,23 +282,26 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     return _make(out, (x, gamma, beta), "layer_norm", tape, grad_fn)
 
 
-def concat_cols(parts: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
-    """Column-wise concatenation; backward slices adjoints back to each part."""
+def concat(parts: Sequence[Tensor], axis: int, tape: Tape | None = None) -> Tensor:
+    """Concatenation of 2-D parts along ``axis`` (0: rows, 1: columns);
+    backward slices the adjoint back into each part."""
     if not parts:
-        raise ShapeError("concat_cols needs at least one part")
-    _check_2d("concat_cols", *parts)
-    rows = parts[0].shape[0]
+        raise ShapeError("concat needs at least one part")
+    if axis not in (0, 1):
+        raise ShapeError(f"concat axis must be 0 or 1, got {axis}")
+    _check_2d("concat", *parts)
+    other = parts[0].shape[1 - axis]
     for p in parts:
-        if p.shape[0] != rows:
-            raise ShapeError(f"concat_cols row counts disagree: {rows} vs {p.shape[0]}")
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+        if p.shape[1 - axis] != other:
+            raise ShapeError(f"concat along axis {axis}: sizes disagree: "
+                             f"{other} vs {p.shape[1 - axis]}")
+    cuts = np.cumsum([p.shape[axis] for p in parts[:-1]])
 
     def grad_fn(d):
-        return tuple(d[:, offsets[i]:offsets[i + 1]] for i in range(len(widths)))
+        return tuple(np.split(d, cuts, axis=axis))
 
-    return _make(np.concatenate([p.data for p in parts], axis=1),
-                 tuple(parts), "concat_cols", tape, grad_fn)
+    return _make(np.concatenate([p.data for p in parts], axis=axis),
+                 tuple(parts), "concat", tape, grad_fn)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None,
@@ -389,7 +394,7 @@ def atomic_open(path, mode: str = "w"):
 
 
 def save_params(path, params: Mapping[str, Tensor | np.ndarray],
-                header: dict | None = None, fmt: str = PARAMS_FORMAT) -> None:
+                fmt: str, header: dict | None = None) -> None:
     """Write named arrays as one version-2 container: an uncompressed zip
     (``np.savez``) of one float64 ``.npy`` member per name plus a JSON header
     member carrying ``fmt``, the version and ``header``. Members are streamed
@@ -439,7 +444,7 @@ def _damaged(path, fmt: str, why) -> ValueError:
 
 
 @contextmanager
-def open_params(path, fmt: str = PARAMS_FORMAT):
+def open_params(path, fmt: str):
     """Open a container written by ``save_params``; yields its header dict and a
     lazy name -> array ``Mapping``. Never unpickles. A damaged file raises a
     one-line ``ValueError`` naming ``path``."""
@@ -468,21 +473,6 @@ def read_json_v1(path, fmt: str) -> dict:
     if payload.get("version") != 1:
         raise ValueError(f"unsupported {fmt} version {payload.get('version')} in {path}")
     return payload
-
-
-def load_params(path) -> dict[str, np.ndarray]:
-    """Read a parameter map written by ``save_params`` (or a v1 JSON params file)."""
-    if is_container(path):
-        with open_params(path) as (_, members):
-            return dict(members)
-    out = {}
-    for name, entry in read_json_v1(path, PARAMS_FORMAT)["params"].items():
-        shape = tuple(entry["shape"])
-        arr = np.asarray(entry["data"], dtype=np.float64)
-        if arr.size != int(np.prod(shape, dtype=np.int64)):
-            raise ValueError(f"parameter '{name}' has {arr.size} values for shape {shape}")
-        out[name] = np.ascontiguousarray(arr.reshape(shape))
-    return out
 
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

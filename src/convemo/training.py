@@ -337,7 +337,7 @@ def save_checkpoint(path, model: ModelParams, config: TrainConfig,
     arrays = {f"param/{name}": t for name, t in named.items()}
     for key in ("m", "v"):
         arrays.update((f"{key}/{name}", optimizer_state[key][name]) for name in named)
-    save_params(path, arrays, header, CHECKPOINT_FORMAT)
+    save_params(path, arrays, CHECKPOINT_FORMAT, header)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from convemo.gnn import (
     neighborhood_mask,
     rgcn_forward,
 )
-from convemo.graph import ConversationGraph, graph_from_speakers
+from convemo.graph import ConversationGraph, collapse_relations, graph_from_speakers
 from convemo.tensor import Tape, Tensor, backward
 from helpers import FD_TOL, check_grads
 
@@ -94,10 +94,43 @@ def test_rgcn_matches_loop_oracle(seed):
     g = _random_graph(rng, n, m)
     params = RgcnParams.init(4, 5, g.relation_count, rng)
     z = rng.standard_normal((n, 4))
-    got = rgcn_forward(Tensor(z), g, params).data
-    want = rgcn_loop_oracle(z, g, params.theta_root.data,
-                            [t.data for t in params.thetas])
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    # collapsing a single-direction graph with overlapping windows makes
+    # parallel edges, each of which counts in the mean
+    single = graph_from_speakers(rng.integers(0, m, size=n).tolist(), m, 2, 2,
+                                 "single_direction")
+    parallel = collapse_relations(single)
+    assert n == 1 or len(set(parallel.edges)) < len(parallel.edges)
+    for graph in (g, collapse_relations(g), parallel):
+        got = rgcn_forward(Tensor(z), graph, params).data
+        want = rgcn_loop_oracle(z, graph, params.theta_root.data,
+                                [t.data for t in params.thetas])
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_rgcn_absent_relations_get_no_gradient():
+    rng = np.random.default_rng(9)
+    g = graph_from_speakers([0, 0, 1], 3, 1, 1)
+    params = RgcnParams.init(3, 3, g.relation_count, rng)
+    z = T.parameter(rng.standard_normal((3, 3)))
+    tape = Tape()
+    backward(T.sum_all(rgcn_forward(z, g, params, tape), tape), tape)
+    present = {rel for _, _, rel in g.edges}
+    assert 0 < len(present) < g.relation_count
+    for r, theta in enumerate(params.thetas):
+        assert (theta.grad is not None) == (r in present)
+    assert params.theta_root.grad is not None and z.grad is not None
+
+
+def test_rgcn_records_one_matmul_per_present_relation():
+    speakers = [0, 1, 2, 3, 4, 5, 2, 0, 4, 1, 3, 5]
+    g = graph_from_speakers(speakers, 6, None, None)
+    present = len({rel for _, _, rel in g.edges})
+    params = RgcnParams.init(4, 4, g.relation_count, np.random.default_rng(10))
+    tape = Tape()
+    rgcn_forward(T.parameter(np.ones((len(speakers), 4))), g, params, tape)
+    # root, one per present type, the stacking, the mean and the sum
+    assert len(tape) == present + 4
+    assert present > 40
 
 
 def test_rgcn_relation_id_beyond_params():
@@ -105,6 +138,10 @@ def test_rgcn_relation_id_beyond_params():
     rng = np.random.default_rng(2)
     params = RgcnParams.init(3, 3, 2, rng)
     with pytest.raises(ValueError, match="relation id 5"):
+        rgcn_forward(Tensor(rng.standard_normal((2, 3))), g, params)
+    # a negative id would otherwise index the relation list from its end
+    g = ConversationGraph(2, [(0, 1, -1)], 6)
+    with pytest.raises(ValueError, match="relation id -1"):
         rgcn_forward(Tensor(rng.standard_normal((2, 3))), g, params)
 
 

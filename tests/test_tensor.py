@@ -42,6 +42,21 @@ def test_matmul_matches_triple_loop():
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
 
+def test_matmul_grad_fn_skips_constant_operand():
+    rng = np.random.default_rng(9)
+    const = Tensor(rng.standard_normal((3, 3)))
+    weight = parameter(rng.standard_normal((3, 3)))
+    d = rng.standard_normal((3, 3))
+    for a, b, slot in ((const, weight, 0), (weight, const, 1)):
+        tape = Tape()
+        T.matmul(a, b, tape)
+        (_op, _inputs, _out, grad_fn), = tape.entries
+        grads = grad_fn(d)
+        assert grads[slot] is None
+        want = a.data.T @ d if slot == 0 else d @ b.data.T
+        np.testing.assert_array_equal(grads[1 - slot], want)
+
+
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
@@ -116,23 +131,32 @@ def test_relu_values():
 
 def test_concat_cols_widths_and_roundtrip():
     rng = np.random.default_rng(4)
-    parts = [Tensor(rng.standard_normal((3, w))) for w in (100, 768, 512)]
-    out = T.concat_cols(parts)
-    assert out.shape == (3, 1380)
-    # slicing is the exact inverse
+    parts = [rng.standard_normal((3, w)) for w in (100, 768, 512)]
     offs = [0, 100, 868, 1380]
-    for p, lo, hi in zip(parts, offs[:-1], offs[1:]):
-        np.testing.assert_array_equal(out.data[:, lo:hi], p.data)
+    for axis in (1, 0):
+        # along rows, the parts and the result are the transposes
+        arrays = parts if axis == 1 else [p.T for p in parts]
+        out = T.concat([Tensor(a) for a in arrays], axis).data
+        out = out if axis == 1 else out.T
+        assert out.shape == (3, 1380)
+        # slicing is the exact inverse
+        for p, lo, hi in zip(parts, offs[:-1], offs[1:]):
+            np.testing.assert_array_equal(out[:, lo:hi], p)
 
 
 def test_concat_cols_single_part_identity():
     x = Tensor(np.arange(6.0).reshape(2, 3))
-    np.testing.assert_array_equal(T.concat_cols([x]).data, x.data)
+    for axis in (0, 1):
+        np.testing.assert_array_equal(T.concat([x], axis).data, x.data)
 
 
 def test_concat_cols_row_mismatch():
     with pytest.raises(ShapeError):
-        T.concat_cols([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
+        T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], 1)
+    with pytest.raises(ShapeError):
+        T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2)))], 0)
+    with pytest.raises(ShapeError, match="axis"):
+        T.concat([Tensor(np.zeros((2, 3)))], 2)
 
 
 def test_dropout_identity_cases():
@@ -332,17 +356,19 @@ def test_grad_relu_away_from_kink(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_grad_concat_add_bias_transpose(seed):
     rng = np.random.default_rng(600 + seed)
-    a = random_tensor(rng, 2, 3)
-    b = random_tensor(rng, 2, 2)
-    bias = random_tensor(rng, 5)
-    w = Tensor(rng.standard_normal((2, 3)))
+    for axis, b_shape in ((1, (2, 2)), (0, (1, 3))):
+        a = random_tensor(rng, 2, 3)
+        b = random_tensor(rng, *b_shape)
+        rows, cols = np.concatenate([a.data, b.data], axis).shape
+        bias = random_tensor(rng, cols)
+        w = Tensor(rng.standard_normal((rows, 3)))
 
-    def build(tape):
-        cat = T.concat_cols([a, b], tape)
-        shifted = T.add_bias(cat, bias, tape)
-        return T.sum_all(T.matmul(T.transpose(shifted, tape), w, tape), tape)
+        def build(tape):
+            cat = T.concat([a, b], axis, tape)
+            shifted = T.add_bias(cat, bias, tape)
+            return T.sum_all(T.matmul(T.transpose(shifted, tape), w, tape), tape)
 
-    _gradcheck_case("concat/add_bias/transpose", build, [a, b, bias])
+        _gradcheck_case(f"concat(axis={axis})/add_bias/transpose", build, [a, b, bias])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -402,46 +428,38 @@ def test_params_roundtrip(tmp_path):
         "layer.b": parameter(rng.standard_normal(4)),
     }
     path = tmp_path / "params.npz"
-    T.save_params(path, params)
+    T.save_params(path, params, "convemo-params", {"note": "x"})
     assert path.read_bytes()[:2] == b"PK"
-    loaded = T.load_params(path)
+    with T.open_params(path, "convemo-params") as (header, members):
+        assert header == {"format": "convemo-params", "version": 2, "note": "x"}
+        loaded = dict(members)
     assert list(loaded) == list(params)
     for name, t in params.items():
         np.testing.assert_array_equal(loaded[name], t.data)
     # saving what was loaded gives the same bytes
-    T.save_params(tmp_path / "again.npz", loaded)
+    T.save_params(tmp_path / "again.npz", loaded, "convemo-params", {"note": "x"})
     assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["again.npz", "params.npz"]
-
-
-def test_params_version1_json_still_loads(tmp_path):
-    import json
-
-    w = np.random.default_rng(3).standard_normal((2, 3))
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps({"format": "convemo-params", "version": 1, "params": {
-        "w": {"shape": [2, 3], "data": w.reshape(-1).tolist()}}}))
-    loaded = T.load_params(path)
-    assert list(loaded) == ["w"]
-    np.testing.assert_array_equal(loaded["w"], w)
 
 
 def test_params_damaged_or_pickled_rejected(tmp_path):
     import json
 
     path = tmp_path / "p.npz"
-    T.save_params(path, {"w": np.arange(6.0).reshape(2, 3)})
+    T.save_params(path, {"w": np.arange(6.0).reshape(2, 3)}, "convemo-params")
     data = path.read_bytes()
     path.write_bytes(data[:-10])
     with pytest.raises(ValueError, match="corrupt or truncated convemo-params file") as info:
-        T.load_params(path)
+        with T.open_params(path, "convemo-params") as (_, members):
+            dict(members)
     assert str(path) in str(info.value) and "\n" not in str(info.value)
     header = json.dumps({"format": "convemo-params", "version": 2}).encode()
     with open(path, "wb") as fh:
         np.savez(fh, __header__=np.frombuffer(header, dtype=np.uint8),
                  w=np.array([{"a": 1}], dtype=object))
     with pytest.raises(ValueError, match="allow_pickle=False"):
-        T.load_params(path)
+        with T.open_params(path, "convemo-params") as (_, members):
+            dict(members)
 
 
 def test_atomic_open_keeps_old_file_on_failure(tmp_path):
@@ -460,10 +478,24 @@ def test_atomic_open_keeps_old_file_on_failure(tmp_path):
 
 
 def test_params_header_validation(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": "something-else", "version": 1, "params": {}}')
+    import json
+
+    path = tmp_path / "bad.npz"
+    T.save_params(path, {}, "something-else")
     with pytest.raises(ValueError, match="not a convemo-params file"):
-        T.load_params(path)
-    path.write_text('{"format": "convemo-params", "version": 99, "params": {}}')
+        with T.open_params(path, "convemo-params"):
+            pass
+    header = json.dumps({"format": "convemo-params", "version": 99}).encode()
+    with open(path, "wb") as fh:
+        np.savez(fh, __header__=np.frombuffer(header, dtype=np.uint8))
+    with pytest.raises(ValueError, match="unsupported convemo-params version 99"):
+        with T.open_params(path, "convemo-params"):
+            pass
+    # version-1 JSON files are checked the same way
+    path = tmp_path / "bad.json"
+    path.write_text('{"format": "something-else", "version": 1}')
+    with pytest.raises(ValueError, match="not a convemo-params file"):
+        T.read_json_v1(path, "convemo-params")
+    path.write_text('{"format": "convemo-params", "version": 99}')
     with pytest.raises(ValueError, match="version"):
-        T.load_params(path)
+        T.read_json_v1(path, "convemo-params")

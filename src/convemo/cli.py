@@ -109,6 +109,13 @@ def _require_corpus(path_str: str):
     return load_corpus(path), _fingerprint(path), path
 
 
+def _checkpoint_for(corpus, args):
+    """The checkpoint named by ``--checkpoint``, checked to fit ``corpus``."""
+    ckpt = load_checkpoint(args.checkpoint)
+    ckpt.check_fits(corpus)
+    return ckpt
+
+
 def cmd_train(args) -> int:
     corpus, fingerprint, corpus_path = _require_corpus(args.corpus)
     config = _resolve_config(args)
@@ -129,7 +136,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     corpus, fingerprint, corpus_path = _require_corpus(args.corpus)
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = _checkpoint_for(corpus, args)
     if ckpt.corpus_fingerprint and ckpt.corpus_fingerprint != fingerprint and not args.force:
         print(f"error: corpus fingerprint mismatch: checkpoint was trained on "
               f"{ckpt.corpus_fingerprint}, this file is {fingerprint} "
@@ -171,7 +178,7 @@ def cmd_graph(args) -> int:
 
 def cmd_mask(args) -> int:
     corpus, fingerprint, corpus_path = _require_corpus(args.corpus)
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = _checkpoint_for(corpus, args)
     dialogue = corpus.find_dialogue(args.dialogue_id)
     report = mask_importance(dialogue, ckpt.model, ckpt.config)
     lines = ["masked_utterance,weighted_f1",
@@ -226,7 +233,7 @@ def cmd_study(args) -> int:
 
 def cmd_embed(args) -> int:
     corpus, fingerprint, corpus_path = _require_corpus(args.corpus)
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = _checkpoint_for(corpus, args)
     text = dump_embeddings(corpus, ckpt.model, ckpt.config, args.stage, args.split)
     out = _out_dir(args)
     csv_path = out / f"embeddings_{args.stage}.csv"

@@ -92,15 +92,20 @@ class ModelParams:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named().items()}
 
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        """Copy ``snapshot`` into the model's own arrays, which later in-place
-        updates then never share with the caller."""
+    def check_names(self, names) -> dict[str, Tensor]:
+        """``named()``, once ``names`` are checked to be exactly its keys."""
         named = self.named()
-        missing = set(named) - set(snapshot)
-        extra = set(snapshot) - set(named)
+        missing = set(named) - set(names)
+        extra = set(names) - set(named)
         if missing or extra:
             raise ValueError(f"parameter name mismatch: missing {sorted(missing)}, "
                              f"unexpected {sorted(extra)}")
+        return named
+
+    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
+        """Copy ``snapshot`` into the model's own arrays, which later in-place
+        updates then never share with the caller."""
+        named = self.check_names(snapshot)
         for name, t in named.items():
             arr = np.asarray(snapshot[name], dtype=np.float64)
             if arr.shape != t.shape:

@@ -7,6 +7,14 @@ two classification losses. Forward ops record onto an explicit ``Tape``;
 ``backward`` replays the tape in reverse and accumulates adjoints, so a
 tensor consumed by several ops receives the sum of all contributions.
 
+A parameter (``parameter``) owns one gradient buffer, allocated by its
+first backward and reused by every later one, so a training step does not
+allocate (and page in) its weight gradients afresh. ``parameter.grad`` is
+that buffer: it stays valid until the first backward after ``zero_grad``
+writes the next step's gradient into it, so copy it to keep it. An array
+assigned to ``grad`` by hand is never written into. Every other tensor's
+``grad`` is a fresh array per contribution, as a value.
+
 Storage is always row-major contiguous float64. Any op that produces a
 NaN or Inf from finite inputs raises ``NonFiniteError`` instead of
 letting the value propagate silently.
@@ -17,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
+import zlib
 from collections.abc import Mapping
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -61,9 +70,54 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(data) -> Tensor:
-    """A tensor that collects gradients."""
-    return Tensor(data, requires_grad=True)
+class Parameter(Tensor):
+    """A leaf tensor that collects gradients into a buffer it owns."""
+
+    __slots__ = ("_buf",)
+
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
+        self._buf: np.ndarray | None = None
+
+    def release_grad(self) -> None:
+        """Drop the gradient and free its buffer."""
+        self.grad = self._buf = None
+
+    def _accumulate(self, g) -> None:
+        """Add one adjoint into the buffer: ``g`` is an array, or a deferred
+        matmul (``_Product``) that computes its first contribution straight into
+        the buffer. The sum runs in the order of an allocating ``grad + g``, so
+        the gradient is the same to the bit."""
+        buf = self._buf
+        if buf is None:
+            buf = self._buf = np.empty_like(self.data)
+        if self.grad is None:        # first contribution since zero_grad
+            if type(g) is _Product:
+                np.matmul(g.left, g.right, out=buf)
+            else:
+                np.copyto(buf, g)
+        else:
+            np.add(self.grad, g, out=buf)
+        self.grad = buf
+
+
+def parameter(data) -> Parameter:
+    """A tensor that collects gradients into a buffer of its own."""
+    return Parameter(data)
+
+
+class _Product:
+    """The adjoint ``left @ right`` of a matmul operand that is a parameter, left
+    for ``Parameter._accumulate`` to compute, so it can write into the buffer.
+    Anything else that reads it as an array gets the product computed."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        self.left, self.right = left, right
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.left @ self.right, dtype=dtype)
 
 
 class Tape:
@@ -96,7 +150,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
         for t, g in zip(inputs, grad_fn(d_out)):
             if g is None or not t.requires_grad:
                 continue
-            t.grad = g if t.grad is None else t.grad + g
+            if type(t) is Parameter:
+                t._accumulate(g)
+            else:
+                t.grad = g if t.grad is None else t.grad + g
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
@@ -132,12 +189,17 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     a_data, b_data = a.data, b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
+    # An operand that takes no gradient gets no adjoint (None), and a
+    # parameter's is deferred so that backward computes it into its buffer.
+    # (One closure cell per operand says both: the tape keeps every closure
+    # alive until backward, and each extra cell adds to the cyclic
+    # collector's work.)
+    adj_a = a.requires_grad and (_Product if type(a) is Parameter else np.matmul)
+    adj_b = b.requires_grad and (_Product if type(b) is Parameter else np.matmul)
 
     def grad_fn(d):
-        # an operand that takes no gradient gets no adjoint (None)
-        return (d @ b_data.T if need_a else None,
-                a_data.T @ d if need_b else None)
+        return (adj_a(d, b_data.T) if adj_a else None,
+                adj_b(a_data.T, d) if adj_b else None)
 
     return _make(a_data @ b_data, (a, b), "matmul", tape, grad_fn)
 
@@ -404,8 +466,8 @@ def save_params(path, params: Mapping[str, Tensor | np.ndarray],
                       sort_keys=True)
     members = {_HEADER: np.frombuffer(meta.encode(), dtype=np.uint8)}
     for name, value in params.items():
-        members[name] = np.asarray(value.data if isinstance(value, Tensor) else value,
-                                   dtype=np.float64)
+        members[name] = np.ascontiguousarray(value.data if isinstance(value, Tensor) else value,
+                                             dtype=np.float64)
     with atomic_open(path, "wb") as fh:
         np.savez(fh, allow_pickle=False, **members)
 
@@ -420,8 +482,8 @@ class _Members(Mapping):
     """Name -> float64 array view of an open container; each lookup reads one
     member, so a caller can hold one array at a time."""
 
-    def __init__(self, npz, path, fmt: str):
-        self._npz, self._path, self._fmt = npz, path, fmt
+    def __init__(self, npz, fh, path, fmt: str):
+        self._npz, self._fh, self._path, self._fmt = npz, fh, path, fmt
 
     def __iter__(self):
         return (name for name in self._npz.files if name != _HEADER)
@@ -437,6 +499,38 @@ class _Members(Mapping):
         if arr.dtype != np.float64:
             raise _damaged(self._path, self._fmt, f"member '{name}' is {arr.dtype}, not float64")
         return arr
+
+    def read_into(self, name: str, out: np.ndarray) -> None:
+        """Read member ``name`` from the file straight into ``out``, a
+        C-contiguous float64 array of the member's shape, with no copy in
+        between, then check the member's CRC over what was read."""
+        try:
+            info = self._npz.zip.getinfo(f"{name}.npy")
+            fh = self._fh
+            fh.seek(info.header_offset)
+            # the local file header: 30 bytes, with the lengths of the name and
+            # extra fields that follow it at bytes 26 and 28; then the data
+            local = fh.read(30)
+            if info.compress_type != zipfile.ZIP_STORED or local[:4] != b"PK\x03\x04":
+                raise ValueError(f"member '{name}' is not stored uncompressed")
+            start = fh.seek(info.header_offset + 30 + int.from_bytes(local[26:28], "little")
+                            + int.from_bytes(local[28:30], "little"))
+            version = np.lib.format.read_magic(fh)
+            read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                           else np.lib.format.read_array_header_2_0)
+            shape, fortran_order, dtype = read_header(fh)
+            head = fh.tell() - start
+            if dtype != np.float64 or fortran_order or shape != out.shape:
+                raise ValueError(f"member '{name}' is not a C-ordered float64 array of "
+                                 f"shape {out.shape}")
+            data = memoryview(out).cast("B")
+            if fh.readinto(data) != out.nbytes:
+                raise EOFError(f"member '{name}' ends early")
+            fh.seek(start)
+            if zlib.crc32(data, zlib.crc32(fh.read(head))) != info.CRC:
+                raise zipfile.BadZipFile(f"bad CRC-32 for member '{name}'")
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+            raise _damaged(self._path, self._fmt, exc) from None
 
 
 def _damaged(path, fmt: str, why) -> ValueError:
@@ -458,7 +552,7 @@ def open_params(path, fmt: str):
             raise ValueError(f"not a {fmt} file: {path}")
         if header.get("version") != PARAMS_VERSION:
             raise ValueError(f"unsupported {fmt} version {header.get('version')} in {path}")
-        yield header, _Members(npz, path, fmt)
+        yield header, _Members(npz, fh, path, fmt)
 
 
 def read_json_v1(path, fmt: str) -> dict:

@@ -234,6 +234,9 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
                 pending = 0
         if pending:
             step(epoch)
+        # validation and the best-state copies need no gradient memory
+        for t in model.named().values():
+            t.release_grad()
 
         valid_wf1 = _validation_score(valid_dialogues, model, config)
         history.append(EpochStats(epoch, float(np.mean(losses)), valid_wf1))
@@ -350,6 +353,22 @@ class Checkpoint:
     corpus_fingerprint: str
     optimizer_state: dict = field(repr=False, default_factory=dict)
 
+    def check_fits(self, corpus: Corpus) -> None:
+        """Raise a one-line ``ConfigError`` unless ``corpus`` has the model's
+        label names, task mode and fused input width, and no more speakers."""
+        want, got = self.model.dims, ModelDims.for_corpus(corpus, self.config)
+        pairs = (("label names", self.label_names, list(corpus.label_names)),
+                 ("task mode", want.task_mode, got.task_mode),
+                 (f"fused width of modalities '{self.config.active_modalities}'",
+                  want.width, got.width))
+        problems = [f"{what}: corpus {theirs}, checkpoint {ours}"
+                    for what, ours, theirs in pairs if ours != theirs]
+        if got.num_speakers > want.num_speakers:
+            problems.append(f"speaker count: corpus {got.num_speakers}, "
+                            f"checkpoint at most {want.num_speakers}")
+        if problems:
+            raise ConfigError("checkpoint does not fit the corpus: " + "; ".join(problems))
+
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``, or a version-1 JSON one."""
@@ -359,11 +378,24 @@ def load_checkpoint(path) -> Checkpoint:
     # version 1: one JSON object holding flat float lists
     payload = read_json_v1(path, CHECKPOINT_FORMAT)
     opt = payload["optimizer"]
-    members = {f"param/{name}": np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-               for name, entry in payload["params"].items()}
+    members = _InMemory(
+        (f"param/{name}", np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"]))
+        for name, entry in payload["params"].items())
     for key in ("m", "v"):
-        members.update((f"{key}/{name}", flat) for name, flat in opt[key].items())
+        members.update((f"{key}/{name}", np.asarray(flat, dtype=np.float64))
+                       for name, flat in opt[key].items())
     return _checkpoint_from({**payload, "step_count": opt["step_count"]}, members)
+
+
+class _InMemory(dict):
+    """Version-1 checkpoint members, parsed whole, read the way a container's are."""
+
+    def read_into(self, name: str, out: np.ndarray) -> None:
+        """Copy member ``name``, of ``out``'s shape or flat, into ``out``."""
+        arr = self[name]
+        if arr.shape != out.shape and (arr.ndim != 1 or arr.size != out.size):
+            raise ValueError(f"checkpoint member '{name}': shape {arr.shape} != {out.shape}")
+        np.copyto(out, arr.reshape(out.shape))
 
 
 class _NoDraw:
@@ -376,15 +408,18 @@ class _NoDraw:
 
 
 def _checkpoint_from(header: dict, members: Mapping) -> Checkpoint:
+    """Build a checkpoint from ``members``, whose ``read_into(name, out)`` fills
+    each parameter and moment array in place: three parameter-sized copies."""
     config = TrainConfig.from_dict(header["config"])
     model = ModelParams.init(config, ModelDims.from_dict(header["dims"]), _NoDraw())
-    # Parameters are copied into the blank model, and the read copies freed,
-    # before the moments are read: at most three parameter-sized copies.
-    model.restore({name.removeprefix("param/"): members[name]
-                   for name in members if name.startswith("param/")})
+    named = model.check_names([name.removeprefix("param/")
+                               for name in members if name.startswith("param/")])
+    for name, t in named.items():
+        members.read_into(f"param/{name}", t.data)
     state: dict = {"step_count": int(header["step_count"])}
     for key in ("m", "v"):
-        state[key] = {name: np.asarray(members[f"{key}/{name}"], dtype=np.float64).reshape(t.shape)
-                      for name, t in model.named().items()}
+        state[key] = {name: np.empty_like(t.data) for name, t in named.items()}
+        for name, arr in state[key].items():
+            members.read_into(f"{key}/{name}", arr)
     return Checkpoint(model, config, int(header["epoch"]), float(header["valid_weighted_f1"]),
                       list(header["label_names"]), header.get("corpus_fingerprint", ""), state)

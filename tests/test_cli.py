@@ -126,6 +126,30 @@ def test_eval_fingerprint_mismatch(tmp_path, capsys):
                  "--force", "--out", str(tmp_path / "ev2")]) == 0
 
 
+@pytest.mark.parametrize("classes, text_width, problem", [
+    (5, 4, "label names: corpus ['class0', 'class1', 'class2', 'class3', 'class4'], "
+           "checkpoint ['class0', 'class1', 'class2']"),
+    (3, 8, "fused width of modalities 'atv': corpus 14, checkpoint 10"),
+])
+def test_checkpoint_that_does_not_fit_the_corpus_is_refused(tmp_path, capsys,
+                                                             classes, text_width, problem):
+    from convemo.dataset import SynthSpec, save_corpus, synth_corpus
+
+    ckpt = str(_train(tmp_path) / "checkpoint.json")   # 3 classes, widths 3, 4, 3
+    other = tmp_path / "other.jsonl"
+    corpus = synth_corpus(SynthSpec(num_dialogues=6, utterances_per_dialogue=3, num_classes=classes,
+                                    dims={"a": 3, "t": text_width, "v": 3}, seed=1))
+    save_corpus(other, corpus)
+    capsys.readouterr()
+    did = corpus.dialogues[0].dialogue_id
+    for argv in (["eval", "--force"], ["mask", "--dialogue-id", did], ["embed"]):
+        code = main([*argv, "--corpus", str(other), "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: checkpoint does not fit the corpus: {problem}\n"
+
+
 def test_graph_command_matches_golden(tmp_path, capsys):
     assert main(["graph", "--corpus", WINDOW_EXAMPLE, "--dialogue-id", "window-example",
                  "--past", "inf", "--future", "inf"]) == 0

@@ -233,6 +233,111 @@ def test_tensor_reused_across_two_branches():
     np.testing.assert_allclose(x.grad, [[1.0 + 2.0, 0.0 - 4.0, 1.0 + 6.0]])
 
 
+# ---------------------------------------------------------------------------
+# owned gradient buffers: each parameter's gradient must equal, bit for bit,
+# what an allocating backward (a fresh array per contribution) computes
+
+def _allocating_grads(loss, tape):
+    """id(tensor) -> gradient, by a backward that allocates every sum and
+    writes no tensor's ``grad``."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for _op, inputs, output, grad_fn in reversed(tape.entries):
+        d = grads.get(id(output))
+        if d is None:
+            continue
+        for t, g in zip(inputs, grad_fn(d)):
+            if g is not None and t.requires_grad:
+                g = np.asarray(g)
+                grads[id(t)] = g if id(t) not in grads else grads[id(t)] + g
+    return grads
+
+
+def _weighted_sum(y, rng, tape):
+    """A scalar whose adjoint of ``y`` is not all ones."""
+    return T.sum_all(T.mul(y, Tensor(rng.standard_normal(y.shape)), tape), tape)
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul, T.matmul])
+def test_owned_grad_same_parameter_in_both_slots(op):
+    rng = np.random.default_rng(21)
+    p = parameter(rng.standard_normal((4, 4)))
+    for _ in range(2):   # the first backward allocates the buffer, the second reuses it
+        p.zero_grad()
+        tape = Tape()
+        loss = _weighted_sum(op(p, p, tape), rng, tape)
+        want = _allocating_grads(loss, tape)[id(p)]
+        backward(loss, tape)
+        np.testing.assert_array_equal(p.grad, want)
+
+
+def test_owned_grad_parameter_consumed_by_two_ops():
+    # p's first contribution comes from add, whose adjoint is also h's
+    # gradient; p's second, from the matmul, must not change h's.
+    rng = np.random.default_rng(22)
+    p = parameter(rng.standard_normal((3, 3)))
+    x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    w = parameter(rng.standard_normal((3, 3)))
+    for _ in range(2):
+        p.zero_grad(), x.zero_grad(), w.zero_grad()
+        tape = Tape()
+        h = T.relu(T.matmul(x, w, tape), tape)
+        q = T.matmul(x, p, tape)
+        loss = _weighted_sum(T.add(T.add(p, h, tape), q, tape), rng, tape)
+        want = _allocating_grads(loss, tape)
+        backward(loss, tape)
+        for t in (p, x, w):
+            np.testing.assert_array_equal(t.grad, want[id(t)])
+
+
+def test_owned_grad_accumulates_over_two_backwards():
+    # grad_accum: two backwards before one optimizer step sum their gradients
+    rng = np.random.default_rng(23)
+    w = parameter(rng.standard_normal((3, 2)))
+    b = parameter(rng.standard_normal(2))
+    wants = []
+    for _ in range(2):
+        tape = Tape()
+        x = Tensor(rng.standard_normal((4, 3)))
+        loss = _weighted_sum(T.add_bias(T.matmul(x, w, tape), b, tape), rng, tape)
+        wants.append(_allocating_grads(loss, tape))
+        backward(loss, tape)
+    for t in (w, b):
+        np.testing.assert_array_equal(t.grad, wants[0][id(t)] + wants[1][id(t)])
+
+
+def test_owned_grad_is_one_buffer_across_steps():
+    rng = np.random.default_rng(24)
+    w = parameter(rng.standard_normal((3, 3)))
+    buffers = []
+    for _ in range(3):
+        w.zero_grad()
+        tape = Tape()
+        loss = _weighted_sum(T.matmul(Tensor(rng.standard_normal((2, 3))), w, tape), rng, tape)
+        want = _allocating_grads(loss, tape)[id(w)]
+        backward(loss, tape)
+        np.testing.assert_array_equal(w.grad, want)
+        buffers.append(w.grad)
+    assert buffers[0] is buffers[1] is buffers[2]
+    w.release_grad()
+    assert w.grad is None
+
+
+def test_hand_assigned_grad_is_never_written_into():
+    rng = np.random.default_rng(25)
+    w = parameter(rng.standard_normal((3, 3)))
+    for _ in range(2):   # without and then with a buffer already allocated
+        assigned = rng.standard_normal((3, 3))
+        kept = assigned.copy()
+        w.grad = assigned
+        tape = Tape()
+        loss = _weighted_sum(T.matmul(Tensor(rng.standard_normal((2, 3))), w, tape), rng, tape)
+        want = kept + _allocating_grads(loss, tape)[id(w)]
+        backward(loss, tape)
+        np.testing.assert_array_equal(assigned, kept)
+        assert w.grad is not assigned
+        np.testing.assert_array_equal(w.grad, want)
+
+
 def test_non_finite_forward_raises():
     big = Tensor([[1e308, 1e308]])
     with np.errstate(over="ignore"):

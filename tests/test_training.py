@@ -1,10 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from convemo import classifier as clf
 from convemo import tensor as T
 from convemo.config import ConfigError, TrainConfig
 from convemo.dataset import Corpus, Dialogue, SynthSpec, Utterance, synth_corpus
-from convemo.model import ModelDims, ModelParams, forward_dialogue, forward_fused, fused_matrix
+from convemo.model import (
+    ModelDims,
+    ModelParams,
+    dialogue_gold,
+    forward_dialogue,
+    forward_fused,
+    fused_matrix,
+)
 from convemo.tensor import Tensor
 from convemo import training
 from convemo.training import (
@@ -111,6 +121,96 @@ def test_adam_non_finite_gradient_or_moment_names_parameter(bad):
     with np.errstate(all="ignore"), \
             pytest.raises(T.NonFiniteError, match=r"Adam\.step: .*'rgcn\.theta_rel3'"):
         opt.step()
+
+
+def _driven_step(model, config, dialogue, optimizer, rng):
+    tape = T.Tape()
+    out = forward_dialogue(dialogue, model, config, training=True, rng=rng, tape=tape)
+    loss = clf.loss(out.logits, dialogue_gold(dialogue, model.dims.task_mode),
+                    model.dims.task_mode, tape)
+    T.backward(loss, tape)
+    optimizer.step()
+    optimizer.zero_grad()
+    return tape, loss
+
+
+def test_absent_relation_keeps_no_gradient_after_a_step_that_had_one():
+    # both speakers talk in the first dialogue, one alone in the second: the
+    # second step's missing relation types get no gradient and no Adam update,
+    # although their buffers exist
+    cfg = _fast_config(window_past=1, window_future=1, dropout=0.0)
+    corpus = _none_corpus(n=2, utts=4)
+    both, alone = corpus.dialogues
+    for u in alone.utterances:
+        u.speaker = 0
+    model = ModelParams.init(cfg, ModelDims.for_corpus(corpus, cfg), np.random.default_rng(0))
+    opt = Adam(model.named(), cfg.learning_rate)
+    rng = np.random.default_rng(1)
+    _driven_step(model, cfg, both, opt, rng)
+    thetas = model.rgcn.named()
+    had_gradient = {k for k, t in thetas.items() if t._buf is not None}
+    moments = {k: (opt.m[k].copy(), opt.v[k].copy()) for k in thetas}
+    tape = T.Tape()
+    out = forward_dialogue(alone, model, cfg, training=True, rng=rng, tape=tape)
+    T.backward(clf.loss(out.logits, dialogue_gold(alone, "single"), "single", tape), tape)
+    absent = [k for k in had_gradient if thetas[k].grad is None]
+    assert absent and len(absent) < len(had_gradient) - 1
+    opt.step()
+    for k in absent:
+        np.testing.assert_array_equal(opt.m[k], moments[k][0])
+        np.testing.assert_array_equal(opt.v[k], moments[k][1])
+
+
+def test_train_holds_gradient_buffers_only_while_stepping(monkeypatch):
+    seen, at_validation = [], []
+    real_step, real_score = Adam.step, training._validation_score
+
+    def step(self):
+        seen.append({k: t.grad for k, t in self.params.items()})
+        real_step(self)
+
+    def score(dialogues, model, config):
+        at_validation.append([t._buf for t in model.named().values()])
+        return real_score(dialogues, model, config)
+
+    monkeypatch.setattr(Adam, "step", step)
+    monkeypatch.setattr(training, "_validation_score", score)
+    result = train(_none_corpus(n=6, utts=4), _fast_config(epochs=3))
+    assert len(result.history) == 3 and len(seen) > 6
+    # one buffer per parameter for all of an epoch's steps (``seen`` keeps
+    # each alive, so no id is reused) ...
+    for k in seen[0]:
+        assert len({id(s[k]) for s in seen if s[k] is not None}) <= 3
+    # ... freed before validation and the best-state copies, and so before
+    # train returns
+    assert all(buf is None for bufs in at_validation for buf in bufs)
+    for t in result.model.named().values():
+        assert t.grad is None and t._buf is None
+
+
+def test_second_backward_allocates_no_weight_gradients():
+    # width 256: an allocating backward traces about the parameters' bytes
+    # again (1.03x measured); with owned buffers only intermediates remain
+    corpus = synth_corpus(SynthSpec(num_dialogues=3, utterances_per_dialogue=6, num_speakers=2,
+                                    num_classes=3, dims={"a": 64, "t": 128, "v": 64}, seed=0))
+    cfg = TrainConfig(seed=0).validate()
+    model = ModelParams.init(cfg, ModelDims.for_corpus(corpus, cfg), np.random.default_rng(0))
+    opt = Adam(model.named(), cfg.learning_rate)
+    d, rng = corpus.dialogues[0], np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        _driven_step(model, cfg, d, opt, rng)   # warm-up: allocates the buffers
+        tape = T.Tape()
+        out = forward_dialogue(d, model, cfg, training=True, rng=rng, tape=tape)
+        loss = clf.loss(out.logits, dialogue_gold(d, "single"), "single", tape)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        T.backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert model.dims.width == 256
+    assert peak < 0.25 * model.param_count() * 8
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -330,6 +430,24 @@ def test_damaged_checkpoint_raises_one_line_error(tmp_path):
         with pytest.raises(ValueError) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value) and "\n" not in str(info.value)
+
+
+def test_damaged_parameter_member_is_caught_while_read_in_place(tmp_path):
+    cfg = _fast_config()
+    model = ModelParams.init(cfg, ModelDims(width=6, num_speakers=2, num_classes=3),
+                             np.random.default_rng(0))
+    state = Adam(model.named(), cfg.learning_rate).state_dict()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, model, cfg, state, 0, 0.5, ["a", "b", "c"])
+    data = path.read_bytes()
+    at = data.find(model.classifier.w1.data.tobytes())
+    assert at > 0
+    flipped = bytearray(data)
+    flipped[at + 5] ^= 0x01   # a parameter value that still parses: only the CRC tells
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(ValueError, match=r"corrupt or truncated .*(CRC|crc)") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
 
 
 def test_checkpoint_header_rejected(tmp_path):

@@ -63,7 +63,7 @@ def classify(h: Tensor, params: ClassifierParams, mode: str = "single",
     logits = logits_of(h, params, tape)
     if mode == "single":
         probs = T.softmax_rows(logits, tape)
-        preds = probs.data.argmax(axis=1)  # argmax takes the first max: lowest index
+        preds = probs.data.argmax(axis=-1)  # argmax takes the first max: lowest index
     elif mode == "multi":
         probs = T.sigmoid(logits, tape)
         preds = (probs.data >= threshold).astype(np.int64)

@@ -1,11 +1,12 @@
 """Position-free transformer context encoder.
 
 Maps fused utterance features X (n x d) to contextualized features
-Z (n x d) over a whole dialogue. There is deliberately no positional
-signal anywhere: each layer is multi-head scaled dot-product attention
-(concat + output projection), residual + LayerNorm, a ReLU feed-forward
-block, and a second residual + LayerNorm. The observable consequence is
-permutation equivariance over utterance order.
+Z (n x d) over a whole dialogue; a stack of B inputs (B x n x d) runs as
+B independent dialogues in one tape-free pass. There is deliberately no
+positional signal anywhere: each layer is multi-head scaled dot-product
+attention (concat + output projection), residual + LayerNorm, a ReLU
+feed-forward block, and a second residual + LayerNorm. The observable
+consequence is permutation equivariance over utterance order.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def encode(x: Tensor, params: EncoderParams, training: bool = False,
            tape: Tape | None = None, capture: dict | None = None) -> Tensor:
     """Stack of encoder layers; ``capture['attention']`` collects the per
     layer/head attention maps when a dict is supplied."""
-    if x.shape[1] != params.width:
+    if x.shape[-1] != params.width:
         raise T.ShapeError(f"encoder expects width {params.width}, got {x.shape}")
     scale = 1.0 / math.sqrt(params.head_dim)
     maps: list[list[Tensor]] = []

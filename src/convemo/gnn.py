@@ -4,10 +4,10 @@
 transform of each node plus, for every relation type, the mean of the
 type's in-neighbor features pushed through that type's own weight
 matrix. It runs as one aggregation: the messages ``z @ theta_r`` of the
-P relation types present in the graph are stacked by rows into a
-(P*n) x d' matrix, and one constant n x (P*n) mean matrix, holding
-1/|N_r(i)| at [i, slot(r)*n + j] for each edge j -> i of type r, sums
-and averages them for every node at once.
+P relation types present in the graph are computed straight into the
+row blocks of one (P*n) x d' matrix, and one constant n x (P*n) mean
+matrix, holding 1/|N_r(i)| at [i, slot(r)*n + j] for each edge j -> i
+of type r, sums and averages them for every node at once.
 
 ``graph_transformer_forward`` then runs dot-product attention restricted
 to graph neighborhoods (relation types ignored at this layer), combining
@@ -16,6 +16,9 @@ multiple heads are concatenated and projected.
 
 ``bypass_gnn`` is the identity, so the "no graph layers" ablation is an
 ordinary pipeline configuration rather than a special case.
+
+Both layers take node features as n x d, or stacked as B x n x d for B
+tape-free copies of the same graph.
 """
 
 from __future__ import annotations
@@ -98,8 +101,8 @@ class GraphTransformerParams:
 
 
 def _check_nodes(x: Tensor, g: ConversationGraph, name: str) -> None:
-    if x.shape[0] != g.num_nodes:
-        raise T.ShapeError(f"{name}: {x.shape[0]} feature rows for "
+    if x.shape[-2] != g.num_nodes:
+        raise T.ShapeError(f"{name}: {x.shape[-2]} feature rows for "
                            f"{g.num_nodes} graph nodes")
 
 
@@ -122,11 +125,12 @@ def rgcn_forward(z: Tensor, g: ConversationGraph, params: RgcnParams,
         return out
     present, slot = np.unique(rel, return_inverse=True)
     n, p = g.num_nodes, present.size
-    # edge counts per (dst, relation slot, src); parallel edges count twice
-    counts = np.bincount((dst * p + slot) * n + src, minlength=n * p * n).reshape(n, p, n)
-    deg = counts.sum(axis=2, keepdims=True)
-    mean = np.divide(counts, deg, out=np.zeros((n, p, n)), where=deg > 0)
-    messages = T.concat([T.matmul(z, params.thetas[r], tape) for r in present], 0, tape)
+    # edge counts per (dst, relation slot, src), divided in place by each
+    # (dst, slot) degree; parallel edges count twice
+    mean = np.bincount((dst * p + slot) * n + src, np.ones(rel.size), n * p * n).reshape(n, p, n)
+    deg = mean.sum(axis=2, keepdims=True)
+    np.divide(mean, deg, out=mean, where=deg > 0)
+    messages = T.block_matmul(z, [params.thetas[r] for r in present], tape)
     return T.add(out, T.matmul(Tensor(mean.reshape(n, p * n)), messages, tape), tape)
 
 

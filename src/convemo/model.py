@@ -147,8 +147,10 @@ def forward_fused(x: Tensor, speakers: list[int], params: ModelParams,
                   rng: np.random.Generator | None = None,
                   tape: Tape | None = None,
                   capture: dict | None = None) -> ForwardResult:
-    """Pipeline from an already-fused feature matrix; used directly by the
-    utterance-masking analysis, which zeroes rows of ``x``."""
+    """Pipeline from an already-fused feature matrix (n x d). The
+    utterance-masking analysis passes a stack of copies (B x n x d), each
+    with a row zeroed, which runs without a tape as B forwards of the
+    dialogue at once."""
     z = encode(x, params.encoder, training, config.dropout, rng, tape, capture)
     if config.ablation == "no_gnn":
         h = bypass_gnn(z)

@@ -1,11 +1,20 @@
 """Dense float64 tensors with a reverse-mode autodiff tape.
 
 The conversation model runs entirely on the primitives in this module:
-2-D matmul, row softmax (plain and neighborhood-masked), layer norm,
-relu, row or column concatenation, inverted dropout, bias adds, and the
-two classification losses. Forward ops record onto an explicit ``Tape``;
-``backward`` replays the tape in reverse and accumulates adjoints, so a
-tensor consumed by several ops receives the sum of all contributions.
+matmul (and row blocks of matmuls sharing one input), row softmax (plain
+and neighborhood-masked), layer norm, relu, row or column concatenation,
+inverted dropout, bias adds, and the two classification losses. Forward
+ops record onto an explicit ``Tape``; ``backward`` replays the tape in
+reverse and accumulates adjoints, so a tensor consumed by several ops
+receives the sum of all contributions.
+
+Ops act on the last two axes: rows are axis -2 and features axis -1. An
+operand may carry one leading stack axis, (B, n, d) for B copies of an
+(n, d) input, which runs B forwards at once: a stacked input times a 2-D
+weight is one GEMM over all B*n rows, and stacked @ stacked or 2-D @
+stacked is numpy's batched matmul. The stack axis is forward-only: an op
+whose output is stacked raises ``ShapeError`` when it would be recorded
+on a tape, so no gradient path runs on stacked operands.
 
 A parameter (``parameter``) owns one gradient buffer, allocated by its
 first backward and reused by every later one, so a training step does not
@@ -167,14 +176,18 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], op: str,
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires)
     if tape is not None and requires:
+        if out_data.ndim > 2:
+            raise ShapeError(f"op '{op}' has a stacked output {out_data.shape}: "
+                             "stacked forwards run without a tape")
         tape.record(op, inputs, out, grad_fn)
     return out
 
 
 def _check_2d(name: str, *tensors: Tensor) -> None:
+    """Each operand is a matrix, or a stack of matrices on one leading axis."""
     for t in tensors:
-        if t.data.ndim != 2:
-            raise ShapeError(f"{name} expects 2-D operands, got shape {t.shape}")
+        if t.data.ndim not in (2, 3):
+            raise ShapeError(f"{name} expects (stacked) 2-D operands, got shape {t.shape}")
 
 
 def _scalar(d: np.ndarray) -> float:
@@ -186,7 +199,7 @@ def _scalar(d: np.ndarray) -> float:
 
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     _check_2d("matmul", a, b)
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     a_data, b_data = a.data, b.data
     # An operand that takes no gradient gets no adjoint (None), and a
@@ -201,7 +214,46 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         return (adj_a(d, b_data.T) if adj_a else None,
                 adj_b(a_data.T, d) if adj_b else None)
 
-    return _make(a_data @ b_data, (a, b), "matmul", tape, grad_fn)
+    if a_data.ndim == 3 and b_data.ndim == 2:   # stacked rows, one weight: one GEMM
+        out = (a_data.reshape(-1, a.shape[-1]) @ b_data).reshape(*a.shape[:-1], b.shape[-1])
+    else:
+        out = a_data @ b_data
+    return _make(out, (a, b), "matmul", tape, grad_fn)
+
+
+def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
+    """The products ``x @ w`` of one input with k same-shape 2-D weights, stacked
+    by rows: a (k*n) x d' matrix whose i-th block of n rows is ``x @ weights[i]``,
+    computed straight into its block. One tape op; its backward gives each
+    weight the adjoint of its block, and ``x`` the sum of the blocks' adjoints,
+    last block first, as separate matmuls recorded in block order would."""
+    _check_2d("block_matmul", x)
+    if not weights or any(w.shape != (x.shape[-1], weights[0].shape[-1]) for w in weights):
+        raise ShapeError(f"block_matmul needs k >= 1 weights of one 2-D shape with "
+                         f"{x.shape[-1]} rows, got {[w.shape for w in weights]}")
+    x_data = x.data
+    n = x.shape[-2]
+    out = np.empty((*x.shape[:-2], len(weights) * n, weights[0].shape[-1]))
+    for i, w in enumerate(weights):
+        block = out[..., i * n:(i + 1) * n, :]
+        if x_data.ndim == 2:
+            np.matmul(x_data, w.data, out=block)
+        else:   # one GEMM over every copy's rows, then into each copy's block
+            block[...] = (x_data.reshape(-1, x.shape[-1]) @ w.data).reshape(block.shape)
+    # adjoints as matmul gives them: none, deferred into a parameter's buffer, or computed
+    adj_w = [w.requires_grad and (_Product if type(w) is Parameter else np.matmul)
+             for w in weights]
+
+    def grad_fn(d):
+        blocks = [d[i * n:(i + 1) * n] for i in range(len(weights))]
+        d_x = None
+        if x.requires_grad:
+            for blk, w in zip(reversed(blocks), reversed(weights)):
+                part = blk @ w.data.T
+                d_x = part if d_x is None else np.add(d_x, part, out=d_x)
+        return (d_x, *(adj(x_data.T, blk) if adj else None for adj, blk in zip(adj_w, blocks)))
+
+    return _make(out, (x, *weights), "block_matmul", tape, grad_fn)
 
 
 def transpose(x: Tensor, tape: Tape | None = None) -> Tensor:
@@ -210,7 +262,7 @@ def transpose(x: Tensor, tape: Tape | None = None) -> Tensor:
     def grad_fn(d):
         return (d.T,)
 
-    return _make(x.data.T, (x,), "transpose", tape, grad_fn)
+    return _make(x.data.swapaxes(-1, -2), (x,), "transpose", tape, grad_fn)
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -226,8 +278,8 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 def add_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """Row-broadcast add: (m, n) + (n,)."""
     _check_2d("add_bias", x)
-    if b.data.ndim != 1 or b.shape[0] != x.shape[1]:
-        raise ShapeError(f"add_bias needs bias of width {x.shape[1]}, got shape {b.shape}")
+    if b.data.ndim != 1 or b.shape[0] != x.shape[-1]:
+        raise ShapeError(f"add_bias needs bias of width {x.shape[-1]}, got shape {b.shape}")
 
     def grad_fn(d):
         return d, d.sum(axis=0)
@@ -280,9 +332,9 @@ def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:
 def softmax_rows(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Row-wise softmax, stabilized by row-max subtraction."""
     _check_2d("softmax_rows", x)
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def grad_fn(d):
         s = (d * out).sum(axis=1, keepdims=True)
@@ -295,18 +347,19 @@ def masked_softmax_rows(x: Tensor, mask: np.ndarray, tape: Tape | None = None) -
     """Row softmax restricted to positions where ``mask`` is true.
 
     Excluded positions get weight 0; rows whose mask is empty come out
-    all-zero (callers treat such nodes as having no neighbors).
+    all-zero (callers treat such nodes as having no neighbors). A stacked
+    input shares the one (n, n) mask across its copies.
     """
     _check_2d("masked_softmax_rows", x)
     m = np.asarray(mask, dtype=bool)
-    if m.shape != x.shape:
+    if m.shape != x.shape[-2:]:
         raise ShapeError(f"mask shape {m.shape} does not match input {x.shape}")
-    row_has = m.any(axis=1)
+    row_has = m.any(axis=-1)
     neg_inf = np.where(m, x.data, -np.inf)
-    row_max = np.where(row_has, neg_inf.max(axis=1, initial=-np.inf), 0.0)
-    e = np.exp(np.where(m, neg_inf - row_max[:, None], -np.inf))
+    row_max = np.where(row_has, neg_inf.max(axis=-1, initial=-np.inf), 0.0)
+    e = np.exp(np.where(m, neg_inf - row_max[..., None], -np.inf))
     e = np.where(m, e, 0.0)
-    denom = e.sum(axis=1, keepdims=True)
+    denom = e.sum(axis=-1, keepdims=True)
     out = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
 
     def grad_fn(d):
@@ -320,13 +373,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
                tape: Tape | None = None) -> Tensor:
     """Per-row normalization to mean 0 / variance 1, then affine scale and shift."""
     _check_2d("layer_norm", x)
-    d_width = x.shape[1]
+    d_width = x.shape[-1]
     if gamma.shape != (d_width,) or beta.shape != (d_width,):
         raise ShapeError(f"layer_norm affine params must have shape ({d_width},), "
                          f"got {gamma.shape} and {beta.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gamma.data + beta.data
@@ -345,18 +398,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
 
 
 def concat(parts: Sequence[Tensor], axis: int, tape: Tape | None = None) -> Tensor:
-    """Concatenation of 2-D parts along ``axis`` (0: rows, 1: columns);
-    backward slices the adjoint back into each part."""
+    """Concatenation of 2-D parts along ``axis`` (0: rows, 1: columns; stacked
+    parts join on their last two axes); backward slices the adjoint back into
+    each part."""
     if not parts:
         raise ShapeError("concat needs at least one part")
     if axis not in (0, 1):
         raise ShapeError(f"concat axis must be 0 or 1, got {axis}")
     _check_2d("concat", *parts)
-    other = parts[0].shape[1 - axis]
+    axis -= 2      # rows -2, columns -1; the other matrix axis is -3 - axis
+    other = parts[0].shape[:-2], parts[0].shape[-3 - axis]
     for p in parts:
-        if p.shape[1 - axis] != other:
-            raise ShapeError(f"concat along axis {axis}: sizes disagree: "
-                             f"{other} vs {p.shape[1 - axis]}")
+        if (p.shape[:-2], p.shape[-3 - axis]) != other:
+            raise ShapeError(f"concat along axis {axis + 2}: sizes disagree: "
+                             f"{parts[0].shape} vs {p.shape}")
     cuts = np.cumsum([p.shape[axis] for p in parts[:-1]])
 
     def grad_fn(d):
@@ -398,7 +453,8 @@ def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray, tape: Tape | None = None) -> Tensor:
     """Mean categorical cross-entropy from logits via stabilized log-softmax."""
-    _check_2d("cross_entropy_logits", logits)
+    if logits.data.ndim != 2:
+        raise ShapeError(f"cross_entropy_logits expects 2-D logits, got shape {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape
     if labels.shape != (n,):

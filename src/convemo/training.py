@@ -288,6 +288,9 @@ def evaluate_multilabel(corpus: Corpus, model: ModelParams, config: TrainConfig,
     }
 
 
+MASK_BLOCK = 1 << 18   # float64 elements in a masking forward's largest stacked block: 2 MB
+
+
 @dataclass
 class MaskReport:
     baseline_f1: float
@@ -300,22 +303,29 @@ def mask_importance(dialogue: Dialogue, model: ModelParams,
 
     Masking zeroes the utterance's fused feature vector; the node and its
     edges stay, so only information is removed, not topology.
+
+    The n+1 inputs (copy 0 unmasked, copy k+1 with utterance k zeroed) run
+    stacked through ``forward_fused``, as many copies per forward as keep
+    its largest block (an n x width block per relation type for the RGCN
+    messages, or n rows of the widest layer) within ``MASK_BLOCK`` elements.
     """
+    if model.dims.task_mode != "single":
+        raise ConfigError(f"mask_importance needs a single-label corpus, "
+                          f"not task mode '{model.dims.task_mode}'")
     x = fused_matrix(dialogue, config.active_modalities)
+    n = len(dialogue)
     gold = [u.label for u in dialogue.utterances]
-
-    def f1_of(features: np.ndarray) -> float:
-        result = forward_fused(Tensor(features), dialogue.speakers, model, config)
-        _, wf1 = metrics.weighted_f1(gold, result.preds, model.dims.num_classes)
-        return wf1
-
-    baseline = f1_of(x)
-    masked = []
-    for k in range(len(dialogue)):
-        x_masked = x.copy()
-        x_masked[k] = 0.0
-        masked.append(f1_of(x_masked))
-    return MaskReport(baseline, masked)
+    relations = model.rgcn.relation_count if model.rgcn is not None else 0
+    widest = max(t.shape[-1] for t in model.named().values())
+    per_forward = max(1, MASK_BLOCK // (n * max(n, widest, relations * model.dims.width)))
+    f1 = []
+    for lo in range(0, n + 1, per_forward):
+        copies = np.repeat(x[None], min(per_forward, n + 1 - lo), axis=0)
+        j = np.arange(max(lo, 1), lo + len(copies))   # copy j > 0 zeroes utterance j-1
+        copies[j - lo, j - 1] = 0.0
+        preds = forward_fused(Tensor(copies), dialogue.speakers, model, config).preds
+        f1 += [metrics.weighted_f1(gold, p, model.dims.num_classes)[1] for p in preds]
+    return MaskReport(f1[0], f1[1:])
 
 
 # ---------------------------------------------------------------------------

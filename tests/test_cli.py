@@ -190,6 +190,32 @@ def test_mask_command_rows(tmp_path, capsys):
     assert len(lines) == 2 + 5  # fixture dialogues have 5 utterances
 
 
+def test_mask_command_refuses_a_multilabel_corpus(tmp_path, capsys):
+    from convemo.config import TrainConfig
+    from convemo.dataset import Corpus, Dialogue, Utterance, save_corpus
+    from convemo.model import ModelDims, ModelParams
+    from convemo.training import Adam, save_checkpoint
+
+    rng = np.random.default_rng(5)
+    utts = [Utterance(speaker=0, label=(rng.random(3) < 0.5).astype(float),
+                      text=rng.standard_normal(4)) for _ in range(3)]
+    corpus_path = tmp_path / "multi.jsonl"
+    save_corpus(corpus_path, Corpus([Dialogue("ml0", 1, "test", utts)], ["joy", "anger", "fear"],
+                                    {"a": 0, "t": 4, "v": 0}, "multi"))
+    config = TrainConfig(seq_context_layers=1, encoder_heads=2, gnn_heads=2,
+                         active_modalities="t")
+    model = ModelParams.init(config, ModelDims(4, 3, 1, "multi"), np.random.default_rng(0))
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, model, config, Adam(model.named(), 1e-3).state_dict(), 0, 0.0,
+                    ["joy", "anger", "fear"])
+    assert main(["mask", "--corpus", str(corpus_path), "--checkpoint", str(ckpt),
+                 "--dialogue-id", "ml0", "--out", str(tmp_path / "mask")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "task mode 'multi'" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "mask" / "mask_ml0.csv").exists()
+
+
 def test_study_window_grid_cells(tmp_path, capsys):
     out = tmp_path / "study"
     code = main(["study", "--kind", "window", "--corpus", TINY,

@@ -121,16 +121,19 @@ def test_rgcn_absent_relations_get_no_gradient():
     assert params.theta_root.grad is not None and z.grad is not None
 
 
-def test_rgcn_records_one_matmul_per_present_relation():
+def test_rgcn_records_one_message_op_over_present_relations():
     speakers = [0, 1, 2, 3, 4, 5, 2, 0, 4, 1, 3, 5]
     g = graph_from_speakers(speakers, 6, None, None)
-    present = len({rel for _, _, rel in g.edges})
+    present = sorted({rel for _, _, rel in g.edges})
     params = RgcnParams.init(4, 4, g.relation_count, np.random.default_rng(10))
     tape = Tape()
     rgcn_forward(T.parameter(np.ones((len(speakers), 4))), g, params, tape)
-    # root, one per present type, the stacking, the mean and the sum
-    assert len(tape) == present + 4
-    assert present > 40
+    # root, the messages of every present type in one op, the mean and the sum
+    assert [op for op, *_ in tape.entries] == ["matmul", "block_matmul", "matmul", "add"]
+    _op, inputs, out, _fn = tape.entries[1]
+    assert inputs[1:] == tuple(params.thetas[r] for r in present)
+    assert out.shape == (len(present) * len(speakers), 4)
+    assert len(present) > 40
 
 
 def test_rgcn_relation_id_beyond_params():

@@ -604,3 +604,92 @@ def test_params_header_validation(tmp_path):
     path.write_text('{"format": "convemo-params", "version": 99}')
     with pytest.raises(ValueError, match="version"):
         T.read_json_v1(path, "convemo-params")
+
+
+
+# ---------------------------------------------------------------------------
+# stacked operands: a leading axis of B copies, forward-only
+
+def _stacked_cases(rng):
+    """(op, fn(*inputs, tape), inputs): inputs of ndim 3 are stacked copies,
+    the rest are shared by every copy."""
+    mask = rng.random((4, 4)) < 0.5
+    mask[1] = False   # one empty row
+
+    def stacked(*shape):
+        return rng.standard_normal((3, *shape))
+
+    return [
+        ("matmul stacked @ 2-D", T.matmul, [stacked(4, 5), rng.standard_normal((5, 6))]),
+        ("matmul stacked @ stacked", T.matmul, [stacked(4, 5), stacked(5, 2)]),
+        ("matmul 2-D @ stacked", T.matmul, [rng.standard_normal((4, 5)), stacked(5, 2)]),
+        ("block_matmul", lambda a, b, c, tape: T.block_matmul(a, [b, c], tape),
+         [stacked(4, 5), rng.standard_normal((5, 6)), rng.standard_normal((5, 6))]),
+        ("transpose", T.transpose, [stacked(4, 5)]),
+        ("add_bias", T.add_bias, [stacked(4, 5), rng.standard_normal(5)]),
+        ("softmax_rows", T.softmax_rows, [stacked(4, 5)]),
+        ("masked_softmax_rows", lambda a, tape: T.masked_softmax_rows(a, mask, tape), [stacked(4, 4)]),
+        ("layer_norm", lambda a, g, b, tape: T.layer_norm(a, g, b, tape=tape),
+         [stacked(4, 5), rng.standard_normal(5), rng.standard_normal(5)]),
+        ("concat rows", lambda a, b, tape: T.concat([a, b], 0, tape), [stacked(4, 5), stacked(2, 5)]),
+        ("concat columns", lambda a, b, tape: T.concat([a, b], 1, tape), [stacked(4, 5), stacked(4, 2)]),
+    ]
+
+
+def test_stacked_ops_match_a_loop_over_copies():
+    for op, fn, inputs in _stacked_cases(np.random.default_rng(21)):
+        out = fn(*(Tensor(a) for a in inputs), tape=None).data
+        assert out.shape[0] == 3, op
+        for b in range(3):
+            one = fn(*(Tensor(a[b] if a.ndim == 3 else a) for a in inputs), tape=None).data
+            assert np.abs(out[b] - one).max() <= 1e-12 * np.abs(one).max(), op
+
+
+def test_stacked_op_on_a_tape_raises_shape_error():
+    for op, fn, inputs in _stacked_cases(np.random.default_rng(22)):
+        tape = Tape()
+        with pytest.raises(ShapeError, match="stacked"):
+            fn(*(parameter(a) for a in inputs), tape=tape)
+        assert len(tape) == 0, op
+    # so does a stacked constant times a parameter; without a tape both run
+    x, w = Tensor(np.ones((2, 3, 4))), parameter(np.ones((4, 2)))
+    with pytest.raises(ShapeError, match="stacked"):
+        T.matmul(x, w, Tape())
+    assert T.matmul(x, w).shape == (2, 3, 2)
+
+
+def test_block_matmul_equals_concat_of_matmuls_to_the_bit():
+    """Forward and every adjoint equal those of separate matmuls stacked by
+    ``concat``, with the input's adjoint summed in the same order."""
+    rng = np.random.default_rng(23)
+    x_data, d = rng.standard_normal((4, 5)), rng.standard_normal((12, 6))
+    ws_data = [rng.standard_normal((5, 6)) for _ in range(3)]
+    grads = []
+    for blocked in (True, False):
+        x = T.relu(parameter(x_data))     # a non-leaf input, as the RGCN's is
+        ws = [parameter(w) for w in ws_data]
+        tape = Tape()
+        y = T.matmul(x, parameter(np.eye(5)), tape)
+        out = (T.block_matmul(y, ws, tape) if blocked
+               else T.concat([T.matmul(y, w, tape) for w in ws], 0, tape))
+        backward(T.sum_all(T.mul(out, Tensor(d), tape), tape), tape)
+        grads.append((out.data, y.grad, *(w.grad for w in ws)))
+    for got, want in zip(*grads):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_block_matmul_gradients():
+    rng = np.random.default_rng(24)
+    x = random_tensor(rng, 3, 4)
+    ws = [parameter(rng.standard_normal((4, 2))) for _ in range(3)]
+    w_out = Tensor(rng.standard_normal((9, 2)))
+    err = check_grads(lambda tape: T.sum_all(T.mul(T.block_matmul(x, ws, tape), w_out, tape), tape),
+                      [x, *ws])
+    assert err < FD_TOL
+
+
+def test_block_matmul_shape_errors():
+    x = Tensor(np.zeros((3, 4)))
+    for ws in ([], [Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 3)))], [Tensor(np.zeros((5, 2)))]):
+        with pytest.raises(ShapeError, match="block_matmul"):
+            T.block_matmul(x, ws)

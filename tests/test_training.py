@@ -547,6 +547,115 @@ def test_masking_the_determining_neighbor_hurts_most(neighbor_model):
     assert np.median(drops) > 0.0
 
 
+STACKED_CASES = {
+    "full": {},
+    "no_gnn": {"ablation": "no_gnn"},
+    "no_relations": {"ablation": "no_relations"},
+    "single_direction": {"edge_mode": "single_direction"},
+    "unbounded_windows": {"window_past": None, "window_future": None},
+    "relu_between_graph_layers": {"relu_between_graph_layers": True},
+}
+
+
+def _untrained(num_speakers=3, utts=7, dims=None, **config):
+    corpus = synth_corpus(SynthSpec(num_dialogues=4, utterances_per_dialogue=utts,
+                                    num_speakers=num_speakers, num_classes=4,
+                                    dims=dims or {"a": 4, "t": 6, "v": 4}, seed=3))
+    cfg = _fast_config(**config)
+    model = ModelParams.init(cfg, ModelDims.for_corpus(corpus, cfg), np.random.default_rng(5))
+    return corpus, cfg, model
+
+
+def _masked_copies(d, cfg):
+    """Copy 0 unmasked, then copy k+1 with utterance k zeroed, one at a time."""
+    x = fused_matrix(d, cfg.active_modalities)
+    yield x
+    for k in range(len(d)):
+        copy = x.copy()
+        copy[k] = 0.0
+        yield copy
+
+
+def _per_copy_f1(d, model, cfg):
+    """The masking analysis as one 2-D forward per copy."""
+    from convemo.metrics import weighted_f1
+
+    gold = [u.label for u in d.utterances]
+    return [weighted_f1(gold, forward_fused(Tensor(x), d.speakers, model, cfg).preds,
+                        model.dims.num_classes)[1]
+            for x in _masked_copies(d, cfg)]
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+def test_stacked_forward_matches_per_copy_forwards(case):
+    corpus, cfg, model = _untrained(**STACKED_CASES[case])
+    first = corpus.dialogues[0]
+    one_utterance = Dialogue("one", first.num_speakers, "test", first.utterances[:1])
+    for d in (first, corpus.dialogues[1], one_utterance):
+        copies = np.stack(list(_masked_copies(d, cfg)))
+        stacked = forward_fused(Tensor(copies), d.speakers, model, cfg)
+        assert stacked.logits.shape == (len(d) + 1, len(d), 4)
+        for b, x in enumerate(copies):
+            one = forward_fused(Tensor(x), d.speakers, model, cfg)
+            want = one.logits.data
+            assert np.abs(stacked.logits.data[b] - want).max() <= 1e-12 * np.abs(want).max()
+            np.testing.assert_array_equal(stacked.preds[b], one.preds)
+        report = mask_importance(d, model, cfg)
+        assert [report.baseline_f1, *report.masked_f1] == _per_copy_f1(d, model, cfg)
+
+
+def test_mask_budget_splits_copies_unevenly(monkeypatch):
+    # 2 speakers: 8 relation types at width 16, so one copy's largest block is
+    # the RGCN messages, 8 * 8 * 16 = 1,024 elements for 8 utterances
+    corpus, cfg, model = _untrained(num_speakers=2, utts=8, dims={"a": 4, "t": 8, "v": 4})
+    d = corpus.dialogues[0]
+    monkeypatch.setattr(training, "MASK_BLOCK", 4 * 1024 + 1000)
+    sizes = []
+
+    def recording(x, *args, **kwargs):
+        sizes.append(x.shape[0])
+        return forward_fused(x, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_fused", recording)
+    report = mask_importance(d, model, cfg)
+    assert sizes == [4, 4, 1]
+    assert [report.baseline_f1, *report.masked_f1] == _per_copy_f1(d, model, cfg)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mask_memory_stays_within_the_budget(monkeypatch):
+    # 6 speakers: 72 relation types at width 64, unbounded windows, 24
+    # utterances: one copy's RGCN messages are 72 * 24 * 64 = 110,592
+    # elements, so the budget runs the 25 copies a few at a time
+    corpus, cfg, model = _untrained(num_speakers=6, utts=24, dims={"a": 16, "t": 32, "v": 16},
+                                    window_past=None, window_future=None)
+    d = corpus.dialogues[0]
+    assert 1 < training.MASK_BLOCK // 110_592 < 25
+    peak = _traced_peak(lambda: mask_importance(d, model, cfg))
+    assert peak <= 1.5 * training.MASK_BLOCK * 8
+    # with one copy per forward it holds no more than a loop of 2-D forwards
+    monkeypatch.setattr(training, "MASK_BLOCK", 1)
+    one_at_a_time = _traced_peak(lambda: mask_importance(d, model, cfg))
+    loop = _traced_peak(lambda: _per_copy_f1(d, model, cfg))
+    assert one_at_a_time <= 1.05 * loop
+
+
+def test_mask_refuses_a_multilabel_model():
+    corpus, cfg, _ = _untrained()
+    dims = ModelDims(14, 3, 3, "multi")
+    model = ModelParams.init(cfg, dims, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="task mode 'multi'"):
+        mask_importance(corpus.dialogues[0], model, cfg)
+
+
 def test_evaluate_model_split_and_report(neighbor_model):
     corpus, cfg, model = neighbor_model
     report = evaluate_model(corpus, model, cfg, "test")

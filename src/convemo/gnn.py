@@ -18,12 +18,14 @@ multiple heads are concatenated and projected.
 ordinary pipeline configuration rather than a special case.
 
 Both layers take node features as n x d, or stacked as B x n x d for B
-tape-free copies of the same graph.
+tape-free copies, with one graph shared by every copy or one graph per
+copy (all of n nodes).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,22 +102,49 @@ class GraphTransformerParams:
         return out
 
 
-def _check_nodes(x: Tensor, g: ConversationGraph, name: str) -> None:
-    if x.shape[-2] != g.num_nodes:
-        raise T.ShapeError(f"{name}: {x.shape[-2]} feature rows for "
-                           f"{g.num_nodes} graph nodes")
+Graphs = ConversationGraph | Sequence[ConversationGraph]
 
 
-def _edge_arrays(g: ConversationGraph) -> np.ndarray:
-    """The edge list as three int arrays: src, dst, rel."""
-    return np.array(g.edges, dtype=np.intp).reshape(-1, 3).T
+def _graphs(g: Graphs) -> list[ConversationGraph]:
+    return [g] if isinstance(g, ConversationGraph) else list(g)
 
 
-def rgcn_forward(z: Tensor, g: ConversationGraph, params: RgcnParams,
+def _check_nodes(x: Tensor, g: Graphs, name: str) -> list[ConversationGraph]:
+    """The graphs of ``x``'s copies: one shared by every copy, or one per
+    copy of a stacked ``x``, each with as many nodes as ``x`` has rows."""
+    graphs = _graphs(g)
+    if not isinstance(g, ConversationGraph) and (x.data.ndim != 3 or len(graphs) != x.shape[0]):
+        raise T.ShapeError(f"{name}: {len(graphs)} graphs for input of shape {x.shape}")
+    for one in graphs:
+        if x.shape[-2] != one.num_nodes:
+            raise T.ShapeError(f"{name}: {x.shape[-2]} feature rows for "
+                               f"{one.num_nodes} graph nodes")
+    return graphs
+
+
+def _edge_arrays(graphs: list[ConversationGraph]) -> tuple:
+    """Every graph's edges as int arrays copy, src, dst, rel; copy is 0 for
+    one graph, which then needs no concatenation."""
+    if len(graphs) == 1:
+        return (0, *graphs[0].edge_arrays)
+    copy = np.concatenate([np.full(len(one.edges), b) for b, one in enumerate(graphs)])
+    return (copy, *np.concatenate([one.edge_arrays for one in graphs], axis=1))
+
+
+def _unstacked(arr: np.ndarray, g: Graphs) -> np.ndarray:
+    """Drop the copy axis of a per-graph constant when one graph is shared."""
+    return arr[0] if isinstance(g, ConversationGraph) else arr
+
+
+def rgcn_forward(z: Tensor, g: Graphs, params: RgcnParams,
                  tape: Tape | None = None) -> Tensor:
-    """theta_root z_i plus per-relation mean of transformed in-neighbors."""
-    _check_nodes(z, g, "rgcn_forward")
-    src, dst, rel = _edge_arrays(g)
+    """theta_root z_i plus per-relation mean of transformed in-neighbors.
+
+    With one graph per copy, the relation blocks are those present in any
+    copy's graph, and a copy's mean matrix is zero where its graph lacks one.
+    """
+    graphs = _check_nodes(z, g, "rgcn_forward")
+    copy, src, dst, rel = _edge_arrays(graphs)
     bad = rel[(rel < 0) | (rel >= params.relation_count)]
     if bad.size:
         raise ValueError(f"graph uses relation id {bad.max()} but parameters "
@@ -124,27 +153,31 @@ def rgcn_forward(z: Tensor, g: ConversationGraph, params: RgcnParams,
     if not rel.size:
         return out
     present, slot = np.unique(rel, return_inverse=True)
-    n, p = g.num_nodes, present.size
-    # edge counts per (dst, relation slot, src), divided in place by each
-    # (dst, slot) degree; parallel edges count twice
-    mean = np.bincount((dst * p + slot) * n + src, np.ones(rel.size), n * p * n).reshape(n, p, n)
-    deg = mean.sum(axis=2, keepdims=True)
+    b, n, p = len(graphs), z.shape[-2], present.size
+    # edge counts per (copy, dst, relation slot, src), divided in place by
+    # each (copy, dst, slot) degree; parallel edges count twice
+    mean = np.bincount(((copy * n + dst) * p + slot) * n + src, np.ones(rel.size),
+                       b * n * p * n).reshape(b, n, p, n)
+    deg = mean.sum(axis=3, keepdims=True)
     np.divide(mean, deg, out=mean, where=deg > 0)
     messages = T.block_matmul(z, [params.thetas[r] for r in present], tape)
-    return T.add(out, T.matmul(Tensor(mean.reshape(n, p * n)), messages, tape), tape)
+    mean = _unstacked(mean.reshape(b, n, p * n), g)
+    return T.add(out, T.matmul(Tensor(mean), messages, tape), tape)
 
 
-def neighborhood_mask(g: ConversationGraph) -> np.ndarray:
-    """mask[i, j] is true when j is an in-neighbor of i (any relation type)."""
-    src, dst, _ = _edge_arrays(g)
-    mask = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
-    mask[dst, src] = True
-    return mask
+def neighborhood_mask(g: Graphs) -> np.ndarray:
+    """mask[i, j] is true when j is an in-neighbor of i (any relation type);
+    (B, n, n) for a sequence of B graphs."""
+    graphs = _graphs(g)
+    copy, src, dst, _ = _edge_arrays(graphs)
+    n = graphs[0].num_nodes
+    mask = np.zeros((len(graphs), n, n), dtype=bool)
+    mask[copy, dst, src] = True
+    return _unstacked(mask, g)
 
 
-def graph_transformer_forward(xp: Tensor, g: ConversationGraph,
+def graph_transformer_forward(xp: Tensor, g: Graphs,
                               params: GraphTransformerParams,
-                              training: bool = False,
                               tape: Tape | None = None,
                               capture: dict | None = None) -> Tensor:
     """Self transform plus attention-weighted neighbor messages per head.

@@ -27,6 +27,7 @@ includes the node itself).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +60,12 @@ class ConversationGraph:
     num_nodes: int
     edges: list[tuple[int, int, int]]  # (src, dst, relation_type_id)
     relation_count: int
+
+    @cached_property
+    def edge_arrays(self) -> np.ndarray:
+        """The edge list as a 3 x E int array: rows src, dst, rel. Computed once
+        per graph; a copy made with ``replace`` computes its own."""
+        return np.array(self.edges, dtype=np.intp).reshape(-1, 3).T
 
     def in_edges(self) -> list[list[tuple[int, int]]]:
         """Per destination node: list of (src, relation_type_id)."""

@@ -11,6 +11,7 @@ type to a single one.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,37 +143,46 @@ def dialogue_gold(dialogue: Dialogue, task_mode: str) -> np.ndarray:
     return np.stack([np.asarray(u.label, dtype=np.float64) for u in dialogue.utterances])
 
 
-def forward_fused(x: Tensor, speakers: list[int], params: ModelParams,
-                  config: TrainConfig, training: bool = False,
+def forward_fused(x: Tensor, speakers: Sequence[int] | Sequence[Sequence[int]],
+                  params: ModelParams, config: TrainConfig, training: bool = False,
                   rng: np.random.Generator | None = None,
                   tape: Tape | None = None,
                   capture: dict | None = None) -> ForwardResult:
-    """Pipeline from an already-fused feature matrix (n x d). The
-    utterance-masking analysis passes a stack of copies (B x n x d), each
-    with a row zeroed, which runs without a tape as B forwards of the
-    dialogue at once."""
+    """Pipeline from an already-fused feature matrix (n x d). A stack of B
+    copies (B x n x d) runs without a tape as B forwards at once, with one
+    ``speakers`` sequence shared by every copy (the utterance-masking
+    analysis) or B sequences, one per copy (stacked evaluation)."""
     z = encode(x, params.encoder, training, config.dropout, rng, tape, capture)
     if config.ablation == "no_gnn":
         h = bypass_gnn(z)
     else:
-        g = graph_from_speakers(speakers, params.dims.num_speakers,
-                                config.window_past, config.window_future,
-                                config.edge_mode, config.self_loops)
+        per_copy = len(speakers) > 0 and np.ndim(speakers[0]) > 0
+        graphs = [graph_from_speakers(s, params.dims.num_speakers,
+                                      config.window_past, config.window_future,
+                                      config.edge_mode, config.self_loops)
+                  for s in (speakers if per_copy else [speakers])]
         if config.ablation == "no_relations":
-            g = collapse_relations(g)
+            graphs = [collapse_relations(g) for g in graphs]
+        g = graphs if per_copy else graphs[0]
         hid = rgcn_forward(z, g, params.rgcn, tape)
         if config.relu_between_graph_layers:
             hid = T.relu(hid, tape)
-        h = graph_transformer_forward(hid, g, params.graph_attention, training,
-                                      tape, capture)
+        h = graph_transformer_forward(hid, g, params.graph_attention, tape, capture)
     out = classify(h, params.classifier, params.dims.task_mode,
                    config.multilabel_threshold, tape)
     return ForwardResult(out, z, h)
 
 
-def forward_dialogue(dialogue: Dialogue, params: ModelParams, config: TrainConfig,
-                     training: bool = False, rng: np.random.Generator | None = None,
+def forward_dialogue(dialogue: Dialogue | Sequence[Dialogue], params: ModelParams,
+                     config: TrainConfig, training: bool = False,
+                     rng: np.random.Generator | None = None,
                      tape: Tape | None = None,
                      capture: dict | None = None) -> ForwardResult:
-    x = Tensor(fused_matrix(dialogue, config.active_modalities))
-    return forward_fused(x, dialogue.speakers, params, config, training, rng, tape, capture)
+    """Forward of one dialogue, or a tape-free stacked forward of a sequence
+    of dialogues of one length."""
+    if isinstance(dialogue, Dialogue):
+        x, speakers = fused_matrix(dialogue, config.active_modalities), dialogue.speakers
+    else:
+        x = np.stack([fused_matrix(d, config.active_modalities) for d in dialogue])
+        speakers = [d.speakers for d in dialogue]
+    return forward_fused(Tensor(x), speakers, params, config, training, rng, tape, capture)

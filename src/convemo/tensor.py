@@ -347,12 +347,13 @@ def masked_softmax_rows(x: Tensor, mask: np.ndarray, tape: Tape | None = None) -
     """Row softmax restricted to positions where ``mask`` is true.
 
     Excluded positions get weight 0; rows whose mask is empty come out
-    all-zero (callers treat such nodes as having no neighbors). A stacked
-    input shares the one (n, n) mask across its copies.
+    all-zero (callers treat such nodes as having no neighbors). ``mask`` is
+    of ``x``'s last two dims, shared by every copy of a stacked input, or of
+    ``x``'s full shape, one per copy.
     """
     _check_2d("masked_softmax_rows", x)
     m = np.asarray(mask, dtype=bool)
-    if m.shape != x.shape[-2:]:
+    if m.shape not in (x.shape[-2:], x.shape):
         raise ShapeError(f"mask shape {m.shape} does not match input {x.shape}")
     row_has = m.any(axis=-1)
     neg_inf = np.where(m, x.data, -np.inf)

@@ -165,9 +165,47 @@ def predict_dialogue(dialogue: Dialogue, model: ModelParams,
     return forward_dialogue(dialogue, model, config, training=False).preds
 
 
+STACK_BLOCK = 1 << 18   # float64 elements in a stacked forward's largest block: 2 MB
+
+
+def copies_per_forward(n: int, model: ModelParams) -> int:
+    """How many n-utterance copies one stacked forward runs: as many as keep
+    its largest block within ``STACK_BLOCK`` elements. A copy's largest block
+    is n rows of the widest layer, or, per relation type, an n x width block
+    of RGCN messages or an n x n block of its mean matrix."""
+    relations = model.rgcn.relation_count if model.rgcn is not None else 0
+    widest = max(t.shape[-1] for t in model.named().values())
+    return max(1, STACK_BLOCK // (n * max(n, widest, relations * max(model.dims.width, n))))
+
+
+def predict_dialogues(dialogues: list[Dialogue], model: ModelParams,
+                      config: TrainConfig) -> list[np.ndarray]:
+    """Eval-mode preds of each dialogue, in input order.
+
+    Dialogues of one length run stacked, each with its own graph, through
+    one tape-free forward, ``copies_per_forward`` of them at a time; a
+    dialogue left alone in its chunk runs the 2-D forward.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, d in enumerate(dialogues):
+        by_length.setdefault(len(d), []).append(i)
+    preds: list = [None] * len(dialogues)
+    for n, members in by_length.items():
+        step = copies_per_forward(n, model)
+        for lo in range(0, len(members), step):
+            chunk = members[lo:lo + step]
+            if len(chunk) == 1:
+                preds[chunk[0]] = predict_dialogue(dialogues[chunk[0]], model, config)
+                continue
+            stacked = forward_dialogue([dialogues[i] for i in chunk], model, config).preds
+            for i, p in zip(chunk, stacked):
+                preds[i] = p
+    return preds
+
+
 def _validation_score(dialogues: list[Dialogue], model: ModelParams,
                       config: TrainConfig) -> float:
-    preds = [predict_dialogue(d, model, config) for d in dialogues]
+    preds = predict_dialogues(dialogues, model, config)
     if model.dims.task_mode == "single":
         gold = [u.label for d in dialogues for u in d.utterances]
         flat = [int(p) for seq in preds for p in seq]
@@ -265,7 +303,7 @@ def evaluate_model(corpus: Corpus, model: ModelParams, config: TrainConfig,
     dialogues = corpus.split(split)
     if not dialogues:
         raise ConfigError(f"corpus has no '{split}' dialogues")
-    preds = [predict_dialogue(d, model, config) for d in dialogues]
+    preds = predict_dialogues(dialogues, model, config)
     return metrics.make_report(dialogues, preds, corpus.label_names, shift_level)
 
 
@@ -279,16 +317,13 @@ def evaluate_multilabel(corpus: Corpus, model: ModelParams, config: TrainConfig,
     if not dialogues:
         raise ConfigError(f"corpus has no '{split}' dialogues")
     gold = np.concatenate([dialogue_gold(d, "multi") for d in dialogues])
-    pred = np.concatenate([predict_dialogue(d, model, config) for d in dialogues])
+    pred = np.concatenate(predict_dialogues(dialogues, model, config))
     per_class = metrics.multilabel_f1(gold, pred)
     return {
         "per_class_f1": {name: float(v) for name, v in zip(corpus.label_names, per_class)},
         "mean_f1": float(per_class.mean()),
         "exact_match_accuracy": float((gold == pred).all(axis=1).mean()),
     }
-
-
-MASK_BLOCK = 1 << 18   # float64 elements in a masking forward's largest stacked block: 2 MB
 
 
 @dataclass
@@ -305,9 +340,7 @@ def mask_importance(dialogue: Dialogue, model: ModelParams,
     edges stay, so only information is removed, not topology.
 
     The n+1 inputs (copy 0 unmasked, copy k+1 with utterance k zeroed) run
-    stacked through ``forward_fused``, as many copies per forward as keep
-    its largest block (an n x width block per relation type for the RGCN
-    messages, or n rows of the widest layer) within ``MASK_BLOCK`` elements.
+    stacked through ``forward_fused``, ``copies_per_forward`` at a time.
     """
     if model.dims.task_mode != "single":
         raise ConfigError(f"mask_importance needs a single-label corpus, "
@@ -315,9 +348,7 @@ def mask_importance(dialogue: Dialogue, model: ModelParams,
     x = fused_matrix(dialogue, config.active_modalities)
     n = len(dialogue)
     gold = [u.label for u in dialogue.utterances]
-    relations = model.rgcn.relation_count if model.rgcn is not None else 0
-    widest = max(t.shape[-1] for t in model.named().values())
-    per_forward = max(1, MASK_BLOCK // (n * max(n, widest, relations * model.dims.width)))
+    per_forward = copies_per_forward(n, model)
     f1 = []
     for lo in range(0, n + 1, per_forward):
         copies = np.repeat(x[None], min(per_forward, n + 1 - lo), axis=0)

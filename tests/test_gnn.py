@@ -270,3 +270,44 @@ def test_node_count_mismatch():
     params = RgcnParams.init(3, 3, g.relation_count, rng)
     with pytest.raises(T.ShapeError):
         rgcn_forward(Tensor(rng.standard_normal((2, 3))), g, params)
+
+
+def test_graphs_per_copy_match_a_loop_over_copies():
+    # three graphs of 5 nodes whose present relation types differ (one has a
+    # single speaker), so each copy's mean matrix has zero columns for types
+    # that only the others use
+    rng = np.random.default_rng(9)
+    graphs = [graph_from_speakers(s, 3, 1, None) for s in
+              ([0, 1, 2, 0, 1], [1, 1, 1, 1, 1], [2, 0, 2, 0, 2])]
+    present = [{rel for *_, rel in g.edges} for g in graphs]
+    assert len({frozenset(p) for p in present}) == 3
+    rgcn = RgcnParams.init(4, 4, graphs[0].relation_count, rng)
+    gt = GraphTransformerParams.init(4, 4, 2, rng)
+    z = rng.standard_normal((3, 5, 4))
+    hid = rgcn_forward(Tensor(z), graphs, rgcn)
+    out = graph_transformer_forward(hid, graphs, gt).data
+    mask = neighborhood_mask(graphs)
+    assert mask.shape == (3, 5, 5)
+    for b, g in enumerate(graphs):
+        one = rgcn_forward(Tensor(z[b]), g, rgcn)
+        assert np.abs(hid.data[b] - one.data).max() <= 1e-12 * np.abs(one.data).max()
+        want = graph_transformer_forward(one, g, gt).data
+        assert np.abs(out[b] - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_array_equal(mask[b], neighborhood_mask(g))
+
+
+def test_graph_count_or_node_count_mismatch_per_copy():
+    rng = np.random.default_rng(10)
+    graphs = [graph_from_speakers(s, 2, 1, 1) for s in ([0, 1, 0], [1, 1, 0])]
+    rgcn = RgcnParams.init(3, 3, graphs[0].relation_count, rng)
+    gt = GraphTransformerParams.init(3, 3, 1, rng)
+    layers = (lambda x, g: rgcn_forward(x, g, rgcn),
+              lambda x, g: graph_transformer_forward(x, g, gt))
+    for layer in layers:
+        for x, g in ((rng.standard_normal((3, 3, 3)), graphs),     # 2 graphs, 3 copies
+                     (rng.standard_normal((3, 3)), graphs),        # graphs for a 2-D input
+                     (rng.standard_normal((1, 3, 3)), []),
+                     (rng.standard_normal((2, 3, 3)),              # a 2-node graph
+                      [graphs[0], graph_from_speakers([0, 1], 2, 1, 1)])):
+            with pytest.raises(T.ShapeError):
+                layer(Tensor(x), g)

@@ -180,6 +180,18 @@ def test_collapse_preserves_edges():
     assert again.edges == flat.edges and again.relation_count == 1
 
 
+def test_edge_arrays_are_kept_with_the_graph():
+    g = graph_from_speakers([0, 1, 1, 0], 2, 1, 1)
+    assert g.edge_arrays is g.edge_arrays
+    np.testing.assert_array_equal(g.edge_arrays.T, g.edges)
+    # a copy made with ``replace`` holds arrays of its own edges
+    flat = collapse_relations(g)
+    assert flat.edge_arrays is not g.edge_arrays
+    np.testing.assert_array_equal(flat.edge_arrays.T, flat.edges)
+    assert (g.edge_arrays[2] > 0).any()
+    assert ConversationGraph(2, [], 1).edge_arrays.shape == (3, 0)
+
+
 def test_graph_json_dict():
     g = graph_from_speakers([0, 1], 2, 1, 1)
     d = g.to_json_dict()

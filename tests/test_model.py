@@ -80,6 +80,14 @@ def test_no_relations_uses_collapsed_graph():
     np.testing.assert_array_equal(got.probs.data, out.probs.data)
 
 
+def test_forward_dialogue_stacks_a_sequence_of_dialogues():
+    corpus, config, model = _small_setup(num_speakers=3)
+    stacked = forward_dialogue(corpus.dialogues[:3], model, config)
+    for b, d in enumerate(corpus.dialogues[:3]):
+        want = forward_dialogue(d, model, config).logits.data
+        assert np.abs(stacked.logits.data[b] - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_eval_forward_is_bitwise_deterministic():
     corpus, config, model = _small_setup()
     d = corpus.dialogues[0]

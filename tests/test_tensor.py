@@ -658,6 +658,19 @@ def test_stacked_op_on_a_tape_raises_shape_error():
     assert T.matmul(x, w).shape == (2, 3, 2)
 
 
+def test_masked_softmax_with_a_mask_per_copy_equals_a_loop():
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((3, 4, 4))
+    masks = rng.random((3, 4, 4)) < 0.5
+    masks[1, 2] = False   # one empty row
+    out = T.masked_softmax_rows(Tensor(x), masks).data
+    for b in range(3):
+        np.testing.assert_array_equal(out[b], T.masked_softmax_rows(Tensor(x[b]), masks[b]).data)
+    for bad in (masks[:2], masks[:, :3], masks[0, 0], masks[None]):
+        with pytest.raises(ShapeError, match="mask shape"):
+            T.masked_softmax_rows(Tensor(x), bad)
+
+
 def test_block_matmul_equals_concat_of_matmuls_to_the_bit():
     """Forward and every adjoint equal those of separate matmuls stacked by
     ``concat``, with the input's adjoint summed in the same order."""

@@ -604,12 +604,31 @@ def test_stacked_forward_matches_per_copy_forwards(case):
         assert [report.baseline_f1, *report.masked_f1] == _per_copy_f1(d, model, cfg)
 
 
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+def test_stacked_forward_with_a_graph_per_copy_matches_2d_forwards(case):
+    _, cfg, model = _untrained(**STACKED_CASES[case])
+    rng = np.random.default_rng(11)
+    # the relation types present in each graph differ; the second dialogue
+    # has one speaker, and the second stack one utterance per copy
+    for speakers in ([[0, 1, 2, 0, 1], [1, 1, 1, 1, 1], [2, 0, 2, 0, 2]],
+                     [[0], [2], [1]]):
+        n = len(speakers[0])
+        x = rng.standard_normal((len(speakers), n, model.dims.width))
+        stacked = forward_fused(Tensor(x), speakers, model, cfg)
+        assert stacked.logits.shape == (len(speakers), n, 4)
+        for b, s in enumerate(speakers):
+            one = forward_fused(Tensor(x[b]), s, model, cfg)
+            want = one.logits.data
+            assert np.abs(stacked.logits.data[b] - want).max() <= 1e-12 * np.abs(want).max()
+            np.testing.assert_array_equal(stacked.preds[b], one.preds)
+
+
 def test_mask_budget_splits_copies_unevenly(monkeypatch):
     # 2 speakers: 8 relation types at width 16, so one copy's largest block is
     # the RGCN messages, 8 * 8 * 16 = 1,024 elements for 8 utterances
     corpus, cfg, model = _untrained(num_speakers=2, utts=8, dims={"a": 4, "t": 8, "v": 4})
     d = corpus.dialogues[0]
-    monkeypatch.setattr(training, "MASK_BLOCK", 4 * 1024 + 1000)
+    monkeypatch.setattr(training, "STACK_BLOCK", 4 * 1024 + 1000)
     sizes = []
 
     def recording(x, *args, **kwargs):
@@ -638,14 +657,101 @@ def test_mask_memory_stays_within_the_budget(monkeypatch):
     corpus, cfg, model = _untrained(num_speakers=6, utts=24, dims={"a": 16, "t": 32, "v": 16},
                                     window_past=None, window_future=None)
     d = corpus.dialogues[0]
-    assert 1 < training.MASK_BLOCK // 110_592 < 25
+    assert 1 < training.STACK_BLOCK // 110_592 < 25
     peak = _traced_peak(lambda: mask_importance(d, model, cfg))
-    assert peak <= 1.5 * training.MASK_BLOCK * 8
+    assert peak <= 1.5 * training.STACK_BLOCK * 8
     # with one copy per forward it holds no more than a loop of 2-D forwards
-    monkeypatch.setattr(training, "MASK_BLOCK", 1)
+    monkeypatch.setattr(training, "STACK_BLOCK", 1)
     one_at_a_time = _traced_peak(lambda: mask_importance(d, model, cfg))
     loop = _traced_peak(lambda: _per_copy_f1(d, model, cfg))
     assert one_at_a_time <= 1.05 * loop
+
+
+def _per_dialogue_preds(dialogues, model, cfg):
+    return [predict_dialogue(d, model, cfg) for d in dialogues]
+
+
+def test_predict_dialogues_keeps_input_order_and_splits_by_budget(monkeypatch):
+    # 2 speakers at width 16: one 8-utterance copy's largest block is its
+    # RGCN messages, 8 * 8 * 16 = 1,024 elements, and a 5-utterance one's
+    # 5 * 8 * 16 = 640
+    corpus = synth_corpus(SynthSpec(num_dialogues=12, utterances_per_dialogue=8,
+                                    num_speakers=2, num_classes=4,
+                                    dims={"a": 4, "t": 8, "v": 4}, seed=3))
+    cfg = _fast_config()
+    model = ModelParams.init(cfg, ModelDims.for_corpus(corpus, cfg), np.random.default_rng(5))
+    cut = {1: 5, 4: 1, 6: 5}   # index -> shorter length
+    dialogues = [Dialogue(d.dialogue_id, d.num_speakers, "test", d.utterances[:cut.get(i, 8)])
+                 for i, d in enumerate(corpus.dialogues)]
+    want = _per_dialogue_preds(dialogues, model, cfg)
+    monkeypatch.setattr(training, "STACK_BLOCK", 4 * 1024 + 1000)
+    calls = []
+
+    def recording(dialogue, *args, **kwargs):
+        if isinstance(dialogue, Dialogue):
+            calls.append((len(dialogue), "2-D"))
+        else:
+            calls.append((len(dialogue[0]), len(dialogue)))
+        return forward_dialogue(dialogue, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_dialogue", recording)
+    got = training.predict_dialogues(dialogues, model, cfg)
+    # a dialogue left alone in its chunk runs the 2-D forward
+    assert calls == [(8, 4), (8, 4), (8, "2-D"), (5, 2), (1, "2-D")]
+    assert len(got) == len(want)
+    for p, w in zip(got, want):
+        np.testing.assert_array_equal(p, w)
+
+
+def test_evaluate_multilabel_matches_the_per_dialogue_loop():
+    from convemo.metrics import multilabel_f1
+    from convemo.training import evaluate_multilabel
+
+    rng = np.random.default_rng(1)
+    dialogues = []
+    for i in range(9):
+        utts = [Utterance(speaker=j % 2, label=(rng.random(3) < 0.5).astype(float), audio=None,
+                          text=rng.standard_normal(6), video=None)
+                for j in range(3 if i == 4 else 5)]
+        dialogues.append(Dialogue(f"m{i}", 2, "test", utts))
+    corpus = Corpus(dialogues, ["x", "y", "z"], {"a": 0, "t": 6, "v": 0}, "multi")
+    cfg = _fast_config(active_modalities="t", multilabel_threshold=0.45)
+    model = ModelParams.init(cfg, ModelDims.for_corpus(corpus, cfg), np.random.default_rng(2))
+    gold = np.concatenate([dialogue_gold(d, "multi") for d in dialogues])
+    pred = np.concatenate(_per_dialogue_preds(dialogues, model, cfg))
+    assert 0 < pred.mean() < 1
+    per_class = multilabel_f1(gold, pred)
+    assert evaluate_multilabel(corpus, model, cfg, "test") == {
+        "per_class_f1": dict(zip("xyz", per_class.tolist())),
+        "mean_f1": float(per_class.mean()),
+        "exact_match_accuracy": float((gold == pred).all(axis=1).mean()),
+    }
+
+
+def test_stacked_eval_memory_stays_within_the_budget():
+    # as in the masking test, one copy's RGCN messages are 110,592 elements,
+    # so the four 24-utterance dialogues run two to a forward
+    corpus, cfg, model = _untrained(num_speakers=6, utts=24, dims={"a": 16, "t": 32, "v": 16},
+                                    window_past=None, window_future=None)
+    assert len(corpus.dialogues) == 4 and training.copies_per_forward(24, model) == 2
+    peak = _traced_peak(lambda: training.predict_dialogues(corpus.dialogues, model, cfg))
+    assert peak <= 1.5 * training.STACK_BLOCK * 8
+
+
+def test_train_history_and_checkpoint_match_per_dialogue_validation(monkeypatch, tmp_path):
+    corpus = _none_corpus(n=24, utts=5, seed=4)
+    assert len(corpus.split("valid")) > 1
+    cfg = _fast_config(epochs=4)
+    files = []
+    for stacked in (True, False):
+        if not stacked:
+            monkeypatch.setattr(training, "predict_dialogues", _per_dialogue_preds)
+        result = train(corpus, cfg)
+        path = tmp_path / f"{stacked}.ckpt"
+        save_checkpoint(path, result.model, cfg, result.best_optimizer_state,
+                        result.best_epoch, result.best_valid_wf1, result.label_names)
+        files.append((result.history_csv(), path.read_bytes()))
+    assert files[0] == files[1]
 
 
 def test_mask_refuses_a_multilabel_model():

@@ -7,7 +7,9 @@ matrix. It runs as one aggregation: the messages ``z @ theta_r`` of the
 P relation types present in the graph are computed straight into the
 row blocks of one (P*n) x d' matrix, and one constant n x (P*n) mean
 matrix, holding 1/|N_r(i)| at [i, slot(r)*n + j] for each edge j -> i
-of type r, sums and averages them for every node at once.
+of type r, sums and averages them for every node at once. Each graph
+keeps that matrix's nonzero weights, and its neighborhood mask, from
+its first forward on; a forward only scatters them.
 
 ``graph_transformer_forward`` then runs dot-product attention restricted
 to graph neighborhoods (relation types ignored at this layer), combining
@@ -122,18 +124,26 @@ def _check_nodes(x: Tensor, g: Graphs, name: str) -> list[ConversationGraph]:
     return graphs
 
 
-def _edge_arrays(graphs: list[ConversationGraph]) -> tuple:
-    """Every graph's edges as int arrays copy, src, dst, rel; copy is 0 for
-    one graph, which then needs no concatenation."""
-    if len(graphs) == 1:
-        return (0, *graphs[0].edge_arrays)
-    copy = np.concatenate([np.full(len(one.edges), b) for b, one in enumerate(graphs)])
-    return (copy, *np.concatenate([one.edge_arrays for one in graphs], axis=1))
-
-
-def _unstacked(arr: np.ndarray, g: Graphs) -> np.ndarray:
-    """Drop the copy axis of a per-graph constant when one graph is shared."""
-    return arr[0] if isinstance(g, ConversationGraph) else arr
+def rgcn_mean_matrix(g: Graphs) -> tuple[np.ndarray, np.ndarray]:
+    """The relation ids present in any graph, sorted, and the mean matrix:
+    n x (P*n) for one graph, (B, n, P*n) for B graphs, scattered from each
+    graph's kept ``mean_aggregation``. A copy's matrix is zero in the
+    blocks of types its own graph lacks."""
+    graphs = _graphs(g)
+    # the sorted distinct ids, without np.unique, whose plain form imports numpy.ma
+    ids = np.sort(np.concatenate([one.mean_aggregation[0] for one in graphs]))
+    present = np.concatenate([ids[:1], ids[1:][ids[1:] != ids[:-1]]])
+    n, p = graphs[0].num_nodes, present.size
+    mean = np.zeros((len(graphs), n * p * n))
+    for row, one in zip(mean, graphs):
+        own, pos, weights = one.mean_aggregation
+        if own.size < p:  # move the graph's slots to those of the union
+            dst, slot, src = np.unravel_index(pos, (n, own.size, n))
+            pos = np.ravel_multi_index((dst, np.searchsorted(present, own)[slot], src),
+                                       (n, p, n))
+        row[pos] = weights
+    mean = mean.reshape(len(graphs), n, p * n)
+    return present, mean[0] if isinstance(g, ConversationGraph) else mean
 
 
 def rgcn_forward(z: Tensor, g: Graphs, params: RgcnParams,
@@ -143,37 +153,25 @@ def rgcn_forward(z: Tensor, g: Graphs, params: RgcnParams,
     With one graph per copy, the relation blocks are those present in any
     copy's graph, and a copy's mean matrix is zero where its graph lacks one.
     """
-    graphs = _check_nodes(z, g, "rgcn_forward")
-    copy, src, dst, rel = _edge_arrays(graphs)
-    bad = rel[(rel < 0) | (rel >= params.relation_count)]
+    _check_nodes(z, g, "rgcn_forward")
+    present, mean = rgcn_mean_matrix(g)
+    bad = present[(present < 0) | (present >= params.relation_count)]
     if bad.size:
         raise ValueError(f"graph uses relation id {bad.max()} but parameters "
                          f"cover only {params.relation_count} types")
     out = T.matmul(z, params.theta_root, tape)
-    if not rel.size:
+    if not present.size:
         return out
-    present, slot = np.unique(rel, return_inverse=True)
-    b, n, p = len(graphs), z.shape[-2], present.size
-    # edge counts per (copy, dst, relation slot, src), divided in place by
-    # each (copy, dst, slot) degree; parallel edges count twice
-    mean = np.bincount(((copy * n + dst) * p + slot) * n + src, np.ones(rel.size),
-                       b * n * p * n).reshape(b, n, p, n)
-    deg = mean.sum(axis=3, keepdims=True)
-    np.divide(mean, deg, out=mean, where=deg > 0)
     messages = T.block_matmul(z, [params.thetas[r] for r in present], tape)
-    mean = _unstacked(mean.reshape(b, n, p * n), g)
     return T.add(out, T.matmul(Tensor(mean), messages, tape), tape)
 
 
 def neighborhood_mask(g: Graphs) -> np.ndarray:
     """mask[i, j] is true when j is an in-neighbor of i (any relation type);
     (B, n, n) for a sequence of B graphs."""
-    graphs = _graphs(g)
-    copy, src, dst, _ = _edge_arrays(graphs)
-    n = graphs[0].num_nodes
-    mask = np.zeros((len(graphs), n, n), dtype=bool)
-    mask[copy, dst, src] = True
-    return _unstacked(mask, g)
+    if isinstance(g, ConversationGraph):
+        return g.neighbor_mask
+    return np.stack([one.neighbor_mask for one in g])
 
 
 def graph_transformer_forward(xp: Tensor, g: Graphs,

@@ -22,12 +22,21 @@ self-loop typed (speaker, speaker, Past); pass ``self_loops=False`` to
 drop them (the relational convolution has its own root term, so keeping
 them doubles the self contribution, matching the relation listing that
 includes the node itself).
+
+A graph stores its edges as one 3 x E int array (rows src, dst,
+relation id), built with numpy in the order a loop over destination
+nodes would give; the list of (src, dst, rel) triples is derived from it
+only when asked for. The graph layers' constants (the relational mean's
+weights and the neighborhood mask) are computed once per graph and kept
+with it, and ``graph_from_speakers`` keeps the ``GRAPH_MEMO`` most
+recently used graphs, so a dialogue's graph is built once per process.
+Graphs are frozen and their arrays read-only, since callers share them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -55,17 +64,56 @@ def relation_type_id(src_speaker: int, dst_speaker: int, direction: int,
     return direction * num_speakers * num_speakers + src_speaker * num_speakers + dst_speaker
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConversationGraph:
+    """A typed directed graph over ``num_nodes`` utterances.
+
+    ``edge_arrays`` is given as a list of (src, dst, relation_type_id)
+    triples or as a 3 x E int array, and stored as a read-only int32
+    array: rows src, dst, rel. The graph-layer constants derived from it
+    are computed on first use and kept with the graph; a copy made with
+    ``replace`` computes its own.
+    """
     num_nodes: int
-    edges: list[tuple[int, int, int]]  # (src, dst, relation_type_id)
+    edge_arrays: np.ndarray
     relation_count: int
 
+    def __post_init__(self):
+        arr = self.edge_arrays
+        if isinstance(arr, np.ndarray):
+            arr = arr.astype(np.int32)
+        else:
+            arr = np.array(arr, dtype=np.int32).reshape(-1, 3).T
+        object.__setattr__(self, "edge_arrays", _read_only(arr))
+
+    @property
+    def edges(self) -> list[tuple[int, int, int]]:
+        """The (src, dst, relation_type_id) triples, built anew on each call."""
+        return list(zip(*self.edge_arrays.tolist()))
+
     @cached_property
-    def edge_arrays(self) -> np.ndarray:
-        """The edge list as a 3 x E int array: rows src, dst, rel. Computed once
-        per graph; a copy made with ``replace`` computes its own."""
-        return np.array(self.edges, dtype=np.intp).reshape(-1, 3).T
+    def mean_aggregation(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The relational mean over in-neighbors in compact form: the sorted
+        relation ids present, the distinct flat positions [i, slot(r)*n + j]
+        of the n x (P*n) mean matrix for edges j -> i of type r, and each
+        position's weight count/deg, deg being i's in-edges of type r, so a
+        pair of parallel edges weighs 2/deg. Positions are int32: a matrix
+        of 2^31 entries would not fit in memory anyway."""
+        src, dst, rel = self.edge_arrays.astype(np.intp)
+        n = self.num_nodes
+        present, slot = np.unique(rel, return_inverse=True)
+        pos, count = np.unique((dst * present.size + slot) * n + src, return_counts=True)
+        deg = np.bincount(pos // n, count, n * present.size)
+        return (_read_only(present), _read_only(pos.astype(np.int32)),
+                _read_only(count / deg[pos // n]))
+
+    @cached_property
+    def neighbor_mask(self) -> np.ndarray:
+        """mask[i, j] is true when j is an in-neighbor of i (any relation type)."""
+        src, dst, _ = self.edge_arrays
+        mask = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
+        mask[dst, src] = True
+        return _read_only(mask)
 
     def in_edges(self) -> list[list[tuple[int, int]]]:
         """Per destination node: list of (src, relation_type_id)."""
@@ -76,52 +124,82 @@ class ConversationGraph:
 
     def to_json_dict(self) -> dict:
         return {"n": self.num_nodes,
-                "edges": [[s, d, r] for s, d, r in self.edges],
+                "edges": self.edge_arrays.T.tolist(),
                 "relation_count": self.relation_count}
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _validate(g: ConversationGraph) -> None:
-    seen = set()
-    for src, dst, rel in g.edges:
-        if not (0 <= src < g.num_nodes and 0 <= dst < g.num_nodes):
-            raise ValueError(f"edge ({src}, {dst}) out of range for {g.num_nodes} nodes")
-        if not 0 <= rel < g.relation_count:
-            raise ValueError(f"relation id {rel} out of range for {g.relation_count} types")
-        triple = (src, dst, rel)
-        if triple in seen:
-            raise ValueError(f"duplicate edge {triple}")
-        seen.add(triple)
+    src, dst, rel = g.edge_arrays.astype(np.intp)
+    n, r = g.num_nodes, g.relation_count
+    bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    if bad.any():
+        k = bad.argmax()
+        raise ValueError(f"edge ({src[k]}, {dst[k]}) out of range for {n} nodes")
+    bad = (rel < 0) | (rel >= r)
+    if bad.any():
+        raise ValueError(f"relation id {rel[bad.argmax()]} out of range for {r} types")
+    key = np.sort((src * n + dst) * r + rel)
+    dup = key[1:][key[1:] == key[:-1]]
+    if dup.size:
+        triple = tuple(int(v) for v in np.unravel_index(dup[0], (n, n, r)))
+        raise ValueError(f"duplicate edge {triple}")
+
+
+GRAPH_MEMO = 256   # graphs kept by ``speaker_graph``, least recently used dropped first
 
 
 def graph_from_speakers(speakers: Sequence[int], num_speakers: int | None = None,
                         past: int | None = 10, future: int | None = 10,
-                        edge_mode: str = "both_directions",
-                        self_loops: bool = True) -> ConversationGraph:
+                        edge_mode: str = "both_directions", self_loops: bool = True,
+                        untyped: bool = False) -> ConversationGraph:
+    """The conversation graph of a speaker sequence, with every relation
+    type collapsed to one if ``untyped`` (the ``no_relations`` ablation).
+    Graphs come from the ``speaker_graph`` memo, so each (speakers, graph
+    config) builds its graph, and the graph-layer constants kept with it,
+    once per process while it stays among the ``GRAPH_MEMO`` most recently
+    used."""
+    return speaker_graph(tuple(speakers), num_speakers, past, future, edge_mode,
+                         self_loops, untyped)
+
+
+@lru_cache(maxsize=GRAPH_MEMO)
+def speaker_graph(speakers: tuple[int, ...], num_speakers: int | None, past: int | None,
+                  future: int | None, edge_mode: str, self_loops: bool,
+                  untyped: bool) -> ConversationGraph:
+    """``graph_from_speakers``, memoised on all of its arguments."""
     if past is not None and past < 0 or future is not None and future < 0:
         raise ValueError("windows must be >= 0 (None for unbounded)")
     if edge_mode not in EDGE_MODES:
         raise ValueError(f"edge_mode must be one of {EDGE_MODES}, got '{edge_mode}'")
-    n = len(speakers)
-    m = num_speakers if num_speakers is not None else max(speakers) + 1
-    edges: list[tuple[int, int, int]] = []
-    for i in range(n):
-        if self_loops:
-            edges.append((i, i, relation_type_id(speakers[i], speakers[i], PAST, m)))
-        lo = 0 if past is None else max(0, i - past)
-        hi = n - 1 if future is None else min(n - 1, i + future)
-        for j in range(lo, hi + 1):
-            if j == i:
-                continue
-            if edge_mode == "both_directions":
-                direction = PAST if j < i else FUTURE
-                edges.append((j, i, relation_type_id(speakers[j], speakers[i], direction, m)))
-            elif j < i:
-                edges.append((j, i, relation_type_id(speakers[j], speakers[i], PAST, m)))
-            else:
-                edges.append((i, j, relation_type_id(speakers[i], speakers[j], FUTURE, m)))
-    g = ConversationGraph(n, edges, num_relation_types(m))
+    spk = np.asarray(speakers, dtype=np.intp)
+    n = spk.size
+    m = num_speakers if num_speakers is not None else int(spk.max()) + 1
+    bad = spk[(spk < 0) | (spk >= m)]
+    if bad.size:
+        raise ValueError(f"speaker id {bad[0]} out of range for {m} speakers")
+    # row i lists node i's self-loop, then its window neighbors j in order
+    lo = n - 1 if past is None else min(past, n - 1)
+    hi = n - 1 if future is None else min(future, n - 1)
+    offsets = np.arange(-lo, hi + 1)
+    i = np.arange(n)[:, None]
+    j = i + offsets[offsets != 0]
+    keep = (j >= 0) & (j < n)
+    if self_loops:
+        j = np.hstack([i, j])
+        keep = np.hstack([np.ones((n, 1), dtype=bool), keep])
+    i, j = np.broadcast_to(i, j.shape)[keep], j[keep]
+    # both directions: every edge ends at i; single direction: in spoken order
+    src, dst = (j, i) if edge_mode == "both_directions" else (np.minimum(i, j), np.maximum(i, j))
+    direction = np.where(j > i, FUTURE, PAST)
+    rel = (direction * m + spk[src]) * m + spk[dst]
+    g = ConversationGraph(n, np.stack([src, dst, rel]), num_relation_types(m))
     _validate(g)
-    return g
+    return collapse_relations(g) if untyped else g
 
 
 def build_graph(dialogue: Dialogue, past: int | None = 10, future: int | None = 10,
@@ -143,7 +221,8 @@ def collapse_relations(g: ConversationGraph) -> ConversationGraph:
     Edge multiplicity is preserved, so parallel edges of formerly
     distinct types stay parallel.
     """
-    return replace(g, edges=[(s, d, 0) for s, d, _ in g.edges], relation_count=1)
+    src, dst, _ = g.edge_arrays
+    return replace(g, edge_arrays=np.stack([src, dst, np.zeros_like(src)]), relation_count=1)
 
 
 def transition_stats(corpus: Corpus, level: str = "utterance") -> tuple[np.ndarray, np.ndarray]:

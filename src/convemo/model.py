@@ -22,7 +22,7 @@ from .config import TrainConfig
 from .dataset import Corpus, Dialogue, fuse_features, fused_dim
 from .encoder import EncoderParams, encode
 from .gnn import GraphTransformerParams, RgcnParams, bypass_gnn, graph_transformer_forward, rgcn_forward
-from .graph import collapse_relations, graph_from_speakers, num_relation_types
+from .graph import graph_from_speakers, num_relation_types
 from .tensor import Tape, Tensor
 
 
@@ -157,12 +157,10 @@ def forward_fused(x: Tensor, speakers: Sequence[int] | Sequence[Sequence[int]],
         h = bypass_gnn(z)
     else:
         per_copy = len(speakers) > 0 and np.ndim(speakers[0]) > 0
-        graphs = [graph_from_speakers(s, params.dims.num_speakers,
-                                      config.window_past, config.window_future,
-                                      config.edge_mode, config.self_loops)
+        graphs = [graph_from_speakers(s, params.dims.num_speakers, config.window_past,
+                                      config.window_future, config.edge_mode, config.self_loops,
+                                      config.ablation == "no_relations")
                   for s in (speakers if per_copy else [speakers])]
-        if config.ablation == "no_relations":
-            graphs = [collapse_relations(g) for g in graphs]
         g = graphs if per_copy else graphs[0]
         hid = rgcn_forward(z, g, params.rgcn, tape)
         if config.relu_between_graph_layers:

@@ -11,6 +11,7 @@ from convemo.gnn import (
     graph_transformer_forward,
     neighborhood_mask,
     rgcn_forward,
+    rgcn_mean_matrix,
 )
 from convemo.graph import ConversationGraph, collapse_relations, graph_from_speakers
 from convemo.tensor import Tape, Tensor, backward
@@ -105,6 +106,50 @@ def test_rgcn_matches_loop_oracle(seed):
         want = rgcn_loop_oracle(z, graph, params.theta_root.data,
                                 [t.data for t in params.thetas])
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def dense_mean_oracle(graphs):
+    """The (B, n, P*n) mean matrix by the dense formula the RGCN used before
+    graphs kept their constants: edge counts per (copy, dst, relation slot,
+    src), each divided by its (copy, dst, slot) degree."""
+    b, n = len(graphs), graphs[0].num_nodes
+    copy = np.concatenate([np.full(len(one.edges), k) for k, one in enumerate(graphs)])
+    src, dst, rel = np.concatenate(
+        [np.array(one.edges, dtype=np.intp).reshape(-1, 3).T for one in graphs], axis=1)
+    present, slot = np.unique(rel, return_inverse=True)
+    p = present.size
+    mean = np.bincount(((copy * n + dst) * p + slot) * n + src, np.ones(rel.size),
+                       b * n * p * n).astype(np.float64, copy=False).reshape(b, n, p, n)
+    deg = mean.sum(axis=3, keepdims=True)
+    np.divide(mean, deg, out=mean, where=deg > 0)
+    return present, mean.reshape(b, n, p * n)
+
+
+def test_kept_rgcn_constants_equal_the_dense_formula_bitwise():
+    parallel = collapse_relations(graph_from_speakers([0, 1, 0, 1, 1], 2, 2, 2,
+                                                      "single_direction"))
+    assert len(set(parallel.edges)) < len(parallel.edges)
+    assert parallel.mean_aggregation[1].size == len(set(parallel.edges))
+    # node 0 has no in-edges: single direction, no past window, no self-loops
+    sourceless = graph_from_speakers([0, 1, 0], 2, 0, 1, "single_direction", False)
+    assert not (sourceless.edge_arrays[1] == 0).any()
+    singles = [graph_from_speakers([0, 1, 1, 0, 2], 3, 2, None), parallel, sourceless,
+               ConversationGraph(3, [], 2)]
+    for g in singles:
+        present, mean = rgcn_mean_matrix(g)
+        want_present, want_mean = dense_mean_oracle([g])
+        assert np.array_equal(present, want_present)
+        assert mean.shape == want_mean.shape[1:] and np.array_equal(mean, want_mean[0])
+    assert 0.4 in rgcn_mean_matrix(parallel)[1]   # a parallel pair of a degree-5 node
+    # one graph per copy, whose present relation types differ
+    stacks = [[graph_from_speakers(s, 3, 1, None) for s in
+               ([0, 1, 2, 0, 1], [1, 1, 1, 1, 1], [2, 0, 2, 0, 2])],
+              [graph_from_speakers(s, 2, 1, 1, self_loops=False) for s in ([0, 1, 0], [1, 1, 1])]]
+    for graphs in stacks:
+        assert len({tuple(g.mean_aggregation[0]) for g in graphs}) == len(graphs)
+        present, mean = rgcn_mean_matrix(graphs)
+        want_present, want_mean = dense_mean_oracle(graphs)
+        assert np.array_equal(present, want_present) and np.array_equal(mean, want_mean)
 
 
 def test_rgcn_absent_relations_get_no_gradient():

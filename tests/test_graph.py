@@ -1,11 +1,15 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from convemo.dataset import Corpus, Dialogue, SynthSpec, Utterance, synth_corpus
 from convemo.graph import (
+    EDGE_MODES,
     FUTURE,
     PAST,
     ConversationGraph,
+    _validate,
     build_graph,
     collapse_relations,
     graph_from_speakers,
@@ -190,6 +194,70 @@ def test_edge_arrays_are_kept_with_the_graph():
     np.testing.assert_array_equal(flat.edge_arrays.T, flat.edges)
     assert (g.edge_arrays[2] > 0).any()
     assert ConversationGraph(2, [], 1).edge_arrays.shape == (3, 0)
+    # a graph, and the arrays it keeps, cannot be changed in place
+    with pytest.raises(FrozenInstanceError):
+        g.num_nodes = 5
+    for arr in (g.edge_arrays, *g.mean_aggregation, g.neighbor_mask):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[..., 0] = 0
+
+
+def loop_edges(speakers, m, past, future, edge_mode, self_loops):
+    """The edge list, in order, as a loop over destination nodes builds it."""
+    n = len(speakers)
+    edges = []
+    for i in range(n):
+        if self_loops:
+            edges.append((i, i, relation_type_id(speakers[i], speakers[i], PAST, m)))
+        lo = 0 if past is None else max(0, i - past)
+        hi = n - 1 if future is None else min(n - 1, i + future)
+        for j in range(lo, hi + 1):
+            if j == i:
+                continue
+            if edge_mode == "both_directions":
+                direction = PAST if j < i else FUTURE
+                edges.append((j, i, relation_type_id(speakers[j], speakers[i], direction, m)))
+            elif j < i:
+                edges.append((j, i, relation_type_id(speakers[j], speakers[i], PAST, m)))
+            else:
+                edges.append((i, j, relation_type_id(speakers[i], speakers[j], FUTURE, m)))
+    return edges
+
+
+def test_edge_order_matches_the_loop_builder():
+    rng = np.random.default_rng(11)
+    for _ in range(80):
+        n, m = int(rng.integers(0, 10)), int(rng.integers(1, 4))
+        speakers = rng.integers(0, m, size=n).tolist()
+        past, future = ([0, 1, 3, None][k] for k in rng.integers(0, 4, size=2))
+        mode = EDGE_MODES[rng.integers(0, 2)]
+        loops = bool(rng.integers(0, 2))
+        g = graph_from_speakers(speakers, m, past, future, mode, loops)
+        assert g.edges == loop_edges(speakers, m, past, future, mode, loops)
+
+
+@pytest.mark.parametrize("speakers, kwargs, message", [
+    ([0, -1, 1], {}, "speaker id -1 out of range for 2 speakers"),
+    ([0, 1, 2], {}, "speaker id 2 out of range for 2 speakers"),
+    ([0, 1, 0], {"past": -1}, "windows must be >= 0"),
+    ([0, 1, 0], {"future": -3}, "windows must be >= 0"),
+    ([0, 1, 0], {"edge_mode": "sideways"}, "edge_mode must be one of"),
+])
+def test_graph_from_speakers_rejects_bad_input(speakers, kwargs, message):
+    with pytest.raises(ValueError, match=message) as err:
+        graph_from_speakers(speakers, 2, **kwargs)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1, 0), (1, 0, 1), (0, 1, 0)], r"duplicate edge \(0, 1, 0\)"),
+    ([(0, 1, 0), (2, 0, 0)], r"edge \(2, 0\) out of range for 2 nodes"),
+    ([(0, 1, 0), (0, -1, 0)], r"edge \(0, -1\) out of range for 2 nodes"),
+    ([(0, 1, 2)], "relation id 2 out of range for 2 types"),
+])
+def test_validate_names_the_bad_edge(edges, message):
+    with pytest.raises(ValueError, match=message):
+        _validate(ConversationGraph(2, edges, 2))
 
 
 def test_graph_json_dict():

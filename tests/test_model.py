@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from convemo.config import TrainConfig
 from convemo.dataset import Corpus, Dialogue, SynthSpec, Utterance, synth_corpus
 from convemo.encoder import encode
 from convemo.gnn import graph_transformer_forward, rgcn_forward
-from convemo.graph import collapse_relations, graph_from_speakers
+from convemo.graph import collapse_relations, graph_from_speakers, speaker_graph
 from convemo.model import (
     ModelDims,
     ModelParams,
@@ -190,3 +192,32 @@ def test_capture_exposes_stage_outputs():
     assert len(capture["attention"][0]) == config.encoder_heads
     assert len(capture["graph_attention"]) == config.gnn_heads
     assert result.context.shape == (len(d), model.dims.width)
+
+
+def test_graph_memo_key_covers_every_graph_field():
+    # one speaker sequence under configs that each differ from the first in
+    # one graph field; every config must find its own graph in the memo
+    speakers = [0, 1, 1, 0, 1]
+    base = TrainConfig(seq_context_layers=1, encoder_heads=2, gnn_heads=2,
+                       window_past=1, window_future=1, seed=0).validate()
+    variants = [(base, 2), (replace(base, window_past=2), 2),
+                (replace(base, window_future=3), 2),
+                (replace(base, edge_mode="single_direction"), 2),
+                (replace(base, self_loops=False), 2),
+                (replace(base, ablation="no_relations"), 2), (base, 3)]
+    x = Tensor(np.random.default_rng(1).standard_normal((len(speakers), 6)))
+    runs = [(config, ModelParams.init(config, ModelDims(6, 3, m), np.random.default_rng(2)))
+            for config, m in variants]
+
+    def logits(k):
+        config, model = runs[k]
+        return forward_fused(x, speakers, model, config).logits.data
+
+    fresh = []
+    for k in range(len(runs)):
+        speaker_graph.cache_clear()
+        fresh.append(logits(k))
+    speaker_graph.cache_clear()
+    for k in [0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, *range(len(runs))]:
+        assert np.array_equal(logits(k), fresh[k]), variants[k]
+    assert speaker_graph.cache_info().hits >= 13

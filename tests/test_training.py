@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from convemo import classifier as clf
 from convemo import tensor as T
 from convemo.config import ConfigError, TrainConfig
-from convemo.dataset import Corpus, Dialogue, SynthSpec, Utterance, synth_corpus
+from convemo.dataset import Corpus, Dialogue, SynthSpec, Utterance, load_corpus, synth_corpus
+from convemo.graph import speaker_graph
 from convemo.model import (
     ModelDims,
     ModelParams,
@@ -306,6 +308,22 @@ def test_train_determinism_same_seed():
         np.testing.assert_array_equal(s1[k], s2[k])
     for a, b in zip(r1.final_snapshot.values(), r2.final_snapshot.values()):
         np.testing.assert_array_equal(a, b)
+
+
+def test_train_is_deterministic_with_a_warm_graph_memo(tmp_path):
+    corpus = load_corpus(Path(__file__).parent / "fixtures" / "tiny_corpus.jsonl")
+    cfg = _fast_config(epochs=3)
+    runs = []
+    for k in range(3):
+        if k != 1:   # the second run finds every graph the first one built
+            speaker_graph.cache_clear()
+        result = train(corpus, cfg)
+        path = tmp_path / f"{k}.ckpt"
+        save_checkpoint(path, result.model, cfg, result.best_optimizer_state,
+                        result.best_epoch, result.best_valid_wf1, result.label_names)
+        runs.append((result.history_csv(), path.read_bytes()))
+    assert speaker_graph.cache_info().hits > 0
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_train_differs_across_seeds():

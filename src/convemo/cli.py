@@ -117,8 +117,8 @@ def _checkpoint_for(corpus, args):
 
 
 def cmd_train(args) -> int:
-    corpus, fingerprint, corpus_path = _require_corpus(args.corpus)
     config = _resolve_config(args)
+    corpus, fingerprint, corpus_path = _require_corpus(args.corpus)
     out = _out_dir(args)
     result = train(corpus, config)
     ckpt_path = out / "checkpoint.json"
@@ -200,8 +200,8 @@ def _parse_seeds(raw: str) -> list[int]:
 
 
 def cmd_study(args) -> int:
-    corpus, fingerprint, corpus_path = _require_corpus(args.corpus)
     config = _resolve_config(args)
+    corpus, fingerprint, corpus_path = _require_corpus(args.corpus)
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise ConfigError("study needs at least one seed")

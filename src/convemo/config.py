@@ -8,12 +8,21 @@ for the other corpus's per-modality settings are provided as well.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 
 from .dataset import CorpusError, normalize_modalities
 from .graph import EDGE_MODES
 
 ABLATIONS = ("full", "no_gnn", "no_relations")
+
+# field type -> (values accepted, the type stored, how a message names it);
+# bools are accepted only by bool fields
+_KINDS = {"int": (numbers.Integral, int, "an integer"),
+          "float": (numbers.Real, float, "a finite number"),
+          "bool": (bool, bool, "true or false"),
+          "str": (str, str, "a string")}
 
 
 class ConfigError(ValueError):
@@ -46,6 +55,17 @@ class TrainConfig:
     patience: int = 10
 
     def validate(self) -> "TrainConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")   # e.g. "int | None"
+            if value is None and optional:
+                continue
+            accepted, stored, noun = _KINDS[kind]
+            if (not isinstance(value, accepted) or (kind != "bool" and isinstance(value, bool))
+                    or (kind == "float" and not math.isfinite(value))):
+                raise ConfigError(f"{f.name} must be {noun}"
+                                  + (" or null" if optional else "") + f", not {value!r}")
+            setattr(self, f.name, stored(value))
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -54,19 +74,15 @@ class TrainConfig:
                      "epochs", "grad_accum"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("window_past", "window_future"):
-            w = getattr(self, name)
-            if w is not None and w < 0:
-                raise ConfigError(f"{name} must be >= 0 or null for unbounded")
         if self.edge_mode not in EDGE_MODES:
             raise ConfigError(f"unknown edge_mode '{self.edge_mode}'")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {ABLATIONS}")
-        if self.patience < 0:
-            raise ConfigError("patience must be >= 0")
+        for name in ("window_past", "window_future", "patience", "seed"):
+            if (getattr(self, name) or 0) < 0:   # a null window is unbounded
+                raise ConfigError(f"{name} must be >= 0")
         try:
-            object.__setattr__(self, "active_modalities",
-                               normalize_modalities(self.active_modalities))
+            self.active_modalities = normalize_modalities(self.active_modalities)
         except CorpusError as exc:
             raise ConfigError(str(exc)) from exc
         return self

@@ -16,9 +16,6 @@ to graph neighborhoods (relation types ignored at this layer), combining
 a transformed self term with attention-weighted neighbor messages;
 multiple heads are concatenated and projected.
 
-``bypass_gnn`` is the identity, so the "no graph layers" ablation is an
-ordinary pipeline configuration rather than a special case.
-
 Both layers take node features as n x d, or stacked as B x n x d for B
 tape-free copies, with one graph shared by every copy or one graph per
 copy (all of n nodes).
@@ -199,8 +196,3 @@ def graph_transformer_forward(xp: Tensor, g: Graphs,
     if capture is not None:
         capture["graph_attention"] = alphas
     return T.matmul(T.concat(outs, 1, tape), params.w_out, tape)
-
-
-def bypass_gnn(z: Tensor) -> Tensor:
-    """Identity: context features go straight to the classifier."""
-    return z

@@ -21,7 +21,7 @@ from .classifier import ClassifierOutput, ClassifierParams, classify
 from .config import TrainConfig
 from .dataset import Corpus, Dialogue, fuse_features, fused_dim
 from .encoder import EncoderParams, encode
-from .gnn import GraphTransformerParams, RgcnParams, bypass_gnn, graph_transformer_forward, rgcn_forward
+from .gnn import GraphTransformerParams, RgcnParams, graph_transformer_forward, rgcn_forward
 from .graph import graph_from_speakers, num_relation_types
 from .tensor import Tape, Tensor
 
@@ -154,7 +154,7 @@ def forward_fused(x: Tensor, speakers: Sequence[int] | Sequence[Sequence[int]],
     analysis) or B sequences, one per copy (stacked evaluation)."""
     z = encode(x, params.encoder, training, config.dropout, rng, tape, capture)
     if config.ablation == "no_gnn":
-        h = bypass_gnn(z)
+        h = z
     else:
         per_copy = len(speakers) > 0 and np.ndim(speakers[0]) > 0
         graphs = [graph_from_speakers(s, params.dims.num_speakers, config.window_past,

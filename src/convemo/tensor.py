@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-PARAMS_VERSION = 2   # version 1 was JSON float lists; ``read_json_v1`` reads it
+PARAMS_VERSION = 2
 _HEADER = "__header__"
 
 
@@ -529,12 +529,6 @@ def save_params(path, params: Mapping[str, Tensor | np.ndarray],
         np.savez(fh, allow_pickle=False, **members)
 
 
-def is_container(path) -> bool:
-    """Whether ``path`` holds a version-2 container (a zip) rather than v1 JSON."""
-    with open(path, "rb") as fh:
-        return fh.read(2) == b"PK"
-
-
 class _Members(Mapping):
     """Name -> float64 array view of an open container; each lookup reads one
     member, so a caller can hold one array at a time."""
@@ -597,9 +591,12 @@ def _damaged(path, fmt: str, why) -> ValueError:
 @contextmanager
 def open_params(path, fmt: str):
     """Open a container written by ``save_params``; yields its header dict and a
-    lazy name -> array ``Mapping``. Never unpickles. A damaged file raises a
-    one-line ``ValueError`` naming ``path``."""
+    lazy name -> array ``Mapping``. Never unpickles. A file that is not a zip,
+    or is damaged, raises a one-line ``ValueError`` naming ``path``."""
     with open(path, "rb") as fh:
+        if fh.read(2) != b"PK":
+            raise ValueError(f"not a {fmt} file: {path}")
+        fh.seek(0)
         try:
             npz = np.load(fh, allow_pickle=False)
             header = json.loads(npz[_HEADER].tobytes())
@@ -610,20 +607,6 @@ def open_params(path, fmt: str):
         if header.get("version") != PARAMS_VERSION:
             raise ValueError(f"unsupported {fmt} version {header.get('version')} in {path}")
         yield header, _Members(npz, fh, path, fmt)
-
-
-def read_json_v1(path, fmt: str) -> dict:
-    """Parse a version-1 JSON file and check its format tag."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except ValueError:  # not UTF-8 or not JSON
-        payload = None
-    if not isinstance(payload, dict) or payload.get("format") != fmt:
-        raise ValueError(f"not a {fmt} file: {path}")
-    if payload.get("version") != 1:
-        raise ValueError(f"unsupported {fmt} version {payload.get('version')} in {path}")
-    return payload
 
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,6 @@ checkpoints byte for byte.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +33,7 @@ from .tensor import (
     Tape,
     Tensor,
     backward,
-    is_container,
     open_params,
-    read_json_v1,
     save_params,
 )
 
@@ -149,7 +146,6 @@ class TrainResult:
     history: list[EpochStats]
     best_epoch: int
     best_valid_wf1: float
-    final_snapshot: dict[str, np.ndarray]
     best_optimizer_state: dict
     label_names: list[str]
 
@@ -289,10 +285,9 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         elif epoch - best_epoch > config.patience:
             break
 
-    final_snapshot = model.snapshot()
     model.restore(best_snapshot)
     return TrainResult(model, history, best_epoch, best_wf1,
-                       final_snapshot, best_opt_state, list(corpus.label_names))
+                       best_opt_state, list(corpus.label_names))
 
 
 def evaluate_model(corpus: Corpus, model: ModelParams, config: TrainConfig,
@@ -411,34 +406,6 @@ class Checkpoint:
             raise ConfigError("checkpoint does not fit the corpus: " + "; ".join(problems))
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by ``save_checkpoint``, or a version-1 JSON one."""
-    if is_container(path):
-        with open_params(path, CHECKPOINT_FORMAT) as (header, members):
-            return _checkpoint_from(header, members)
-    # version 1: one JSON object holding flat float lists
-    payload = read_json_v1(path, CHECKPOINT_FORMAT)
-    opt = payload["optimizer"]
-    members = _InMemory(
-        (f"param/{name}", np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"]))
-        for name, entry in payload["params"].items())
-    for key in ("m", "v"):
-        members.update((f"{key}/{name}", np.asarray(flat, dtype=np.float64))
-                       for name, flat in opt[key].items())
-    return _checkpoint_from({**payload, "step_count": opt["step_count"]}, members)
-
-
-class _InMemory(dict):
-    """Version-1 checkpoint members, parsed whole, read the way a container's are."""
-
-    def read_into(self, name: str, out: np.ndarray) -> None:
-        """Copy member ``name``, of ``out``'s shape or flat, into ``out``."""
-        arr = self[name]
-        if arr.shape != out.shape and (arr.ndim != 1 or arr.size != out.size):
-            raise ValueError(f"checkpoint member '{name}': shape {arr.shape} != {out.shape}")
-        np.copyto(out, arr.reshape(out.shape))
-
-
 class _NoDraw:
     """Stands in for the init generator of a model whose weights are about to
     be overwritten: weights come back uninitialised, and nothing is drawn."""
@@ -448,19 +415,20 @@ class _NoDraw:
         return np.empty(size)
 
 
-def _checkpoint_from(header: dict, members: Mapping) -> Checkpoint:
-    """Build a checkpoint from ``members``, whose ``read_into(name, out)`` fills
-    each parameter and moment array in place: three parameter-sized copies."""
-    config = TrainConfig.from_dict(header["config"])
-    model = ModelParams.init(config, ModelDims.from_dict(header["dims"]), _NoDraw())
-    named = model.check_names([name.removeprefix("param/")
-                               for name in members if name.startswith("param/")])
-    for name, t in named.items():
-        members.read_into(f"param/{name}", t.data)
-    state: dict = {"step_count": int(header["step_count"])}
-    for key in ("m", "v"):
-        state[key] = {name: np.empty_like(t.data) for name, t in named.items()}
-        for name, arr in state[key].items():
-            members.read_into(f"{key}/{name}", arr)
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint written by ``save_checkpoint``. Each parameter and
+    moment array is read from the file in place: three parameter-sized copies."""
+    with open_params(path, CHECKPOINT_FORMAT) as (header, members):
+        config = TrainConfig.from_dict(header["config"])
+        model = ModelParams.init(config, ModelDims.from_dict(header["dims"]), _NoDraw())
+        named = model.check_names([name.removeprefix("param/")
+                                   for name in members if name.startswith("param/")])
+        for name, t in named.items():
+            members.read_into(f"param/{name}", t.data)
+        state: dict = {"step_count": int(header["step_count"])}
+        for key in ("m", "v"):
+            state[key] = {name: np.empty_like(t.data) for name, t in named.items()}
+            for name, arr in state[key].items():
+                members.read_into(f"{key}/{name}", arr)
     return Checkpoint(model, config, int(header["epoch"]), float(header["valid_weighted_f1"]),
                       list(header["label_names"]), header.get("corpus_fingerprint", ""), state)

@@ -61,6 +61,22 @@ def test_bad_config_file(tmp_path, capsys):
     assert "no_such_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("gnn_heads", "2"), ("learning_rate", None), ("window_past", "inf"),
+    ("active_modalities", 5), ("seed", 1.5), ("seed", -1), ("self_loops", "no"),
+    ("gnn_heads", True),
+])
+def test_config_value_of_wrong_type_is_one_line_error(tmp_path, capsys, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    # the config is checked before the corpus is read
+    code = main(["train", "--corpus", "/nope/missing.jsonl", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and key in err and "missing.jsonl" not in err
+
+
 def test_eval_roundtrip_and_oracle_crosscheck(tmp_path, capsys):
     out = _train(tmp_path)
     ckpt = str(out / "checkpoint.json")

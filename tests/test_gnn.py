@@ -7,7 +7,6 @@ from convemo import tensor as T
 from convemo.gnn import (
     GraphTransformerParams,
     RgcnParams,
-    bypass_gnn,
     graph_transformer_forward,
     neighborhood_mask,
     rgcn_forward,
@@ -277,16 +276,6 @@ def test_graph_level_permutation_equivariance(seed):
     out = run(x, g)
     out_perm = run(x[perm], g_perm)
     np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
-
-
-def test_bypass_is_identity_and_transparent_to_grads():
-    rng = np.random.default_rng(7)
-    z = T.parameter(rng.standard_normal((3, 4)))
-    assert bypass_gnn(z) is z
-    tape = Tape()
-    loss = T.sum_all(bypass_gnn(z), tape)
-    backward(loss, tape)
-    np.testing.assert_array_equal(z.grad, np.ones((3, 4)))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -596,15 +596,6 @@ def test_params_header_validation(tmp_path):
     with pytest.raises(ValueError, match="unsupported convemo-params version 99"):
         with T.open_params(path, "convemo-params"):
             pass
-    # version-1 JSON files are checked the same way
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": "something-else", "version": 1}')
-    with pytest.raises(ValueError, match="not a convemo-params file"):
-        T.read_json_v1(path, "convemo-params")
-    path.write_text('{"format": "convemo-params", "version": 99}')
-    with pytest.raises(ValueError, match="version"):
-        T.read_json_v1(path, "convemo-params")
-
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,9 @@ def test_config_validation():
         TrainConfig.from_dict({"not_a_key": 1})
     cfg = TrainConfig.from_dict({"active_modalities": "vt"})
     assert cfg.active_modalities == "tv"
+    # numpy scalars pass and are stored as the builtin type, so configs stay JSON
+    cfg = TrainConfig(seed=np.int64(3), dropout=np.float32(0.25)).validate()
+    assert (type(cfg.seed), type(cfg.dropout)) == (int, float)
 
 
 def test_paper_default_hyperparameters():
@@ -306,8 +309,6 @@ def test_train_determinism_same_seed():
     assert set(s1) == set(s2)
     for k in s1:
         np.testing.assert_array_equal(s1[k], s2[k])
-    for a, b in zip(r1.final_snapshot.values(), r2.final_snapshot.values()):
-        np.testing.assert_array_equal(a, b)
 
 
 def test_train_is_deterministic_with_a_warm_graph_memo(tmp_path):
@@ -401,37 +402,6 @@ def _assert_same_checkpoint(ckpt, model, state):
     assert ckpt.optimizer_state["step_count"] == state["step_count"]
 
 
-def test_version1_json_checkpoint_loads_bitwise(tmp_path):
-    import json
-
-    corpus = _none_corpus(n=10, utts=4)
-    cfg = _fast_config(epochs=2)
-    result = train(corpus, cfg)
-    state = result.best_optimizer_state
-    # the version-1 layout: one JSON object holding flat float lists
-    payload = {
-        "format": "convemo-checkpoint", "version": 1,
-        "config": cfg.to_dict(), "dims": result.model.dims.to_dict(),
-        "label_names": result.label_names, "epoch": result.best_epoch,
-        "valid_weighted_f1": result.best_valid_wf1, "corpus_fingerprint": "v1fp",
-        "params": {name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
-                   for name, t in result.model.named().items()},
-        "optimizer": {"step_count": state["step_count"],
-                      "m": {k: v.reshape(-1).tolist() for k, v in state["m"].items()},
-                      "v": {k: v.reshape(-1).tolist() for k, v in state["v"].items()}},
-    }
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    ckpt = load_checkpoint(path)
-    _assert_same_checkpoint(ckpt, result.model, state)
-    assert (ckpt.epoch, ckpt.valid_wf1, ckpt.corpus_fingerprint) == (
-        result.best_epoch, result.best_valid_wf1, "v1fp")
-    # re-saved, it is a version-2 file that loads to the same arrays
-    save_checkpoint(tmp_path / "v2.json", ckpt.model, ckpt.config, ckpt.optimizer_state,
-                    ckpt.epoch, ckpt.valid_wf1, ckpt.label_names, "v1fp")
-    _assert_same_checkpoint(load_checkpoint(tmp_path / "v2.json"), result.model, state)
-
-
 def test_damaged_checkpoint_raises_one_line_error(tmp_path):
     cfg = _fast_config()
     model = ModelParams.init(cfg, ModelDims(width=6, num_speakers=2, num_classes=3),
@@ -470,9 +440,13 @@ def test_damaged_parameter_member_is_caught_while_read_in_place(tmp_path):
 
 def test_checkpoint_header_rejected(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"format": "other", "version": 1}')
-    with pytest.raises(ValueError, match="not a convemo-checkpoint"):
-        load_checkpoint(path)
+    for content in (b'{"format": "other", "version": 1}',
+                    b'{"format": "convemo-checkpoint", "version": 1}',   # the old JSON layout
+                    b"P"):
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="not a convemo-checkpoint") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value) and "\n" not in str(info.value)
 
 
 def test_multilabel_training_smoke():

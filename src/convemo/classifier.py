@@ -29,17 +29,14 @@ class ClassifierParams:
         return self.w2.shape[1]
 
     @classmethod
-    def init(cls, d_in: int, num_classes: int, rng: np.random.Generator,
+    def init(cls, d_in: int, num_classes: int, rng: np.random.Generator | T.Init,
              hidden: int | None = None) -> "ClassifierParams":
         h = hidden or -(-d_in // 2)  # half the input width, rounded up
         if h < 1 or num_classes < 1:
             raise ValueError("classifier sizes must be positive")
-        return cls(
-            w1=T.parameter(T.xavier_uniform((d_in, h), rng)),
-            b1=T.parameter(np.zeros(h)),
-            w2=T.parameter(T.xavier_uniform((h, num_classes), rng)),
-            b2=T.parameter(np.zeros(num_classes)),
-        )
+        init = T.Init.of(rng)
+        return cls(w1=init.xavier((d_in, h)), b1=init.fill((h,), 0.0),
+                   w2=init.xavier((h, num_classes)), b2=init.fill((num_classes,), 0.0))
 
     def named(self, prefix: str = "classifier") -> dict[str, Tensor]:
         return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,

@@ -74,6 +74,8 @@ class TrainConfig:
                      "epochs", "grad_accum"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.classifier_hidden is not None and self.classifier_hidden < 1:
+            raise ConfigError("classifier_hidden must be >= 1, or null for the default")
         if self.edge_mode not in EDGE_MODES:
             raise ConfigError(f"unknown edge_mode '{self.edge_mode}'")
         if self.ablation not in ABLATIONS:

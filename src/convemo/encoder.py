@@ -48,24 +48,25 @@ class EncoderParams:
 
     @classmethod
     def init(cls, width: int, num_layers: int, num_heads: int,
-             rng: np.random.Generator, ffn_width: int | None = None) -> "EncoderParams":
+             rng: np.random.Generator | T.Init, ffn_width: int | None = None) -> "EncoderParams":
         if width < 1 or num_layers < 1 or num_heads < 1:
             raise ValueError("encoder sizes must be positive")
         k = head_width(width, num_heads)
         m = ffn_width or 4 * width
+        init = T.Init.of(rng)
         layers = []
         for _ in range(num_layers):
             layers.append(EncoderLayerParams(
-                w_q=[T.parameter(T.xavier_uniform((width, k), rng)) for _ in range(num_heads)],
-                w_k=[T.parameter(T.xavier_uniform((width, k), rng)) for _ in range(num_heads)],
-                w_v=[T.parameter(T.xavier_uniform((width, k), rng)) for _ in range(num_heads)],
-                w_o=T.parameter(T.xavier_uniform((k * num_heads, width), rng)),
-                w_ffn1=T.parameter(T.xavier_uniform((width, m), rng)),
-                w_ffn2=T.parameter(T.xavier_uniform((m, width), rng)),
-                gamma1=T.parameter(np.ones(width)),
-                beta1=T.parameter(np.zeros(width)),
-                gamma2=T.parameter(np.ones(width)),
-                beta2=T.parameter(np.zeros(width)),
+                w_q=[init.xavier((width, k)) for _ in range(num_heads)],
+                w_k=[init.xavier((width, k)) for _ in range(num_heads)],
+                w_v=[init.xavier((width, k)) for _ in range(num_heads)],
+                w_o=init.xavier((k * num_heads, width)),
+                w_ffn1=init.xavier((width, m)),
+                w_ffn2=init.xavier((m, width)),
+                gamma1=init.fill((width,), 1.0),
+                beta1=init.fill((width,), 0.0),
+                gamma2=init.fill((width,), 1.0),
+                beta2=init.fill((width,), 0.0),
             ))
         return cls(layers, width, num_heads, k)
 

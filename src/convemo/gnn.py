@@ -46,14 +46,12 @@ class RgcnParams:
 
     @classmethod
     def init(cls, d_in: int, d_out: int, relation_count: int,
-             rng: np.random.Generator) -> "RgcnParams":
+             rng: np.random.Generator | T.Init) -> "RgcnParams":
         if relation_count < 1:
             raise ValueError("need at least one relation type")
-        return cls(
-            theta_root=T.parameter(T.xavier_uniform((d_in, d_out), rng)),
-            thetas=[T.parameter(T.xavier_uniform((d_in, d_out), rng))
-                    for _ in range(relation_count)],
-        )
+        init = T.Init.of(rng)
+        return cls(theta_root=init.xavier((d_in, d_out)),
+                   thetas=[init.xavier((d_in, d_out)) for _ in range(relation_count)])
 
     def named(self, prefix: str = "rgcn") -> dict[str, Tensor]:
         out = {f"{prefix}.theta_root": self.theta_root}
@@ -78,17 +76,14 @@ class GraphTransformerParams:
 
     @classmethod
     def init(cls, d_in: int, d_out: int, num_heads: int,
-             rng: np.random.Generator) -> "GraphTransformerParams":
+             rng: np.random.Generator | T.Init) -> "GraphTransformerParams":
         if num_heads < 1:
             raise ValueError("need at least one attention head")
         k = head_width(d_out, num_heads)
-        heads = [GraphTransformerHead(
-            w_self=T.parameter(T.xavier_uniform((d_in, k), rng)),
-            w_msg=T.parameter(T.xavier_uniform((d_in, k), rng)),
-            w_key_self=T.parameter(T.xavier_uniform((d_in, k), rng)),
-            w_key_nbr=T.parameter(T.xavier_uniform((d_in, k), rng)),
-        ) for _ in range(num_heads)]
-        return cls(heads, T.parameter(T.xavier_uniform((k * num_heads, d_out), rng)), k)
+        init = T.Init.of(rng)
+        heads = [GraphTransformerHead(*(init.xavier((d_in, k)) for _ in range(4)))
+                 for _ in range(num_heads)]
+        return cls(heads, init.xavier((k * num_heads, d_out)), k)
 
     def named(self, prefix: str = "graph_attention") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -12,7 +12,7 @@ type to a single one.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,23 +56,29 @@ class ModelParams:
     rgcn: RgcnParams | None
     graph_attention: GraphTransformerParams | None
     classifier: ClassifierParams
+    arena: T.Arena | None = field(default=None, repr=False)   # every parameter, in ``named`` order
 
     @classmethod
     def init(cls, config: TrainConfig, dims: ModelDims,
-             rng: np.random.Generator) -> "ModelParams":
+             rng: np.random.Generator | None) -> "ModelParams":
+        """A model in one arena, drawn from ``rng`` in the modules' declaration
+        order; with ``rng`` None its values are left unset (``T.Init``)."""
         d = dims.width
+        init = T.Init(rng)
         encoder = EncoderParams.init(d, config.seq_context_layers, config.encoder_heads,
-                                     rng, ffn_width=config.ffn_mult * d)
+                                     init, ffn_width=config.ffn_mult * d)
         if config.ablation == "no_gnn":
             rgcn, gt = None, None
         else:
             relations = (1 if config.ablation == "no_relations"
                          else num_relation_types(dims.num_speakers))
-            rgcn = RgcnParams.init(d, d, relations, rng)
-            gt = GraphTransformerParams.init(d, d, config.gnn_heads, rng)
-        clf = ClassifierParams.init(d, dims.num_classes, rng,
+            rgcn = RgcnParams.init(d, d, relations, init)
+            gt = GraphTransformerParams.init(d, d, config.gnn_heads, init)
+        clf = ClassifierParams.init(d, dims.num_classes, init,
                                     hidden=config.classifier_hidden)
-        return cls(dims, encoder, rgcn, gt, clf)
+        model = cls(dims, encoder, rgcn, gt, clf)
+        model.arena = init.place(list(model.named().values()))
+        return model
 
     def named(self) -> dict[str, Tensor]:
         out = self.encoder.named()
@@ -84,14 +90,14 @@ class ModelParams:
         return out
 
     def param_count(self) -> int:
-        return sum(t.data.size for t in self.named().values())
+        return self.arena.data.size
 
     def zero_grads(self) -> None:
-        for t in self.named().values():
-            t.zero_grad()
+        self.arena.zero_grad()
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named().items()}
+        """Name -> view of one flat copy of the parameters."""
+        return dict(zip(self.named(), self.arena.views(self.arena.data.copy())))
 
     def check_names(self, names) -> dict[str, Tensor]:
         """``named()``, once ``names`` are checked to be exactly its keys."""

@@ -16,13 +16,18 @@ stacked is numpy's batched matmul. The stack axis is forward-only: an op
 whose output is stacked raises ``ShapeError`` when it would be recorded
 on a tape, so no gradient path runs on stacked operands.
 
-A parameter (``parameter``) owns one gradient buffer, allocated by its
-first backward and reused by every later one, so a training step does not
-allocate (and page in) its weight gradients afresh. ``parameter.grad`` is
-that buffer: it stays valid until the first backward after ``zero_grad``
-writes the next step's gradient into it, so copy it to keep it. An array
-assigned to ``grad`` by hand is never written into. Every other tensor's
-``grad`` is a fresh array per contribution, as a value.
+Parameters live in arenas (``Arena``): one flat float64 array holds the
+values of a set of parameters, each parameter's ``data`` a reshaped view
+into it, and a second flat array, allocated by the first backward that
+reaches one of them, holds their gradient buffers the same way. A model
+(``Init.place``) or an optimizer over hand-made parameters (``Arena.pack``)
+is one arena; a lone ``parameter`` is an arena of its own. Nothing may
+rebind a parameter's ``data``. ``parameter.grad`` is the parameter's buffer
+view: it stays valid until the first backward after ``zero_grad`` writes the
+next step's gradient into it, or ``release_grad`` frees the arena's buffers,
+so copy it to keep it. An array assigned to ``grad`` by hand is never written
+into. Every other tensor's ``grad`` is a fresh array per contribution, as a
+value.
 
 Storage is always row-major contiguous float64. Any op that produces a
 NaN or Inf from finite inputs raises ``NonFiniteError`` instead of
@@ -31,8 +36,11 @@ letting the value propagate silently.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
+import weakref
 import zipfile
 import zlib
 from collections.abc import Mapping
@@ -80,26 +88,31 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A leaf tensor that collects gradients into a buffer it owns."""
+    """A leaf tensor whose value and gradient buffer are views into its
+    ``arena``'s flat arrays."""
 
-    __slots__ = ("_buf",)
+    __slots__ = ("arena", "_buf", "__weakref__")
 
-    def __init__(self, data):
-        super().__init__(data, requires_grad=True)
-        self._buf: np.ndarray | None = None
+    def __init__(self, data=None):
+        """A parameter alone in an arena over ``data``'s memory or, with no
+        ``data``, one that ``Init.place`` lays out later."""
+        self.data, self.requires_grad, self.grad, self.arena, self._buf = None, True, None, None, None
+        if data is not None:
+            data = np.ascontiguousarray(data, dtype=np.float64)
+            Arena([self], [data.shape], data.reshape(-1))
 
     def release_grad(self) -> None:
-        """Drop the gradient and free its buffer."""
-        self.grad = self._buf = None
+        """Drop the gradients of every parameter in the arena and free its buffers."""
+        self.arena.release_grad()
 
     def _accumulate(self, g) -> None:
         """Add one adjoint into the buffer: ``g`` is an array, or a deferred
         matmul (``_Product``) that computes its first contribution straight into
         the buffer. The sum runs in the order of an allocating ``grad + g``, so
         the gradient is the same to the bit."""
+        if self._buf is None:
+            self.arena.alloc_grad()
         buf = self._buf
-        if buf is None:
-            buf = self._buf = np.empty_like(self.data)
         if self.grad is None:        # first contribution since zero_grad
             if type(g) is _Product:
                 np.matmul(g.left, g.right, out=buf)
@@ -113,6 +126,117 @@ class Parameter(Tensor):
 def parameter(data) -> Parameter:
     """A tensor that collects gradients into a buffer of its own."""
     return Parameter(data)
+
+
+class Arena:
+    """Parameters laid end to end in one flat float64 array ``data``, each
+    parameter's ``data`` a reshaped view of ``data[bounds[i]:bounds[i+1]]``.
+    ``grad``, laid out alike, holds their gradient buffers: allocated by the
+    first backward that reaches a member, kept across ``zero_grad`` and freed
+    by ``release_grad``. Each member holds its arena, and the arena holds its
+    members weakly, so a dropped model is freed at once, not by the cyclic
+    garbage collector."""
+
+    __slots__ = ("members", "shapes", "data", "grad", "bounds")
+
+    def __init__(self, params: Sequence[Parameter], shapes, data: np.ndarray):
+        self.members = [weakref.ref(t) for t in params]
+        self.shapes, self.data, self.grad = list(shapes), data, None
+        self.bounds = [0, *itertools.accumulate(map(math.prod, self.shapes))]
+        for t, shape, lo, hi in zip(params, self.shapes, self.bounds, self.bounds[1:]):
+            t.data, t.arena, t._buf = data[lo:hi].reshape(shape), self, None
+
+    @property
+    def params(self) -> list[Parameter]:
+        return [ref() for ref in self.members]
+
+    @classmethod
+    def pack(cls, params: Sequence[Parameter]) -> "Arena":
+        """A new arena holding a copy of each parameter's value, in order."""
+        shared = [t for t in params if len(t.arena.members) > 1]
+        if shared:
+            raise ValueError(f"cannot pack {len(shared)} parameters that share an arena "
+                             "with others: pack or step the whole arena")
+        return cls(params, [t.shape for t in params],
+                   np.concatenate([t.data.reshape(-1) for t in params]))
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """``flat``, an array laid out like ``data``, cut into one view per parameter."""
+        return [flat[lo:hi].reshape(shape)
+                for shape, lo, hi in zip(self.shapes, self.bounds, self.bounds[1:])]
+
+    def alloc_grad(self) -> None:
+        self.grad = np.empty_like(self.data)
+        for t, view in zip(self.params, self.views(self.grad)):
+            t._buf = view
+
+    def zero_grad(self) -> None:
+        for t in self.params:
+            t.grad = None
+
+    def release_grad(self) -> None:
+        self.grad = None
+        for t in self.params:
+            t.grad = t._buf = None
+
+
+class Init:
+    """Declares parameters, each Xavier-uniform from ``rng`` or a constant,
+    and draws their values in declaration order.
+
+    Parameters declared on an ``Init`` have no value until ``place`` lays them
+    out in one arena and draws each straight into its view, so a model is
+    never built and then copied; with ``rng`` None the arena is left unset,
+    for a caller that reads it from a file. ``Init.of`` a generator instead
+    draws each parameter as it is declared, into an arena of its own."""
+
+    DRAW_CHUNK = 1 << 15   # elements scaled while still in cache
+
+    def __init__(self, rng: np.random.Generator | None, defer: bool = True):
+        self.rng, self.defer = rng, defer
+        self.declared: dict[Parameter, tuple] = {}   # -> (shape, draw)
+
+    @classmethod
+    def of(cls, rng: "np.random.Generator | Init") -> "Init":
+        return rng if isinstance(rng, Init) else cls(rng, defer=False)
+
+    def xavier(self, shape: tuple[int, ...]) -> Parameter:
+        """Uniform in +-sqrt(6/(fan_in+fan_out)), equal to the bit to
+        ``rng.uniform(-bound, bound, shape)``: low + (high - low) * U."""
+        bound, rng = math.sqrt(6.0 / (shape[0] + shape[-1])), self.rng
+
+        def draw(out: np.ndarray) -> None:   # holds no reference to the Init
+            flat = out.reshape(-1)
+            for lo in range(0, flat.size, Init.DRAW_CHUNK):
+                part = flat[lo:lo + Init.DRAW_CHUNK]
+                rng.random(out=part)
+                part *= 2.0 * bound
+                part += -bound
+
+        return self._declare(shape, draw)
+
+    def fill(self, shape: tuple[int, ...], value: float) -> Parameter:
+        return self._declare(shape, lambda out: out.fill(value))
+
+    def _declare(self, shape: tuple[int, ...], draw: Callable) -> Parameter:
+        if not self.defer:
+            t = Parameter(np.empty(shape))
+            draw(t.data)
+            return t
+        t = Parameter()
+        self.declared[t] = (shape, draw)
+        return t
+
+    def place(self, order: Sequence[Parameter]) -> Arena:
+        """One arena of every declared parameter, laid out in ``order``."""
+        if len(order) != len(self.declared) or set(order) != set(self.declared):
+            raise ValueError("place needs every declared parameter exactly once")
+        shapes = [self.declared[t][0] for t in order]
+        arena = Arena(order, shapes, np.empty(sum(map(math.prod, shapes))))
+        if self.rng is not None:
+            for t, (_, draw) in self.declared.items():
+                draw(t.data)
+        return arena
 
 
 class _Product:
@@ -608,9 +732,3 @@ def open_params(path, fmt: str):
             raise ValueError(f"unsupported {fmt} version {header.get('version')} in {path}")
         yield header, _Members(npz, fh, path, fmt)
 
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Uniform init in +-sqrt(6/(fan_in+fan_out))."""
-    fan_in, fan_out = shape[0], shape[-1]
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)

@@ -10,6 +10,7 @@ checkpoints byte for byte.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +30,9 @@ from .model import (
     fused_matrix,
 )
 from .tensor import (
+    Arena,
     NonFiniteError,
+    Parameter,
     Tape,
     Tensor,
     backward,
@@ -51,51 +54,64 @@ ADAM_CHUNK = 1 << 15   # float64 elements per operand per pass: 256 KB, cache-re
 class Adam:
     """Adaptive-moment optimizer over a named parameter map.
 
-    ``step`` updates the moments ``m``/``v`` and every parameter's array in
-    place, walking each tensor in ``ADAM_CHUNK``-element pieces through two
-    scratch buffers, so a step allocates nothing parameter-sized. The
-    optimizer owns ``m`` and ``v`` (``load_state`` copies into them); the
-    parameter arrays belong to the model.
+    The parameters form one arena (``tensor.Arena``), in the map's order: a
+    model's own, or one packed here, once, from hand-made parameters. The
+    moments are two flat arrays laid out alike, ``m`` and ``v`` name -> view
+    dicts into them. ``step`` walks the parameter, gradient and moment arrays
+    in ``ADAM_CHUNK``-element pieces through two scratch buffers, so a step
+    allocates nothing parameter-sized. A training loop releases the gradient
+    arena between epochs (``Parameter.release_grad``); the next backward
+    allocates it again. The optimizer owns the moments (``load_state`` copies
+    into them); the parameter arena belongs to the model.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
+    def __init__(self, params: dict[str, Parameter], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
-        largest = max((t.data.size for t in params.values()), default=0)
-        self._scratch = a, b = np.empty((2, min(largest, ADAM_CHUNK)))
-        # a tensor that fits in one chunk is updated whole, through scratch
-        # views of its own shape
-        self._whole = {k: (a[:t.data.size].reshape(t.shape), b[:t.data.size].reshape(t.shape))
-                       for k, t in params.items() if t.data.size <= ADAM_CHUNK}
+        tensors = list(params.values())
+        arena = tensors[0].arena
+        self.arena = arena if arena.params == tensors else Arena.pack(tensors)
+        self._m, self._v = np.zeros(self.arena.data.size), np.zeros(self.arena.data.size)
+        self.m = dict(zip(params, self.arena.views(self._m)))
+        self.v = dict(zip(params, self.arena.views(self._v)))
+        self._scratch = np.empty((2, min(self.arena.data.size, ADAM_CHUNK)))
 
     def step(self) -> None:
         """One update, bit-identical to ``m = b1*m + (1-b1)*g``,
         ``v = b2*v + (1-b2)*g*g``, ``p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)``.
 
-        Tensors without a gradient are skipped. Raises ``NonFiniteError``
-        naming the parameter if a gradient, moment or update is NaN or Inf;
-        the optimizer state and parameters are then undefined.
+        Tensors without a gradient are skipped, so the update runs over maximal
+        runs of adjacent tensors that have one; a gradient assigned by hand is
+        first copied into the gradient arena. Raises ``NonFiniteError`` naming
+        the parameter if a gradient, moment or update is NaN or Inf; the
+        optimizer state and parameters are then undefined.
         """
         self.step_count += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1, c2 = 1 - b1, 1 - b2
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
-        for name, t in self.params.items():
-            g = t.grad
-            if g is None:
+        arena = self.arena
+        runs: list[list[int]] = []   # [lo, hi) element ranges
+        for t, lo, hi in zip(self.params.values(), arena.bounds, arena.bounds[1:]):
+            if t.grad is None:
                 continue
-            whole = self._whole.get(name)
-            if whole is not None:
-                chunks = ((t.data, self.m[name], self.v[name], g, *whole),)
+            if t.grad is not t._buf:
+                if t._buf is None:
+                    arena.alloc_grad()
+                np.copyto(t._buf, t.grad)
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
             else:
-                chunks = self._chunks(t, self.m[name], self.v[name], g)
-            for p, m, v, g, a, b in chunks:
+                runs.append([lo, hi])
+        for lo, hi in runs:
+            for at in range(lo, hi, ADAM_CHUNK):
+                end = min(at + ADAM_CHUNK, hi)
+                p, g, m, v = (x[at:end] for x in (arena.data, arena.grad, self._m, self._v))
+                a, b = self._scratch[:, :end - at]
                 np.multiply(m, b1, m)
                 np.add(m, np.multiply(g, c1, a), m)
                 np.multiply(v, b2, v)
@@ -105,28 +121,22 @@ class Adam:
                 # update * denominator is about lr*m/bias1 while every element is
                 # finite, and NaN or Inf once a gradient, moment or update is not
                 if not math.isfinite(np.vdot(b, a)):
+                    bad = at + int(np.argmax(~np.isfinite(b * a)))
+                    name = list(self.params)[bisect.bisect_right(arena.bounds, bad) - 1]
                     raise NonFiniteError(f"Adam.step: non-finite gradient or update in '{name}'")
                 np.subtract(p, b, p)
 
-    def _chunks(self, t: Tensor, m: np.ndarray, v: np.ndarray, g: np.ndarray):
-        """(param, m, v, grad, scratch, scratch) views of successive chunks."""
-        t.data = np.ascontiguousarray(t.data)  # the same array unless rebound to a view
-        flat = [x.reshape(-1) for x in (t.data, m, v, g)]
-        for lo in range(0, t.data.size, ADAM_CHUNK):
-            part = [x[lo:lo + ADAM_CHUNK] for x in flat]
-            yield (*part, *(s[:part[0].size] for s in self._scratch))
-
     def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.zero_grad()
+        self.arena.zero_grad()
 
     def state_dict(self) -> dict:
+        """Step count and name -> views of one flat copy of each moment."""
         return {"step_count": self.step_count,
-                "m": {k: v.copy() for k, v in self.m.items()},
-                "v": {k: v.copy() for k, v in self.v.items()}}
+                "m": dict(zip(self.params, self.arena.views(self._m.copy()))),
+                "v": dict(zip(self.params, self.arena.views(self._v.copy())))}
 
     def load_state(self, state: dict) -> None:
-        """Copy ``state`` into the optimizer's own moment arrays."""
+        """Copy ``state``, name -> array dicts of any origin, into the moments."""
         self.step_count = int(state["step_count"])
         for key, own in (("m", self.m), ("v", self.v)):
             for k, arr in own.items():
@@ -269,8 +279,7 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         if pending:
             step(epoch)
         # validation and the best-state copies need no gradient memory
-        for t in model.named().values():
-            t.release_grad()
+        model.arena.release_grad()
 
         valid_wf1 = _validation_score(valid_dialogues, model, config)
         history.append(EpochStats(epoch, float(np.mean(losses)), valid_wf1))
@@ -406,28 +415,19 @@ class Checkpoint:
             raise ConfigError("checkpoint does not fit the corpus: " + "; ".join(problems))
 
 
-class _NoDraw:
-    """Stands in for the init generator of a model whose weights are about to
-    be overwritten: weights come back uninitialised, and nothing is drawn."""
-
-    @staticmethod
-    def uniform(low, high, size) -> np.ndarray:
-        return np.empty(size)
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``. Each parameter and
     moment array is read from the file in place: three parameter-sized copies."""
     with open_params(path, CHECKPOINT_FORMAT) as (header, members):
         config = TrainConfig.from_dict(header["config"])
-        model = ModelParams.init(config, ModelDims.from_dict(header["dims"]), _NoDraw())
+        model = ModelParams.init(config, ModelDims.from_dict(header["dims"]), None)
         named = model.check_names([name.removeprefix("param/")
                                    for name in members if name.startswith("param/")])
         for name, t in named.items():
             members.read_into(f"param/{name}", t.data)
         state: dict = {"step_count": int(header["step_count"])}
         for key in ("m", "v"):
-            state[key] = {name: np.empty_like(t.data) for name, t in named.items()}
+            state[key] = dict(zip(named, model.arena.views(np.empty_like(model.arena.data))))
             for name, arr in state[key].items():
                 members.read_into(f"{key}/{name}", arr)
     return Checkpoint(model, config, int(header["epoch"]), float(header["valid_weighted_f1"]),

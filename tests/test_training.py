@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -73,25 +75,61 @@ def _adam_reference_step(p, m, v, g, step, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def test_adam_step_bit_identical_to_reference_across_chunks():
-    shapes = {"one": (1,), "bias": (7,), "small": (5, 6), "large": (300, 250)}
+    # packed end to end, the first chunk straddles one|bias|small|large, and
+    # "small" (mid-run, step 2) and "tail" (after the last chunk boundary,
+    # step 3) go without a gradient
+    shapes = {"one": (1,), "bias": (7,), "small": (5, 6), "large": (300, 250), "tail": (3, 4)}
     large = 300 * 250
     assert large > ADAM_CHUNK and large % ADAM_CHUNK  # several chunks, a ragged last one
     rng = np.random.default_rng(0)
     params = {k: T.parameter(rng.standard_normal(s)) for k, s in shapes.items()}
     ref = {k: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for k, t in params.items()}
     opt = Adam(params, lr=1e-2)
+    assert all(t.data.base is opt.arena.data for t in params.values())
+    skipped = {2: "small", 3: "tail"}
     for step in (1, 2, 3):
         for name, t in params.items():
-            t.grad = None if (step == 2 and name == "small") else rng.standard_normal(t.shape)
+            t.grad = None if skipped.get(step) == name else rng.standard_normal(t.shape)
             if t.grad is not None:
                 ref[name] = _adam_reference_step(*ref[name], t.grad, step, 1e-2)
+        kept = {k: (opt.m[k].copy(), opt.v[k].copy()) for k in params}
         opt.step()
         for name, t in params.items():
             p, m, v = ref[name]
             np.testing.assert_array_equal(t.data, p)
             np.testing.assert_array_equal(opt.m[name], m)
             np.testing.assert_array_equal(opt.v[name], v)
+            if skipped.get(step) == name:
+                assert opt.m[name].tobytes() == kept[name][0].tobytes()
+                assert opt.v[name].tobytes() == kept[name][1].tobytes()
     assert opt.step_count == 3
+
+
+def test_hand_assigned_gradient_gives_the_reference_update_and_is_not_written():
+    # as a driven benchmark step does: grads set by hand on a packed model,
+    # before any backward and again once the gradient arena exists
+    cfg = _fast_config()
+    corpus = _none_corpus(n=2, utts=4)
+    model = ModelParams.init(cfg, ModelDims.for_corpus(corpus, cfg), np.random.default_rng(0))
+    opt = Adam(model.named(), 1e-2)
+    rng = np.random.default_rng(1)
+    for step in (1, 2):
+        if step == 2:
+            _driven_step(model, cfg, corpus.dialogues[0], opt, rng)
+            assert model.arena.grad is not None
+        named = model.named()
+        grads = {k: rng.standard_normal(t.shape) for k, t in named.items()}
+        kept = {k: g.copy() for k, g in grads.items()}
+        want = {k: _adam_reference_step(t.data, opt.m[k], opt.v[k], grads[k],
+                                        opt.step_count + 1, 1e-2) for k, t in named.items()}
+        for k, t in named.items():
+            t.grad = grads[k]
+        opt.step()
+        for k, t in named.items():
+            assert t.grad is grads[k] and grads[k].tobytes() == kept[k].tobytes()
+            for got, ref in zip((t.data, opt.m[k], opt.v[k]), want[k]):
+                np.testing.assert_array_equal(got, ref)
+        opt.zero_grad()
 
 
 def test_adam_step_keeps_array_identity():
@@ -113,16 +151,19 @@ def test_adam_step_keeps_array_identity():
 # 1e200 is finite, but its square overflows v, which zeroes the update
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
 def test_adam_non_finite_gradient_or_moment_names_parameter(bad):
-    rng = np.random.default_rng(2)
-    params = {"ok": T.parameter(rng.standard_normal(3)),
-              "rgcn.theta_rel3": T.parameter(rng.standard_normal((300, 250)))}
-    opt = Adam(params, lr=1e-2)
-    for t in params.values():
-        t.grad = rng.standard_normal(t.shape)
-    params["rgcn.theta_rel3"].grad[299, 17] = bad
-    with np.errstate(all="ignore"), \
-            pytest.raises(T.NonFiniteError, match=r"Adam\.step: .*'rgcn\.theta_rel3'"):
-        opt.step()
+    # in the chunk "rgcn.theta_rel3" shares with "ok", and in one of its own
+    for at in ((0, 17), (299, 17)):
+        rng = np.random.default_rng(2)
+        params = {"ok": T.parameter(rng.standard_normal(3)),
+                  "rgcn.theta_rel3": T.parameter(rng.standard_normal((300, 250))),
+                  "after": T.parameter(rng.standard_normal(5))}
+        opt = Adam(params, lr=1e-2)
+        for t in params.values():
+            t.grad = rng.standard_normal(t.shape)
+        params["rgcn.theta_rel3"].grad[at] = bad
+        with np.errstate(all="ignore"), \
+                pytest.raises(T.NonFiniteError, match=r"Adam\.step: .*'rgcn\.theta_rel3'"):
+            opt.step()
 
 
 def _driven_step(model, config, dialogue, optimizer, rng):
@@ -269,6 +310,15 @@ def test_config_validation():
     assert (type(cfg.seed), type(cfg.dropout)) == (int, float)
 
 
+@pytest.mark.parametrize("hidden", [0, -3])
+def test_classifier_hidden_below_one_is_refused_naming_the_key(hidden):
+    with pytest.raises(ConfigError) as info:
+        TrainConfig.from_dict({"classifier_hidden": hidden})
+    assert "classifier_hidden" in str(info.value) and "\n" not in str(info.value)
+    assert TrainConfig(classifier_hidden=None).validate().classifier_hidden is None
+    assert TrainConfig(classifier_hidden=1).validate().classifier_hidden == 1
+
+
 def test_paper_default_hyperparameters():
     cfg = TrainConfig()
     assert cfg.dropout == 0.1
@@ -400,6 +450,97 @@ def _assert_same_checkpoint(ckpt, model, state):
         for key in ("m", "v"):
             np.testing.assert_array_equal(ckpt.optimizer_state[key][name], state[key][name])
     assert ckpt.optimizer_state["step_count"] == state["step_count"]
+
+
+def _xavier_draw_order(model):
+    """Names of the Xavier-drawn tensors in the order the per-tensor init
+    drew them: each encoder layer's W_q of every head, W_k, W_v, then W_o and
+    the feed-forward pair; the RGCN root and relation matrices; each graph
+    attention head's four matrices, then W_out; the classifier."""
+    names = []
+    for li in range(len(model.encoder.layers)):
+        base = f"encoder.layer{li}"
+        for w in ("wq", "wk", "wv"):
+            names += [f"{base}.head{h}.{w}" for h in range(model.encoder.num_heads)]
+        names += [f"{base}.wo", f"{base}.ffn1", f"{base}.ffn2"]
+    if model.rgcn is not None:
+        names += ["rgcn.theta_root"]
+        names += [f"rgcn.theta_rel{r}" for r in range(model.rgcn.relation_count)]
+        for h in range(len(model.graph_attention.heads)):
+            names += [f"graph_attention.head{h}.{w}"
+                      for w in ("w_self", "w_msg", "w_key_self", "w_key_nbr")]
+        names += ["graph_attention.w_out"]
+    return names + ["classifier.w1", "classifier.w2"]
+
+
+def _assert_packed(model, moments):
+    """Every parameter, gradient buffer and moment is a view into one flat
+    array of its kind, laid out in ``named`` order."""
+    arena, named = model.arena, model.named()
+    assert arena.params == list(named.values())
+    assert all(t.data.base is arena.data for t in named.values())
+    assert all(t._buf.base is arena.grad for t in named.values())
+    for key in ("m", "v"):
+        flat = {id(moments[key][k].base) for k in named}
+        assert len(flat) == 1
+        assert next(iter(moments[key].values())).base.size == arena.data.size
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_gnn"])
+def test_init_and_load_return_packed_models(tmp_path, ablation):
+    cfg = _fast_config(ablation=ablation, encoder_heads=3, classifier_hidden=4)
+    corpus = _none_corpus(n=2, utts=4)
+    model = ModelParams.init(cfg, ModelDims.for_corpus(corpus, cfg), np.random.default_rng(4))
+    # the values are the per-tensor draws of rng.uniform, bit for bit and in order
+    named, rng = model.named(), np.random.default_rng(4)
+    drawn = _xavier_draw_order(model)
+    for name in drawn:
+        shape = named[name].shape
+        bound = np.sqrt(6.0 / (shape[0] + shape[-1]))
+        assert named[name].data.tobytes() == rng.uniform(-bound, bound, size=shape).tobytes()
+    for name in set(named) - set(drawn):
+        fill = 1.0 if ".gamma" in name else 0.0
+        np.testing.assert_array_equal(named[name].data, np.full(named[name].shape, fill))
+    opt = Adam(model.named(), cfg.learning_rate)
+    assert opt.arena is model.arena
+    _driven_step(model, cfg, corpus.dialogues[0], opt, np.random.default_rng(1))
+    _assert_packed(model, {"m": opt.m, "v": opt.v})
+    _assert_packed(model, opt.state_dict())
+
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, model, cfg, opt.state_dict(), 0, 0.5, corpus.label_names)
+    ckpt = load_checkpoint(path)
+    _assert_same_checkpoint(ckpt, model, opt.state_dict())
+    loaded = Adam(ckpt.model.named(), cfg.learning_rate)
+    assert loaded.arena is ckpt.model.arena
+    _driven_step(ckpt.model, cfg, corpus.dialogues[1], loaded, np.random.default_rng(1))
+    _assert_packed(ckpt.model, ckpt.optimizer_state)
+
+
+def test_a_dropped_model_is_freed_without_the_cycle_collector():
+    # a parameter holds its arena, which holds its members only weakly: a
+    # reference cycle would keep every arena-sized array alive until the next
+    # full collection, and a benchmark round's peak RSS growing with it
+    cfg = _fast_config()
+    corpus = _none_corpus(n=2, utts=4)
+    gc.disable()
+    try:
+        model = ModelParams.init(cfg, ModelDims.for_corpus(corpus, cfg), np.random.default_rng(0))
+        opt = Adam(model.named(), cfg.learning_rate)
+        _driven_step(model, cfg, corpus.dialogues[0], opt, np.random.default_rng(1))
+        flat = [weakref.ref(a) for a in (model.arena.data, model.arena.grad, opt._m, opt._v)]
+        del model, opt
+        assert all(ref() is None for ref in flat)
+    finally:
+        gc.enable()
+
+
+def test_adam_over_part_of_an_arena_is_refused():
+    cfg = _fast_config()
+    model = ModelParams.init(cfg, ModelDims(width=6, num_speakers=2, num_classes=3),
+                             np.random.default_rng(0))
+    with pytest.raises(ValueError, match="share an arena"):
+        Adam(model.classifier.named(), cfg.learning_rate)
 
 
 def test_damaged_checkpoint_raises_one_line_error(tmp_path):

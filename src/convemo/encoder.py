@@ -4,8 +4,9 @@ Maps fused utterance features X (n x d) to contextualized features
 Z (n x d) over a whole dialogue; a stack of B inputs (B x n x d) runs as
 B independent dialogues in one tape-free pass. There is deliberately no
 positional signal anywhere: each layer is multi-head scaled dot-product
-attention (concat + output projection), residual + LayerNorm, a ReLU
-feed-forward block, and a second residual + LayerNorm. The observable
+attention (every head in one ``block_matmul`` projection and one
+``attention`` op, then the output projection), residual + LayerNorm, a
+ReLU feed-forward block, and a second residual + LayerNorm. The observable
 consequence is permutation equivariance over utterance order.
 """
 
@@ -98,18 +99,12 @@ def encode(x: Tensor, params: EncoderParams, training: bool = False,
     scale = 1.0 / math.sqrt(params.head_dim)
     maps: list[list[Tensor]] = []
     for layer in params.layers:
-        heads = []
-        layer_maps = []
-        for h in range(params.num_heads):
-            q = T.matmul(x, layer.w_q[h], tape)
-            k = T.matmul(x, layer.w_k[h], tape)
-            v = T.matmul(x, layer.w_v[h], tape)
-            scores = T.mul_scalar(T.matmul(q, T.transpose(k, tape), tape), scale, tape)
-            alpha = T.softmax_rows(scores, tape)
-            layer_maps.append(alpha)
-            heads.append(T.matmul(alpha, v, tape))
-        maps.append(layer_maps)
-        u_prime = T.matmul(T.concat(heads, 1, tape), layer.w_o, tape)
+        weights = [w for qkv in zip(layer.w_q, layer.w_k, layer.w_v) for w in qkv]
+        heads, alpha = T.attention(T.block_matmul(x, weights, tape), params.num_heads,
+                                   scale, tape=tape)
+        if capture is not None:
+            maps.append([Tensor(a) for a in np.moveaxis(alpha, -3, 0)])
+        u_prime = T.matmul(heads, layer.w_o, tape)
         u_prime = T.dropout(u_prime, dropout_p, training, rng, tape)
         u = T.layer_norm(T.add(x, u_prime, tape), layer.gamma1, layer.beta1, tape=tape)
         z_prime = T.matmul(T.relu(T.matmul(u, layer.w_ffn1, tape), tape), layer.w_ffn2, tape)

@@ -13,8 +13,8 @@ its first forward on; a forward only scatters them.
 
 ``graph_transformer_forward`` then runs dot-product attention restricted
 to graph neighborhoods (relation types ignored at this layer), combining
-a transformed self term with attention-weighted neighbor messages;
-multiple heads are concatenated and projected.
+a transformed self term with attention-weighted neighbor messages, every
+head in one projection op and one attention op, then an output projection.
 
 Both layers take node features as n x d, or stacked as B x n x d for B
 tape-free copies, with one graph shared by every copy or one graph per
@@ -176,18 +176,11 @@ def graph_transformer_forward(xp: Tensor, g: Graphs,
     in-edges keep only the self term.
     """
     _check_nodes(xp, g, "graph_transformer_forward")
-    mask = neighborhood_mask(g)
     scale = 1.0 / math.sqrt(params.head_dim)
-    outs = []
-    alphas = []
-    for head in params.heads:
-        queries = T.matmul(xp, head.w_key_self, tape)
-        keys = T.matmul(xp, head.w_key_nbr, tape)
-        scores = T.mul_scalar(T.matmul(queries, T.transpose(keys, tape), tape), scale, tape)
-        alpha = T.masked_softmax_rows(scores, mask, tape)
-        alphas.append(alpha)
-        messages = T.matmul(alpha, T.matmul(xp, head.w_msg, tape), tape)
-        outs.append(T.add(T.matmul(xp, head.w_self, tape), messages, tape))
+    weights = [w for head in params.heads
+               for w in (head.w_self, head.w_msg, head.w_key_self, head.w_key_nbr)]
+    heads, alpha = T.attention(T.block_matmul(xp, weights, tape), len(params.heads),
+                               scale, neighborhood_mask(g), tape)
     if capture is not None:
-        capture["graph_attention"] = alphas
-    return T.matmul(T.concat(outs, 1, tape), params.w_out, tape)
+        capture["graph_attention"] = [Tensor(a) for a in np.moveaxis(alpha, -3, 0)]
+    return T.matmul(heads, params.w_out, tape)

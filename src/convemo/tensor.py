@@ -1,8 +1,8 @@
 """Dense float64 tensors with a reverse-mode autodiff tape.
 
 The conversation model runs entirely on the primitives in this module:
-matmul (and row blocks of matmuls sharing one input), row softmax (plain
-and neighborhood-masked), layer norm, relu, row or column concatenation,
+matmul (and row blocks of matmuls sharing one input), multi-head attention
+over such blocks (plain or graph-masked), row softmax, layer norm, relu,
 inverted dropout, bias adds, and the two classification losses. Forward
 ops record onto an explicit ``Tape``; ``backward`` replays the tape in
 reverse and accumulates adjoints, so a tensor consumed by several ops
@@ -453,45 +453,74 @@ def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:
     return _make(out, (x,), "sigmoid", tape, grad_fn)
 
 
+def _softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, in place in ``x``, stabilized by the row max;
+    with a boolean ``mask`` broadcast against ``x``, over its true entries only,
+    a row with none coming out all-zero."""
+    where = True if mask is None else mask
+    x -= x.max(axis=-1, keepdims=True, initial=-np.inf, where=where)
+    np.exp(x, out=x, where=where)
+    if mask is not None:
+        np.copyto(x, 0.0, where=~mask)
+    denom = x.sum(axis=-1, keepdims=True)
+    return np.divide(x, denom, out=x, where=denom > 0)
+
+
 def softmax_rows(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Row-wise softmax, stabilized by row-max subtraction."""
     _check_2d("softmax_rows", x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(x.data.copy())
 
     def grad_fn(d):
-        s = (d * out).sum(axis=1, keepdims=True)
-        return (out * (d - s),)
+        return (out * (d - (d * out).sum(axis=-1, keepdims=True)),)
 
     return _make(out, (x,), "softmax_rows", tape, grad_fn)
 
 
-def masked_softmax_rows(x: Tensor, mask: np.ndarray, tape: Tape | None = None) -> Tensor:
-    """Row softmax restricted to positions where ``mask`` is true.
-
-    Excluded positions get weight 0; rows whose mask is empty come out
-    all-zero (callers treat such nodes as having no neighbors). ``mask`` is
-    of ``x``'s last two dims, shared by every copy of a stacked input, or of
-    ``x``'s full shape, one per copy.
-    """
-    _check_2d("masked_softmax_rows", x)
-    m = np.asarray(mask, dtype=bool)
-    if m.shape not in (x.shape[-2:], x.shape):
-        raise ShapeError(f"mask shape {m.shape} does not match input {x.shape}")
-    row_has = m.any(axis=-1)
-    neg_inf = np.where(m, x.data, -np.inf)
-    row_max = np.where(row_has, neg_inf.max(axis=-1, initial=-np.inf), 0.0)
-    e = np.exp(np.where(m, neg_inf - row_max[..., None], -np.inf))
-    e = np.where(m, e, 0.0)
-    denom = e.sum(axis=-1, keepdims=True)
-    out = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+def attention(proj: Tensor, num_heads: int, scale: float, mask: np.ndarray | None = None,
+              tape: Tape | None = None) -> tuple[Tensor, np.ndarray]:
+    """Every head of an attention layer in one op. ``proj`` is the ``block_matmul``
+    of n rows by the layer's weights, head after head: q, k, v or, with a
+    neighbourhood ``mask``, self, msg, key_self, key_nbr. Head h is softmax(q kᵀ
+    * scale) v, or self + softmax(key_self key_nbrᵀ * scale) msg, each row's
+    softmax over its true entries in ``mask`` ((n, n), or one per copy; a row
+    with none gets zero weights). Returns the heads side by side, (..., n, H*k),
+    and their weights, (..., H, n, n)."""
+    _check_2d("attention", proj)
+    parts = 3 if mask is None else 4
+    *lead, rows, k = proj.shape
+    n = rows // (parts * num_heads)
+    if n == 0 or n * parts * num_heads != rows:
+        raise ShapeError(f"attention: {rows} rows are not {parts} blocks per head of {num_heads}")
+    blocks = proj.data.reshape(*lead, num_heads, parts, n, k)
+    iq, ik, iv = (0, 1, 2) if mask is None else (2, 3, 1)   # each role's block in a head
+    q, key, v = blocks[..., iq, :, :], blocks[..., ik, :, :], blocks[..., iv, :, :]
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape not in ((n, n), (*lead, n, n)):
+            raise ShapeError(f"mask shape {mask.shape} does not match input {proj.shape}")
+        mask = mask[..., None, :, :]      # shared by every head
+    scores = q @ key.swapaxes(-1, -2)
+    scores *= scale
+    alpha = _softmax(scores, mask)
+    out = np.empty((*lead, n, num_heads, k))
+    np.matmul(alpha, v, out=out.swapaxes(-3, -2))
+    if mask is not None:
+        out += blocks[..., 0, :, :].swapaxes(-3, -2)
 
     def grad_fn(d):
-        s = (d * out).sum(axis=1, keepdims=True)
-        return (out * (d - s),)
+        d_out = d.reshape(n, num_heads, k).swapaxes(0, 1)
+        d_blocks = np.empty((num_heads, parts, n, k))
+        np.matmul(alpha.swapaxes(-1, -2), d_out, out=d_blocks[:, iv])
+        d_alpha = d_out @ v.swapaxes(-1, -2)
+        d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True)) * scale
+        np.matmul(d_scores, key, out=d_blocks[:, iq])
+        np.matmul(d_scores.swapaxes(-1, -2), q, out=d_blocks[:, ik])
+        if mask is not None:
+            d_blocks[:, 0] = d_out
+        return (d_blocks.reshape(rows, k),)
 
-    return _make(out, (x,), "masked_softmax_rows", tape, grad_fn)
+    return _make(out.reshape(*lead, n, num_heads * k), (proj,), "attention", tape, grad_fn), alpha
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
@@ -520,30 +549,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
         return d_x, d_gamma, d_beta
 
     return _make(out, (x, gamma, beta), "layer_norm", tape, grad_fn)
-
-
-def concat(parts: Sequence[Tensor], axis: int, tape: Tape | None = None) -> Tensor:
-    """Concatenation of 2-D parts along ``axis`` (0: rows, 1: columns; stacked
-    parts join on their last two axes); backward slices the adjoint back into
-    each part."""
-    if not parts:
-        raise ShapeError("concat needs at least one part")
-    if axis not in (0, 1):
-        raise ShapeError(f"concat axis must be 0 or 1, got {axis}")
-    _check_2d("concat", *parts)
-    axis -= 2      # rows -2, columns -1; the other matrix axis is -3 - axis
-    other = parts[0].shape[:-2], parts[0].shape[-3 - axis]
-    for p in parts:
-        if (p.shape[:-2], p.shape[-3 - axis]) != other:
-            raise ShapeError(f"concat along axis {axis + 2}: sizes disagree: "
-                             f"{parts[0].shape} vs {p.shape}")
-    cuts = np.cumsum([p.shape[axis] for p in parts[:-1]])
-
-    def grad_fn(d):
-        return tuple(np.split(d, cuts, axis=axis))
-
-    return _make(np.concatenate([p.data for p in parts], axis=axis),
-                 tuple(parts), "concat", tape, grad_fn)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None,

@@ -73,7 +73,11 @@ class Adam:
         self.step_count = 0
         tensors = list(params.values())
         arena = tensors[0].arena
-        self.arena = arena if arena.params == tensors else Arena.pack(tensors)
+        own, start = arena.params == tensors, arena.data.ctypes.data
+        for (name, t), lo in zip(params.items(), arena.bounds if own else ()):
+            if t.data.ctypes.data != start + 8 * lo:   # a step moves the arena, not a rebound array
+                raise ValueError(f"parameter '{name}' no longer views its arena: update it in place")
+        self.arena = arena if own else Arena.pack(tensors)
         self._m, self._v = np.zeros(self.arena.data.size), np.zeros(self.arena.data.size)
         self.m = dict(zip(params, self.arena.views(self._m)))
         self.v = dict(zip(params, self.arena.views(self._v)))
@@ -176,11 +180,14 @@ STACK_BLOCK = 1 << 18   # float64 elements in a stacked forward's largest block:
 
 def copies_per_forward(n: int, model: ModelParams) -> int:
     """How many n-utterance copies one stacked forward runs: as many as keep
-    its largest block within ``STACK_BLOCK`` elements. A copy's largest block
-    is n rows of the widest layer, or, per relation type, an n x width block
-    of RGCN messages or an n x n block of its mean matrix."""
+    its largest block within ``STACK_BLOCK`` elements. Per copy, that is n rows
+    of the widest layer; per relation type, the RGCN's n x width messages or
+    n x n mean; or per attention head, 3 or 4 n x k projections or n x n scores."""
     relations = model.rgcn.relation_count if model.rgcn is not None else 0
-    widest = max(t.shape[-1] for t in model.named().values())
+    enc, gt = model.encoder, model.graph_attention
+    heads = [(3, enc.num_heads, enc.head_dim)] + ([(4, len(gt.heads), gt.head_dim)] if gt else [])
+    widest = max(max(t.shape[-1] for t in model.named().values()),
+                 *(h * max(parts * k, n) for parts, h, k in heads))
     return max(1, STACK_BLOCK // (n * max(n, widest, relations * max(model.dims.width, n))))
 
 

@@ -120,7 +120,7 @@ def test_snapshot_restore_roundtrip():
     d = corpus.dialogues[0]
     before = forward_dialogue(d, model, config).probs.data.copy()
     for t in model.named().values():
-        t.data = t.data + 1.0
+        t.data += 1.0
     after = forward_dialogue(d, model, config).probs.data
     assert not np.array_equal(before, after)
     model.restore(snap)
@@ -191,7 +191,31 @@ def test_capture_exposes_stage_outputs():
     assert len(capture["attention"]) == config.seq_context_layers
     assert len(capture["attention"][0]) == config.encoder_heads
     assert len(capture["graph_attention"]) == config.gnn_heads
+    for alpha in (*capture["attention"][0], *capture["graph_attention"]):
+        assert alpha.shape == (len(d), len(d))
     assert result.context.shape == (len(d), model.dims.width)
+
+
+def test_default_forward_records_one_op_per_attention_layer():
+    # at the default config (4 encoder layers of 4 heads, 7 graph heads) an
+    # attention layer is one projection op and one attention op, not a few
+    # ops per head: 12 ops per encoder layer, 4 for the RGCN, 3 for the graph
+    # transformer and 7 for the classifier and the loss
+    from convemo.classifier import loss as clf_loss
+
+    corpus = synth_corpus(SynthSpec(num_dialogues=2, utterances_per_dialogue=6, num_speakers=2,
+                                    num_classes=4, dims={"a": 4, "t": 8, "v": 4}, seed=1))
+    config = TrainConfig().validate()
+    model = ModelParams.init(config, ModelDims.for_corpus(corpus, config),
+                             np.random.default_rng(0))
+    d = corpus.dialogues[0]
+    tape = T.Tape()
+    out = forward_dialogue(d, model, config, training=True, rng=np.random.default_rng(1),
+                           tape=tape)
+    clf_loss(out.logits, dialogue_gold(d, "single"), "single", tape)
+    ops = [op for op, *_ in tape.entries]
+    assert len(ops) <= 62
+    assert ops.count("attention") == config.seq_context_layers + 1
 
 
 def test_graph_memo_key_covers_every_graph_field():

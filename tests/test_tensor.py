@@ -129,36 +129,6 @@ def test_relu_values():
     np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
 
-def test_concat_cols_widths_and_roundtrip():
-    rng = np.random.default_rng(4)
-    parts = [rng.standard_normal((3, w)) for w in (100, 768, 512)]
-    offs = [0, 100, 868, 1380]
-    for axis in (1, 0):
-        # along rows, the parts and the result are the transposes
-        arrays = parts if axis == 1 else [p.T for p in parts]
-        out = T.concat([Tensor(a) for a in arrays], axis).data
-        out = out if axis == 1 else out.T
-        assert out.shape == (3, 1380)
-        # slicing is the exact inverse
-        for p, lo, hi in zip(parts, offs[:-1], offs[1:]):
-            np.testing.assert_array_equal(out[:, lo:hi], p)
-
-
-def test_concat_cols_single_part_identity():
-    x = Tensor(np.arange(6.0).reshape(2, 3))
-    for axis in (0, 1):
-        np.testing.assert_array_equal(T.concat([x], axis).data, x.data)
-
-
-def test_concat_cols_row_mismatch():
-    with pytest.raises(ShapeError):
-        T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], 1)
-    with pytest.raises(ShapeError):
-        T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2)))], 0)
-    with pytest.raises(ShapeError, match="axis"):
-        T.concat([Tensor(np.zeros((2, 3)))], 2)
-
-
 def test_dropout_identity_cases():
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((4, 4)))
@@ -416,18 +386,43 @@ def test_grad_softmax(seed):
     _gradcheck_case("softmax_rows", build, [x])
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_grad_masked_softmax(seed):
-    rng = np.random.default_rng(300 + seed)
-    x = random_tensor(rng, 5, 5)
-    mask = rng.random((5, 5)) < 0.6
-    mask[2] = False  # one empty row
-    w = Tensor(rng.standard_normal((5, 5)))
+def _attention_inputs(rng, heads, n, k, masked, lead=()):
+    """A random ``attention`` projection of n rows and, for the neighbourhood
+    form, a mask in which node 1 has no in-neighbours."""
+    proj = rng.standard_normal((*lead, (4 if masked else 3) * heads * n, k))
+    if not masked:
+        return proj, None
+    mask = rng.random((*lead, n, n)) < 0.6
+    mask[..., 1, :] = False
+    return proj, mask
+
+
+def _attention_gradcheck(rng, heads, masked):
+    proj, mask = _attention_inputs(rng, heads, 4, 3, masked)
+    x = parameter(proj)
+    w = Tensor(rng.standard_normal((4, heads * 3)))
 
     def build(tape):
-        return T.sum_all(T.mul(T.masked_softmax_rows(x, mask, tape), w, tape), tape)
+        out, _ = T.attention(x, heads, 0.7, mask, tape)
+        return T.sum_all(T.mul(out, w, tape), tape)
 
-    _gradcheck_case("masked_softmax_rows", build, [x])
+    _gradcheck_case(f"attention(heads={heads}, masked={masked})", build, [x])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grad_masked_softmax(seed):
+    """The neighbourhood-masked softmax, inside ``attention``'s graph form,
+    with one node whose neighbourhood is empty."""
+    rng = np.random.default_rng(300 + seed)
+    for heads in (1, 3):
+        _attention_gradcheck(rng, heads, masked=True)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grad_attention(seed):
+    rng = np.random.default_rng(350 + seed)
+    for heads in (1, 3):
+        _attention_gradcheck(rng, heads, masked=False)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -460,20 +455,25 @@ def test_grad_relu_away_from_kink(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_grad_concat_add_bias_transpose(seed):
+    """The two concatenations left among the ops, each into add_bias and
+    transpose: ``block_matmul``'s blocks stacked by rows and ``attention``'s
+    heads side by side."""
     rng = np.random.default_rng(600 + seed)
-    for axis, b_shape in ((1, (2, 2)), (0, (1, 3))):
-        a = random_tensor(rng, 2, 3)
-        b = random_tensor(rng, *b_shape)
-        rows, cols = np.concatenate([a.data, b.data], axis).shape
+    a = random_tensor(rng, 2, 3)
+    ws = [random_tensor(rng, 3, 2) for _ in range(2)]
+    proj = random_tensor(rng, 3 * 2 * 2, 3)
+    for name, cat, params in (
+            ("block_matmul rows", lambda tape: T.block_matmul(a, ws, tape), [a, *ws]),
+            ("attention heads", lambda tape: T.attention(proj, 2, 0.5, tape=tape)[0], [proj])):
+        rows, cols = cat(None).shape
         bias = random_tensor(rng, cols)
         w = Tensor(rng.standard_normal((rows, 3)))
 
         def build(tape):
-            cat = T.concat([a, b], axis, tape)
-            shifted = T.add_bias(cat, bias, tape)
+            shifted = T.add_bias(cat(tape), bias, tape)
             return T.sum_all(T.matmul(T.transpose(shifted, tape), w, tape), tape)
 
-        _gradcheck_case(f"concat(axis={axis})/add_bias/transpose", build, [a, b, bias])
+        _gradcheck_case(f"{name}/add_bias/transpose", build, [*params, bias])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -604,8 +604,7 @@ def test_params_header_validation(tmp_path):
 def _stacked_cases(rng):
     """(op, fn(*inputs, tape), inputs): inputs of ndim 3 are stacked copies,
     the rest are shared by every copy."""
-    mask = rng.random((4, 4)) < 0.5
-    mask[1] = False   # one empty row
+    proj, mask = _attention_inputs(rng, 2, 4, 3, masked=True, lead=(3,))
 
     def stacked(*shape):
         return rng.standard_normal((3, *shape))
@@ -619,11 +618,10 @@ def _stacked_cases(rng):
         ("transpose", T.transpose, [stacked(4, 5)]),
         ("add_bias", T.add_bias, [stacked(4, 5), rng.standard_normal(5)]),
         ("softmax_rows", T.softmax_rows, [stacked(4, 5)]),
-        ("masked_softmax_rows", lambda a, tape: T.masked_softmax_rows(a, mask, tape), [stacked(4, 4)]),
+        ("attention", lambda a, tape: T.attention(a, 2, 0.5, tape=tape)[0], [stacked(3 * 2 * 4, 3)]),
+        ("attention, one mask", lambda a, tape: T.attention(a, 2, 0.5, mask[0], tape)[0], [proj]),
         ("layer_norm", lambda a, g, b, tape: T.layer_norm(a, g, b, tape=tape),
          [stacked(4, 5), rng.standard_normal(5), rng.standard_normal(5)]),
-        ("concat rows", lambda a, b, tape: T.concat([a, b], 0, tape), [stacked(4, 5), stacked(2, 5)]),
-        ("concat columns", lambda a, b, tape: T.concat([a, b], 1, tape), [stacked(4, 5), stacked(4, 2)]),
     ]
 
 
@@ -649,22 +647,85 @@ def test_stacked_op_on_a_tape_raises_shape_error():
     assert T.matmul(x, w).shape == (2, 3, 2)
 
 
+def _masked_softmax(x, mask):
+    """Row by row: a softmax over the row's masked-in entries, zeros elsewhere."""
+    out = np.zeros_like(x)
+    for i, (row, keep) in enumerate(zip(x, mask)):
+        if keep.any():
+            e = np.exp(row[keep] - row[keep].max())
+            out[i, keep] = e / e.sum()
+    return out
+
+
+def _attention_per_head(proj, heads, scale, mask):
+    """``attention`` of one copy composed head by head from 2-D ops, with the
+    masked softmax of ``_masked_softmax``: the heads side by side, and the
+    attention weights, (H, n, n)."""
+    parts = 3 if mask is None else 4
+    n = proj.shape[0] // (parts * heads)
+    blocks = [Tensor(proj[i * n:(i + 1) * n]) for i in range(parts * heads)]
+    outs, alphas = [], []
+    for h in range(heads):
+        mine = blocks[h * parts:(h + 1) * parts]
+        if mask is None:
+            (q, key, v), self_term = mine, None
+        else:
+            self_term, v, q, key = mine
+        scores = T.mul_scalar(T.matmul(q, T.transpose(key)), scale)
+        alpha = (T.softmax_rows(scores) if mask is None
+                 else Tensor(_masked_softmax(scores.data, mask)))
+        out = T.matmul(alpha, v)
+        outs.append(out.data if self_term is None else T.add(self_term, out).data)
+        alphas.append(alpha.data)
+    return np.concatenate(outs, axis=1), np.stack(alphas)
+
+
+def _assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("heads", [1, 3])
+def test_attention_equals_the_per_head_composition(masked, heads):
+    rng = np.random.default_rng(26)
+    proj, mask = _attention_inputs(rng, heads, 5, 4, masked)
+    out, alpha = T.attention(Tensor(proj), heads, 0.6, mask)
+    want_out, want_alpha = _attention_per_head(proj, heads, 0.6, mask)
+    assert out.shape == (5, heads * 4) and alpha.shape == (heads, 5, 5)
+    _assert_close(out.data, want_out)
+    _assert_close(alpha, want_alpha)
+    if masked:   # a node with no in-neighbours: zero weights, only its self term
+        np.testing.assert_array_equal(alpha[:, 1], 0.0)
+        np.testing.assert_array_equal(
+            out.data[1].reshape(heads, 4), proj.reshape(heads, 4, 5, 4)[:, 0, 1])
+
+
 def test_masked_softmax_with_a_mask_per_copy_equals_a_loop():
+    """Stacked ``attention`` in the neighbourhood form, one mask per copy
+    (broadcast over heads) or one shared by every copy, against each copy
+    composed head by head."""
     rng = np.random.default_rng(25)
-    x = rng.standard_normal((3, 4, 4))
-    masks = rng.random((3, 4, 4)) < 0.5
-    masks[1, 2] = False   # one empty row
-    out = T.masked_softmax_rows(Tensor(x), masks).data
-    for b in range(3):
-        np.testing.assert_array_equal(out[b], T.masked_softmax_rows(Tensor(x[b]), masks[b]).data)
+    proj, masks = _attention_inputs(rng, 3, 4, 2, masked=True, lead=(3,))
+    masks[2] = True
+    for mask in (masks, masks[0]):
+        out, alpha = T.attention(Tensor(proj), 3, 0.5, mask)
+        assert out.shape == (3, 4, 6) and alpha.shape == (3, 3, 4, 4)
+        for b in range(3):
+            want_out, want_alpha = _attention_per_head(proj[b], 3, 0.5, mask[b] if mask.ndim == 3
+                                                       else mask)
+            _assert_close(out.data[b], want_out)
+            _assert_close(alpha[b], want_alpha)
     for bad in (masks[:2], masks[:, :3], masks[0, 0], masks[None]):
         with pytest.raises(ShapeError, match="mask shape"):
-            T.masked_softmax_rows(Tensor(x), bad)
+            T.attention(Tensor(proj), 3, 0.5, bad)
+    with pytest.raises(ShapeError, match="not 4 blocks per head of 5"):
+        T.attention(Tensor(proj), 5, 0.5, masks)
 
 
 def test_block_matmul_equals_concat_of_matmuls_to_the_bit():
-    """Forward and every adjoint equal those of separate matmuls stacked by
-    ``concat``, with the input's adjoint summed in the same order."""
+    """Forward and every adjoint equal those of separate matmuls, their
+    outputs concatenated by rows, with the input's adjoint summed in the
+    same order."""
     rng = np.random.default_rng(23)
     x_data, d = rng.standard_normal((4, 5)), rng.standard_normal((12, 6))
     ws_data = [rng.standard_normal((5, 6)) for _ in range(3)]
@@ -674,10 +735,18 @@ def test_block_matmul_equals_concat_of_matmuls_to_the_bit():
         ws = [parameter(w) for w in ws_data]
         tape = Tape()
         y = T.matmul(x, parameter(np.eye(5)), tape)
-        out = (T.block_matmul(y, ws, tape) if blocked
-               else T.concat([T.matmul(y, w, tape) for w in ws], 0, tape))
-        backward(T.sum_all(T.mul(out, Tensor(d), tape), tape), tape)
-        grads.append((out.data, y.grad, *(w.grad for w in ws)))
+        if blocked:
+            out = T.block_matmul(y, ws, tape)
+            loss = T.sum_all(T.mul(out, Tensor(d), tape), tape)
+            out = out.data
+        else:
+            parts = [T.matmul(y, w, tape) for w in ws]
+            losses = [T.sum_all(T.mul(p, Tensor(d[4 * i:4 * (i + 1)]), tape), tape)
+                      for i, p in enumerate(parts)]
+            loss = T.add(T.add(losses[0], losses[1], tape), losses[2], tape)
+            out = np.concatenate([p.data for p in parts])
+        backward(loss, tape)
+        grads.append((out, y.grad, *(w.grad for w in ws)))
     for got, want in zip(*grads):
         np.testing.assert_array_equal(got, want)
 

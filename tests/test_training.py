@@ -543,6 +543,18 @@ def test_adam_over_part_of_an_arena_is_refused():
         Adam(model.classifier.named(), cfg.learning_rate)
 
 
+def test_adam_over_a_rebound_parameter_is_refused():
+    cfg = _fast_config()
+    model = ModelParams.init(cfg, ModelDims(width=6, num_speakers=2, num_classes=3),
+                             np.random.default_rng(0))
+    model.classifier.w1.data += 1.0      # in place: still the arena's view
+    Adam(model.named(), cfg.learning_rate)
+    model.classifier.w1.data = model.classifier.w1.data + 1.0
+    with pytest.raises(ValueError, match=r"^parameter 'classifier\.w1' no longer views its "
+                                         r"arena: [^\n]*$"):
+        Adam(model.named(), cfg.learning_rate)
+
+
 def test_damaged_checkpoint_raises_one_line_error(tmp_path):
     cfg = _fast_config()
     model = ModelParams.init(cfg, ModelDims(width=6, num_speakers=2, num_classes=3),
@@ -867,6 +879,21 @@ def test_stacked_eval_memory_stays_within_the_budget():
     corpus, cfg, model = _untrained(num_speakers=6, utts=24, dims={"a": 16, "t": 32, "v": 16},
                                     window_past=None, window_future=None)
     assert len(corpus.dialogues) == 4 and training.copies_per_forward(24, model) == 2
+    peak = _traced_peak(lambda: training.predict_dialogues(corpus.dialogues, model, cfg))
+    assert peak <= 1.5 * training.STACK_BLOCK * 8
+
+
+def test_graph_attention_heads_can_set_the_stack_budget():
+    # width 32, 7 graph heads of width 5 and one relation type: per row, one
+    # copy's graph projection is 4 * 7 * 5 = 140 elements, more than its FFN's
+    # 128; with 100 utterances, the graph scores, 7 * 100 per row, are larger
+    # still, so the four dialogues run three to a forward
+    for utts, per_row in ((8, 140), (100, 700)):
+        corpus, cfg, model = _untrained(num_speakers=2, utts=utts,
+                                        dims={"a": 8, "t": 16, "v": 8}, gnn_heads=7,
+                                        ablation="no_relations")
+        assert training.copies_per_forward(utts, model) == training.STACK_BLOCK // (utts * per_row)
+    assert training.copies_per_forward(100, model) == 3
     peak = _traced_peak(lambda: training.predict_dialogues(corpus.dialogues, model, cfg))
     assert peak <= 1.5 * training.STACK_BLOCK * 8
 

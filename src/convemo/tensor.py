@@ -1,7 +1,8 @@
 """Dense float64 tensors with a reverse-mode autodiff tape.
 
 The conversation model runs entirely on the primitives in this module:
-matmul (and row blocks of matmuls sharing one input), multi-head attention
+matmul (and row blocks of matmuls sharing one input, one batched matmul
+per run of a layer's adjacent weights in their arena), multi-head attention
 over such blocks (plain or graph-masked), row softmax, layer norm, relu,
 inverted dropout, bias adds, and the two classification losses. Forward
 ops record onto an explicit ``Tape``; ``backward`` replays the tape in
@@ -91,7 +92,7 @@ class Parameter(Tensor):
     """A leaf tensor whose value and gradient buffer are views into its
     ``arena``'s flat arrays."""
 
-    __slots__ = ("arena", "_buf", "__weakref__")
+    __slots__ = ("arena", "_at", "_view", "_buf", "__weakref__")
 
     def __init__(self, data=None):
         """A parameter alone in an arena over ``data``'s memory or, with no
@@ -110,8 +111,7 @@ class Parameter(Tensor):
         matmul (``_Product``) that computes its first contribution straight into
         the buffer. The sum runs in the order of an allocating ``grad + g``, so
         the gradient is the same to the bit."""
-        if self._buf is None:
-            self.arena.alloc_grad()
+        self.arena.alloc_grad()
         buf = self._buf
         if self.grad is None:        # first contribution since zero_grad
             if type(g) is _Product:
@@ -130,12 +130,12 @@ def parameter(data) -> Parameter:
 
 class Arena:
     """Parameters laid end to end in one flat float64 array ``data``, each
-    parameter's ``data`` a reshaped view of ``data[bounds[i]:bounds[i+1]]``.
-    ``grad``, laid out alike, holds their gradient buffers: allocated by the
-    first backward that reaches a member, kept across ``zero_grad`` and freed
-    by ``release_grad``. Each member holds its arena, and the arena holds its
-    members weakly, so a dropped model is freed at once, not by the cyclic
-    garbage collector."""
+    parameter's ``data`` a reshaped view of ``data[bounds[i]:bounds[i+1]]``,
+    kept as its ``_view`` (and ``bounds[i]`` as its ``_at``) to tell a rebinding.
+    ``grad``, laid out alike, holds their gradient buffers: allocated by the first
+    backward that reaches a member, kept across ``zero_grad`` and freed by
+    ``release_grad``. Each member holds its arena, and the arena holds its members
+    weakly, so a dropped model is freed at once, not by the cyclic collector."""
 
     __slots__ = ("members", "shapes", "data", "grad", "bounds")
 
@@ -144,7 +144,8 @@ class Arena:
         self.shapes, self.data, self.grad = list(shapes), data, None
         self.bounds = [0, *itertools.accumulate(map(math.prod, self.shapes))]
         for t, shape, lo, hi in zip(params, self.shapes, self.bounds, self.bounds[1:]):
-            t.data, t.arena, t._buf = data[lo:hi].reshape(shape), self, None
+            t.data = t._view = data[lo:hi].reshape(shape)
+            t.arena, t._at, t._buf = self, lo, None
 
     @property
     def params(self) -> list[Parameter]:
@@ -165,10 +166,13 @@ class Arena:
         return [flat[lo:hi].reshape(shape)
                 for shape, lo, hi in zip(self.shapes, self.bounds, self.bounds[1:])]
 
-    def alloc_grad(self) -> None:
-        self.grad = np.empty_like(self.data)
-        for t, view in zip(self.params, self.views(self.grad)):
-            t._buf = view
+    def alloc_grad(self) -> np.ndarray:
+        """``grad``, first allocated, with each member's buffer, if it is not yet."""
+        if self.grad is None:
+            self.grad = np.empty_like(self.data)
+            for t, view in zip(self.params, self.views(self.grad)):
+                t._buf = view
+        return self.grad
 
     def zero_grad(self) -> None:
         for t in self.params:
@@ -345,37 +349,64 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return _make(out, (a, b), "matmul", tape, grad_fn)
 
 
+def weight_runs(weights: Sequence[Tensor]) -> list[tuple[int, int, np.ndarray]]:
+    """Maximal runs ``(lo, hi, stack)`` of same-shape ``weights``: ``weights[lo:hi]``
+    adjacent in one arena, each still its own view there (``t.data is t._view``),
+    and ``stack`` their (hi-lo, d, k) view of its ``data``; any other weight alone."""
+    viewed = [type(w) is Parameter and w.data is w._view for w in weights]
+    cuts = [i for i, (a, b) in enumerate(zip(weights, weights[1:]), 1) if not (
+        viewed[i - 1] and viewed[i] and a.arena is b.arena and b._at == a._at + a.data.size)]
+    return [(lo, hi, weights[lo].data[None] if hi - lo == 1
+             else _span(weights[lo].arena.data, weights[lo], hi - lo))
+            for lo, hi in zip([0, *cuts], [*cuts, len(weights)])]
+
+
+def _span(flat: np.ndarray, first: Parameter, count: int) -> np.ndarray:
+    """The part of ``flat``, laid out like ``first``'s arena, of it and the next count-1."""
+    return flat[first._at:first._at + count * first.data.size].reshape(count, *first.shape)
+
+
 def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
-    """The products ``x @ w`` of one input with k same-shape 2-D weights, stacked
-    by rows: a (k*n) x d' matrix whose i-th block of n rows is ``x @ weights[i]``,
-    computed straight into its block. One tape op; its backward gives each
-    weight the adjoint of its block, and ``x`` the sum of the blocks' adjoints,
-    last block first, as separate matmuls recorded in block order would."""
+    """The products ``x @ w`` of one input with P same-shape 2-D weights, stacked
+    by rows: a (P*n) x k matrix whose i-th block of n rows is ``x @ weights[i]``.
+    One tape op, bit-identical to separate matmuls: each run (``weight_runs``) is
+    one batched matmul into its blocks; backward, one into ``x``'s adjoint (blocks
+    summed last first) and, when no member has a grad yet, one into the run's view
+    of the gradient arena (else each accumulates its own). B >= 2 stacked copies
+    run one GEMM over all B*n rows per weight, reading each weight once."""
     _check_2d("block_matmul", x)
     if not weights or any(w.shape != (x.shape[-1], weights[0].shape[-1]) for w in weights):
         raise ShapeError(f"block_matmul needs k >= 1 weights of one 2-D shape with "
                          f"{x.shape[-1]} rows, got {[w.shape for w in weights]}")
-    x_data = x.data
-    n = x.shape[-2]
-    out = np.empty((*x.shape[:-2], len(weights) * n, weights[0].shape[-1]))
-    for i, w in enumerate(weights):
-        block = out[..., i * n:(i + 1) * n, :]
-        if x_data.ndim == 2:
-            np.matmul(x_data, w.data, out=block)
-        else:   # one GEMM over every copy's rows, then into each copy's block
-            block[...] = (x_data.reshape(-1, x.shape[-1]) @ w.data).reshape(block.shape)
+    p, (n, d), k = len(weights), x.shape[-2:], weights[0].shape[-1]
+    out, rows = np.empty((*x.shape[:-2], p * n, k)), x.data.reshape(-1, d)
+    runs = weight_runs(weights)
+    if len(rows) == n:   # one copy
+        for lo, hi, stack in runs:
+            np.matmul(rows, stack, out=out.reshape(p, n, k)[lo:hi])
+    else:
+        for i, w in enumerate(weights):
+            out[:, i * n:(i + 1) * n] = (rows @ w.data).reshape(-1, n, k)
     # adjoints as matmul gives them: none, deferred into a parameter's buffer, or computed
     adj_w = [w.requires_grad and (_Product if type(w) is Parameter else np.matmul)
              for w in weights]
 
-    def grad_fn(d):
-        blocks = [d[i * n:(i + 1) * n] for i in range(len(weights))]
-        d_x = None
-        if x.requires_grad:
-            for blk, w in zip(reversed(blocks), reversed(weights)):
-                part = blk @ w.data.T
-                d_x = part if d_x is None else np.add(d_x, part, out=d_x)
-        return (d_x, *(adj(x_data.T, blk) if adj else None for adj, blk in zip(adj_w, blocks)))
+    def grad_fn(g):
+        blocks, d_w = g.reshape(p, n, k), [None] * p
+        parts = np.empty((p, n, d)) if x.requires_grad else None   # x's: block i's in slot p-1-i
+        for lo, hi, stack in runs:
+            if parts is not None:
+                np.matmul(blocks[lo:hi][::-1], stack[::-1].swapaxes(-1, -2),
+                          out=parts[p - hi:p - lo])
+            if all(a is _Product and w.grad is None for a, w in zip(adj_w[lo:hi], weights[lo:hi])):
+                grads = _span(weights[lo].arena.alloc_grad(), weights[lo], hi - lo)
+                np.matmul(rows.T, blocks[lo:hi], out=grads)
+                for w in weights[lo:hi]:
+                    w.grad = w._buf
+            else:
+                d_w[lo:hi] = [adj(rows.T, blk) if adj else None
+                              for adj, blk in zip(adj_w[lo:hi], blocks[lo:hi])]
+        return (None if parts is None else np.add.reduce(parts, axis=0), *d_w)
 
     return _make(out, (x, *weights), "block_matmul", tape, grad_fn)
 
@@ -531,9 +562,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     if gamma.shape != (d_width,) or beta.shape != (d_width,):
         raise ShapeError(f"layer_norm affine params must have shape ({d_width},), "
                          f"got {gamma.shape} and {beta.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = x.data.sum(axis=-1, keepdims=True) / d_width
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d_width
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gamma.data + beta.data
@@ -543,8 +574,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
         d_xhat = d * g_data
         d_gamma = (d * xhat).sum(axis=0)
         d_beta = d.sum(axis=0)
-        mean_dxhat = d_xhat.mean(axis=1, keepdims=True)
-        mean_dxhat_xhat = (d_xhat * xhat).mean(axis=1, keepdims=True)
+        mean_dxhat = d_xhat.sum(axis=-1, keepdims=True) / d_width
+        mean_dxhat_xhat = (d_xhat * xhat).sum(axis=-1, keepdims=True) / d_width
         d_x = inv * (d_xhat - mean_dxhat - xhat * mean_dxhat_xhat)
         return d_x, d_gamma, d_beta
 

@@ -73,9 +73,9 @@ class Adam:
         self.step_count = 0
         tensors = list(params.values())
         arena = tensors[0].arena
-        own, start = arena.params == tensors, arena.data.ctypes.data
-        for (name, t), lo in zip(params.items(), arena.bounds if own else ()):
-            if t.data.ctypes.data != start + 8 * lo:   # a step moves the arena, not a rebound array
+        own = arena.params == tensors
+        for name, t in params.items() if own else ():
+            if t.data is not t._view:
                 raise ValueError(f"parameter '{name}' no longer views its arena: update it in place")
         self.arena = arena if own else Arena.pack(tensors)
         self._m, self._v = np.zeros(self.arena.data.size), np.zeros(self.arena.data.size)
@@ -104,8 +104,7 @@ class Adam:
             if t.grad is None:
                 continue
             if t.grad is not t._buf:
-                if t._buf is None:
-                    arena.alloc_grad()
+                arena.alloc_grad()
                 np.copyto(t._buf, t.grad)
             if runs and runs[-1][1] == lo:
                 runs[-1][1] = hi

@@ -19,7 +19,7 @@ from convemo.model import (
     fused_matrix,
 )
 from convemo.tensor import Tensor
-from convemo.training import Adam
+from convemo.training import Adam, load_checkpoint, save_checkpoint
 from helpers import FD_TOL, check_grads
 
 
@@ -216,6 +216,39 @@ def test_default_forward_records_one_op_per_attention_layer():
     ops = [op for op, *_ in tape.entries]
     assert len(ops) <= 62
     assert ops.count("attention") == config.seq_context_layers + 1
+
+
+def test_each_layer_multiplies_its_weights_as_runs_of_the_arena(tmp_path):
+    # every encoder layer's q/k/v and the graph transformer's matrices are one
+    # batched matmul over one view of the arena, in a fresh model and in a
+    # loaded one; the RGCN's present relation types, one per contiguous piece
+    corpus = synth_corpus(SynthSpec(num_dialogues=2, utterances_per_dialogue=3, num_speakers=2,
+                                    num_classes=3, dims={"a": 2, "t": 3, "v": 2}, seed=2))
+    d = corpus.dialogues[0]
+    for u, speaker in zip(d.utterances, (0, 0, 1)):
+        u.speaker = speaker   # relation types 0, 1, 3, 4 and 6, with self loops
+    config = TrainConfig(window_past=1, window_future=1).validate()
+    model = ModelParams.init(config, ModelDims.for_corpus(corpus, config),
+                             np.random.default_rng(0))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, model, config, Adam(model.named(), 1e-3).state_dict(), 0, 0.5,
+                    corpus.label_names)
+    for m in (model, load_checkpoint(path).model):
+        tape = T.Tape()
+        forward_dialogue(d, m, config, training=True, rng=np.random.default_rng(1), tape=tape)
+        lists = [list(inputs[1:]) for op, inputs, *_ in tape.entries if op == "block_matmul"]
+        *qkv, thetas, projections = lists
+        assert qkv == [[w for ws in zip(layer.w_q, layer.w_k, layer.w_v) for w in ws]
+                       for layer in m.encoder.layers]
+        assert projections == [w for h in m.graph_attention.heads
+                               for w in (h.w_self, h.w_msg, h.w_key_self, h.w_key_nbr)]
+        present = [next(r for r, th in enumerate(m.rgcn.thetas) if th is w) for w in thetas]
+        pieces = 1 + int(np.count_nonzero(np.diff(present) != 1))
+        assert pieces >= 2
+        for weights, want in [*((ws, 1) for ws in qkv), (projections, 1), (thetas, pieces)]:
+            runs = T.weight_runs(weights)
+            assert len(runs) == want
+            assert all(stack.base is m.arena.data for _, _, stack in runs if len(stack) > 1)
 
 
 def test_graph_memo_key_covers_every_graph_field():

@@ -766,3 +766,116 @@ def test_block_matmul_shape_errors():
     for ws in ([], [Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 3)))], [Tensor(np.zeros((5, 2)))]):
         with pytest.raises(ShapeError, match="block_matmul"):
             T.block_matmul(x, ws)
+
+
+def _placed(rng, count, shape=(5, 6)):
+    """A bias, then ``count`` weights of one shape, laid out by ``Init.place``:
+    the weights are adjacent members of one arena. The caller keeps the bias,
+    since an arena holds its members weakly."""
+    init = T.Init(rng)
+    params = [init.fill((2,), 0.5), *(init.xavier(shape) for _ in range(count))]
+    init.place(params)
+    return params
+
+
+def _blocked_backward(x_data, ws, d):
+    """Output and adjoints of ``block_matmul`` under a loss whose adjoint of
+    the output is ``d``: (out, x's adjoint, each weight's grad)."""
+    x = Tensor(x_data, requires_grad=True)
+    tape = Tape()
+    out = T.block_matmul(x, ws, tape)
+    backward(T.sum_all(T.mul(out, Tensor(d), tape), tape), tape)
+    return out.data, x.grad, [w.grad for w in ws]
+
+
+def _separate_reference(x_data, ws_data, d):
+    """What separate matmuls give: each block, x's adjoint summed last block
+    first, and each weight's adjoint."""
+    n = x_data.shape[0]
+    blocks = [d[i * n:(i + 1) * n] for i in range(len(ws_data))]
+    d_x = None
+    for blk, w in zip(reversed(blocks), reversed(ws_data)):
+        part = blk @ w.T
+        d_x = part if d_x is None else np.add(d_x, part, out=d_x)
+    return (np.concatenate([x_data @ w for w in ws_data]), d_x,
+            [x_data.T @ blk for blk in blocks])
+
+
+def test_block_matmul_over_a_placed_run_equals_separate_matmuls_to_the_bit():
+    rng = np.random.default_rng(31)
+    _bias, *ws = _placed(rng, 6)
+    (lo, hi, stack), = T.weight_runs(ws)
+    assert (lo, hi, stack.shape) == (0, 6, (6, 5, 6)) and stack.base is ws[0].arena.data
+    x_data, d = rng.standard_normal((4, 5)), rng.standard_normal((24, 6))
+    out, d_x, d_ws = _blocked_backward(x_data, ws, d)
+    want_out, want_x, want_ws = _separate_reference(x_data, [w.data for w in ws], d)
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(d_x, want_x)
+    for got, want, w in zip(d_ws, want_ws, ws):
+        np.testing.assert_array_equal(got, want)
+        assert got is w._buf and got.base is w.arena.grad   # written straight into the arena
+
+
+def test_block_matmul_over_a_gap_runs_twice_and_leaves_absent_weights_without_grad():
+    rng = np.random.default_rng(32)
+    _bias, *placed = _placed(rng, 7)
+    ws = [placed[i] for i in (0, 1, 2, 5, 6)]
+    assert [(lo, hi) for lo, hi, _ in T.weight_runs(ws)] == [(0, 3), (3, 5)]
+    x_data, d = rng.standard_normal((3, 5)), rng.standard_normal((15, 6))
+    out, d_x, d_ws = _blocked_backward(x_data, ws, d)
+    want_out, want_x, want_ws = _separate_reference(x_data, [w.data for w in ws], d)
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(d_x, want_x)
+    for got, want in zip(d_ws, want_ws):
+        np.testing.assert_array_equal(got, want)
+    assert placed[3].grad is None and placed[4].grad is None
+
+
+def test_block_matmul_reads_a_rebound_member_at_call_time():
+    # a finite-difference probe rebinds one weight's data mid-run, as the
+    # benchmark's gradient check does: the run splits and the loss moves
+    rng = np.random.default_rng(33)
+    _bias, *ws = _placed(rng, 4)
+    x = Tensor(rng.standard_normal((3, 5)))
+    d = Tensor(rng.standard_normal((12, 6)))
+
+    def loss(tape=None):
+        return T.sum_all(T.mul(T.block_matmul(x, ws, tape), d, tape), tape)
+
+    tape = Tape()
+    base_loss = loss(tape)
+    backward(base_loss, tape)
+    t = ws[2]
+    direction = rng.standard_normal(t.shape)
+    analytic = float((t.grad * direction).sum())
+    base, step = t.data, 1e-5
+    t.data = base + step * direction
+    assert [(lo, hi) for lo, hi, _ in T.weight_runs(ws)] == [(0, 2), (2, 3), (3, 4)]
+    f_plus = loss().item()
+    t.data = base - step * direction
+    f_minus = loss().item()
+    t.data = base
+    assert len(T.weight_runs(ws)) == 1
+    assert f_plus != base_loss.item() != f_minus
+    numeric = (f_plus - f_minus) / (2 * step)
+    assert abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-6) < FD_TOL
+
+
+def test_block_matmul_grads_accumulate_without_zero_grad_to_the_bit():
+    # two backwards, then a third over a run whose members are half fresh
+    # and half holding a gradient: each sum is the allocating ``grad + g``
+    rng = np.random.default_rng(34)
+    _bias, *ws = _placed(rng, 4)
+    want = [None] * 4
+    for used in ((0, 1), (0, 1), (0, 1, 2, 3)):
+        x_data = rng.standard_normal((3, 5))
+        d = rng.standard_normal((3 * len(used), 6))
+        _blocked_backward(x_data, [ws[i] for i in used], d)
+        _, _, parts = _separate_reference(x_data, [ws[i].data for i in used], d)
+        for i, g in zip(used, parts):
+            want[i] = g if want[i] is None else want[i] + g
+        for w, g in zip(ws, want):
+            if g is None:
+                assert w.grad is None
+            else:
+                np.testing.assert_array_equal(w.grad, g)

@@ -148,7 +148,8 @@ class Arena:
             t.arena, t._at, t._buf = self, lo, None
 
     @property
-    def params(self) -> list[Parameter]:
+    def params(self) -> list[Parameter | None]:
+        """The members in order, None in the place of one since freed."""
         return [ref() for ref in self.members]
 
     @classmethod
@@ -171,17 +172,20 @@ class Arena:
         if self.grad is None:
             self.grad = np.empty_like(self.data)
             for t, view in zip(self.params, self.views(self.grad)):
-                t._buf = view
+                if t is not None:   # a freed member keeps its place
+                    t._buf = view
         return self.grad
 
     def zero_grad(self) -> None:
         for t in self.params:
-            t.grad = None
+            if t is not None:
+                t.grad = None
 
     def release_grad(self) -> None:
         self.grad = None
         for t in self.params:
-            t.grad = t._buf = None
+            if t is not None:
+                t.grad = t._buf = None
 
 
 class Init:

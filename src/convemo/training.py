@@ -11,7 +11,9 @@ checkpoints byte for byte.
 from __future__ import annotations
 
 import bisect
+import contextvars
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +51,10 @@ class TrainingAbort(RuntimeError):
 
 
 ADAM_CHUNK = 1 << 15   # float64 elements per operand per pass: 256 KB, cache-resident
+# Elements a step updates before it is split across the CPUs. OpenBLAS's idle
+# workers spin on the other CPUs for a while after the backward's GEMMs, so in
+# a training loop a helper gained nothing below about 16M elements.
+ADAM_SPLIT = 1 << 24
 
 
 class Adam:
@@ -59,10 +65,14 @@ class Adam:
     moments are two flat arrays laid out alike, ``m`` and ``v`` name -> view
     dicts into them. ``step`` walks the parameter, gradient and moment arrays
     in ``ADAM_CHUNK``-element pieces through two scratch buffers, so a step
-    allocates nothing parameter-sized. A training loop releases the gradient
-    arena between epochs (``Parameter.release_grad``); the next backward
-    allocates it again. The optimizer owns the moments (``load_state`` copies
-    into them); the parameter arena belongs to the model.
+    allocates nothing parameter-sized. A step that updates at least
+    ``ADAM_SPLIT`` elements is cut into one contiguous part per CPU the
+    process may use: the calling thread updates the first, short-lived helper
+    threads the rest, each through scratch of its own, and the result is the
+    same to the bit. A training loop releases the gradient arena between
+    epochs (``Parameter.release_grad``); the next backward allocates it again.
+    The optimizer owns the moments (``load_state`` copies into them); the
+    parameter arena belongs to the model.
     """
 
     def __init__(self, params: dict[str, Parameter], lr: float,
@@ -89,15 +99,16 @@ class Adam:
 
         Tensors without a gradient are skipped, so the update runs over maximal
         runs of adjacent tensors that have one; a gradient assigned by hand is
-        first copied into the gradient arena. Raises ``NonFiniteError`` naming
-        the parameter if a gradient, moment or update is NaN or Inf; the
-        optimizer state and parameters are then undefined.
+        first copied into the gradient arena. The runs' chunks are cut into
+        contiguous parts, one per CPU (``os.sched_getaffinity``), when they
+        hold at least ``ADAM_SPLIT`` elements, and are updated in one part on
+        the calling thread otherwise. Every element takes the same operations
+        in the same order either way, and every helper has finished before
+        ``step`` returns or raises. Raises ``NonFiniteError`` naming the
+        parameter of the first element whose gradient, moment or update is NaN
+        or Inf; the optimizer state and parameters are then undefined.
         """
         self.step_count += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        c1, c2 = 1 - b1, 1 - b2
-        bias1 = 1.0 - b1 ** self.step_count
-        bias2 = 1.0 - b2 ** self.step_count
         arena = self.arena
         runs: list[list[int]] = []   # [lo, hi) element ranges
         for t, lo, hi in zip(self.params.values(), arena.bounds, arena.bounds[1:]):
@@ -110,24 +121,58 @@ class Adam:
                 runs[-1][1] = hi
             else:
                 runs.append([lo, hi])
-        for lo, hi in runs:
-            for at in range(lo, hi, ADAM_CHUNK):
-                end = min(at + ADAM_CHUNK, hi)
-                p, g, m, v = (x[at:end] for x in (arena.data, arena.grad, self._m, self._v))
-                a, b = self._scratch[:, :end - at]
-                np.multiply(m, b1, m)
-                np.add(m, np.multiply(g, c1, a), m)
-                np.multiply(v, b2, v)
-                np.add(v, np.multiply(np.multiply(g, c2, a), g, a), v)
-                np.add(np.sqrt(np.divide(v, bias2, a), a), eps, a)          # denominator
-                np.divide(np.multiply(np.divide(m, bias1, b), lr, b), a, b)  # update
-                # update * denominator is about lr*m/bias1 while every element is
-                # finite, and NaN or Inf once a gradient, moment or update is not
-                if not math.isfinite(np.vdot(b, a)):
-                    bad = at + int(np.argmax(~np.isfinite(b * a)))
-                    name = list(self.params)[bisect.bisect_right(arena.bounds, bad) - 1]
-                    raise NonFiniteError(f"Adam.step: non-finite gradient or update in '{name}'")
-                np.subtract(p, b, p)
+        chunks = [(at, min(at + ADAM_CHUNK, hi)) for lo, hi in runs
+                  for at in range(lo, hi, ADAM_CHUNK)]
+        parts = 1
+        if sum(hi - lo for lo, hi in runs) >= ADAM_SPLIT and hasattr(os, "sched_getaffinity"):
+            parts = min(len(os.sched_getaffinity(0)), len(chunks))
+        if parts < 2:
+            bad = [self._update(chunks, self._scratch)]
+        else:
+            # imported here: concurrent.futures loads logging, which a process
+            # whose steps all run inline need not hold (about 0.5 MB)
+            from concurrent.futures import ThreadPoolExecutor
+
+            cut = [len(chunks) * i // parts for i in range(parts + 1)]
+            with ThreadPoolExecutor(parts - 1) as helpers:
+                # each helper runs in a copy of the caller's context, so under
+                # the caller's np.errstate
+                futures = [helpers.submit(contextvars.copy_context().run, self._update,
+                                          chunks[lo:hi], np.empty_like(self._scratch))
+                           for lo, hi in zip(cut[1:], cut[2:])]
+                bad = [self._update(chunks[:cut[1]], self._scratch)]
+                bad += [f.result() for f in futures]
+        bad = [at for at in bad if at is not None]
+        if bad:
+            name = list(self.params)[bisect.bisect_right(arena.bounds, min(bad)) - 1]
+            raise NonFiniteError(f"Adam.step: non-finite gradient or update in '{name}'")
+
+    def _update(self, chunks: list[tuple[int, int]], scratch: np.ndarray) -> int | None:
+        """Update the [at, end) element ranges ``chunks`` in order, through the
+        two rows of ``scratch``. Stops at the first chunk holding a non-finite
+        value, before writing its parameters, and returns that value's index."""
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1, c2 = 1 - b1, 1 - b2
+        bias1 = 1.0 - b1 ** self.step_count
+        bias2 = 1.0 - b2 ** self.step_count
+        arrays = (self.arena.data, self.arena.grad, self._m, self._v)
+        for at, end in chunks:
+            p, g, m, v = (x[at:end] for x in arrays)
+            a, b = scratch[:, :end - at]
+            np.multiply(m, b1, m)
+            np.add(m, np.multiply(g, c1, a), m)
+            np.multiply(v, b2, v)
+            np.add(v, np.multiply(np.multiply(g, c2, a), g, a), v)
+            np.add(np.sqrt(np.divide(v, bias2, a), a), eps, a)          # denominator
+            np.divide(np.multiply(np.divide(m, bias1, b), lr, b), a, b)  # update
+            # update * denominator is about lr*m/bias1 while every element is
+            # finite, and NaN or Inf once a gradient, moment or update is not.
+            # einsum, not np.vdot: BLAS's dot is itself threaded, and parts
+            # calling it side by side oversubscribe the CPUs.
+            if not math.isfinite(np.einsum("i,i->", b, a)):
+                return at + int(np.argmax(~np.isfinite(b * a)))
+            np.subtract(p, b, p)
+        return None
 
     def zero_grad(self) -> None:
         self.arena.zero_grad()

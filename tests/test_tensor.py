@@ -879,3 +879,23 @@ def test_block_matmul_grads_accumulate_without_zero_grad_to_the_bit():
                 assert w.grad is None
             else:
                 np.testing.assert_array_equal(w.grad, g)
+
+
+def test_arena_with_a_freed_member_still_allocates_zeroes_and_releases_grads():
+    # the bias, declared and placed with the weight, is dropped: its place in
+    # the arena stays, and the weight's backward, zero_grad and release_grad
+    # step over it
+    init = T.Init(np.random.default_rng(35))
+    bias, w = init.fill((2,), 0.5), init.xavier((3, 4))
+    arena = init.place([bias, w])
+    del bias, init   # the Init holds its declared parameters too
+    assert arena.params[0] is None and arena.params[1] is w
+    x_data = np.random.default_rng(36).standard_normal((2, 3))
+    tape = Tape()
+    backward(T.sum_all(T.matmul(Tensor(x_data), w, tape), tape), tape)
+    np.testing.assert_array_equal(w.grad, x_data.T @ np.ones((2, 4)))
+    assert w.grad.base is arena.grad
+    arena.zero_grad()
+    assert w.grad is None and w._buf is not None
+    arena.release_grad()
+    assert w._buf is None and arena.grad is None

@@ -1,6 +1,10 @@
 import gc
+import sys
+import threading
 import tracemalloc
+import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +168,168 @@ def test_adam_non_finite_gradient_or_moment_names_parameter(bad):
         with np.errstate(all="ignore"), \
                 pytest.raises(T.NonFiniteError, match=r"Adam\.step: .*'rgcn\.theta_rel3'"):
             opt.step()
+
+
+@pytest.fixture
+def split_steps(monkeypatch):
+    """Every Adam step is split (``ADAM_SPLIT`` 1) over as many CPUs as
+    ``affinity(k)`` says the process may use; ``pools`` records each helper
+    pool's size."""
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    def affinity(k):
+        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    monkeypatch.setattr(training, "ADAM_SPLIT", 1)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recording)
+    return affinity, pools
+
+
+def _two_large(rng):
+    # one run of 5 chunks: 2 parts take 2 and 3 of them, 4 parts 1, 1, 1 and 2
+    shapes = {"a": (300, 250), "b": (300, 250)}
+    return {k: T.parameter(rng.standard_normal(s)) for k, s in shapes.items()}
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_split_adam_step_bit_identical_to_reference(split_steps, cpus):
+    # "mid" goes without a gradient at step 2, which splits the runs and
+    # leaves ragged chunks on both sides of it; at step 3 the gradients of
+    # "wide" and "one" are assigned by hand, the rest written into the arena
+    affinity, pools = split_steps
+    affinity(cpus)
+    shapes = {"one": (1,), "large": (300, 250), "mid": (5, 6), "wide": (400, 300), "tail": (3, 4)}
+    rng = np.random.default_rng(3)
+    params = {k: T.parameter(rng.standard_normal(s)) for k, s in shapes.items()}
+    ref = {k: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for k, t in params.items()}
+    opt = Adam(params, lr=1e-2)
+    grad = opt.arena.alloc_grad()
+    for step in (1, 2, 3):
+        for name, t in params.items():
+            if step == 2 and name == "mid":
+                t.grad = None
+                continue
+            g = rng.standard_normal(t.shape)
+            if step == 3 and name not in ("wide", "one"):
+                np.copyto(t._buf, g)
+                g = t._buf
+            t.grad = g
+            ref[name] = _adam_reference_step(*ref[name], g, step, 1e-2)
+        opt.step()
+        for name, t in params.items():
+            for got, want in zip((t.data, opt.m[name], opt.v[name]), ref[name]):
+                np.testing.assert_array_equal(got, want)
+    assert opt.arena.grad is grad
+    assert pools == [cpus - 1] * 3
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_split_adam_step_names_the_lowest_bad_parameter(split_steps, cpus):
+    # "a" holds a NaN in chunk 1, "b" an overflowing gradient in chunk 4: with
+    # 2 parts each part has one, with 4 parts two helpers have one each. The
+    # helpers keep the caller's np.errstate, so b's overflow warns nowhere.
+    affinity, pools = split_steps
+    affinity(cpus)
+    params = _two_large(np.random.default_rng(4))
+    opt = Adam(params, lr=1e-2)
+    for t in params.values():
+        t.grad = np.ones(t.shape)
+    params["a"].grad[160, 0], params["b"].grad[-1, -1] = np.nan, 1e200   # elements 40,000, 149,999
+    with warnings.catch_warnings(), np.errstate(all="ignore"), \
+            pytest.raises(T.NonFiniteError, match=r"Adam\.step: .*'a'$"):
+        warnings.simplefilter("error")
+        opt.step()
+    assert pools == ([cpus - 1] if cpus > 1 else [])
+
+
+def test_an_error_in_a_helper_reaches_the_caller_once_every_helper_ended(split_steps, monkeypatch):
+    affinity, pools = split_steps
+    affinity(4)
+
+    class Failure(Exception):
+        pass
+
+    einsum = np.einsum
+
+    def failing_off_the_calling_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise Failure("in a helper")
+        return einsum(*args)
+
+    params = _two_large(np.random.default_rng(5))
+    opt = Adam(params, lr=1e-2)
+    for t in params.values():
+        t.grad = np.ones(t.shape)
+    threads = threading.active_count()
+    monkeypatch.setattr(training.np, "einsum", failing_off_the_calling_thread)
+    with pytest.raises(Failure, match="in a helper"):
+        opt.step()
+    assert pools == [3] and threading.active_count() == threads
+
+
+def test_no_helper_below_the_threshold_or_on_one_cpu(split_steps, monkeypatch):
+    affinity, pools = split_steps
+    params = {"w": T.parameter(np.random.default_rng(6).standard_normal((300, 250)))}
+    opt = Adam(params, lr=1e-2)
+    params["w"].grad = np.ones((300, 250))
+    threads = threading.active_count()
+    affinity(1)
+    opt.step()
+    affinity(4)
+    monkeypatch.setattr(training, "ADAM_SPLIT", 300 * 250 + 1)
+    opt.step()
+    assert pools == [] and threading.active_count() == threads
+    monkeypatch.setattr(training, "ADAM_SPLIT", 300 * 250)
+    opt.step()
+    assert pools == [2]   # 3 chunks, so 3 parts on 4 CPUs
+    assert threading.active_count() == threads
+
+
+def test_split_steps_stay_bit_identical_under_rapid_thread_switches(split_steps, monkeypatch):
+    # 8 parts of 1,000-element chunks on however few CPUs, switching threads
+    # every microsecond: a chunk updated twice, or skipped, breaks the moments
+    affinity, pools = split_steps
+    affinity(8)
+    monkeypatch.setattr(training, "ADAM_CHUNK", 1000)
+    shapes = {"a": (37, 101), "b": (13,), "c": (90, 90), "d": (64, 70)}
+    rng = np.random.default_rng(7)
+    params = {k: T.parameter(rng.standard_normal(s)) for k, s in shapes.items()}
+    ref = {k: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for k, t in params.items()}
+    opt = Adam(params, lr=1e-2)
+    failures = []
+
+    def steps():
+        try:
+            for step in range(1, 21):
+                skipped = list(params)[step % len(params)]
+                for name, t in params.items():
+                    t.grad = None if name == skipped else rng.standard_normal(t.shape)
+                    if t.grad is not None:
+                        ref[name] = _adam_reference_step(*ref[name], t.grad, step, 1e-2)
+                opt.step()
+                for name, t in params.items():
+                    for got, want in zip((t.data, opt.m[name], opt.v[name]), ref[name]):
+                        np.testing.assert_array_equal(got, want)
+        except BaseException as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=steps)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    if failures:
+        raise failures[0]
+    assert pools == [7] * 20
 
 
 def _driven_step(model, config, dialogue, optimizer, rng):

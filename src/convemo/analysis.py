@@ -21,6 +21,8 @@ from .dataset import Corpus, truncate_context
 from .model import ModelParams, forward_dialogue
 from .training import evaluate_model, train
 
+EMBED_STAGES = ("before_gnn", "after_gnn")
+
 
 @dataclass
 class StudyRow:
@@ -123,7 +125,7 @@ def dump_embeddings(corpus: Corpus, model: ModelParams, config: TrainConfig,
                     stage: str = "after_gnn", split: str = "test") -> str:
     """CSV of per-utterance vectors captured before or after the graph
     layers, for external cluster visualization."""
-    if stage not in ("before_gnn", "after_gnn"):
+    if stage not in EMBED_STAGES:
         raise ValueError(f"stage must be 'before_gnn' or 'after_gnn', got '{stage}'")
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -18,10 +18,13 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analysis import dump_embeddings, run_ablation, run_context_sweep, run_window_sweep
+from .analysis import (EMBED_STAGES, dump_embeddings, run_ablation, run_context_sweep,
+                       run_window_sweep)
 from .config import ABLATIONS, ConfigError, TrainConfig
-from .dataset import SPLITS, CorpusError, SynthSpec, load_corpus, save_corpus, synth_corpus
+from .dataset import (DEPENDENCIES, SPLITS, CorpusError, SynthSpec, load_corpus, save_corpus,
+                      synth_corpus)
 from .graph import EDGE_MODES, build_graph
+from .metrics import SHIFT_LEVELS
 from .tensor import NonFiniteError, atomic_open
 from .training import (
     TrainingAbort,
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--shift-level", dest="shift_level", default="utterance",
-                   choices=("utterance", "speaker"))
+                   choices=SHIFT_LEVELS)
     p.add_argument("--force", action="store_true",
                    help="evaluate even if the corpus fingerprint differs")
     p.set_defaults(func=cmd_eval)
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="dump per-utterance embeddings to CSV")
     add_common(p, config=False)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--stage", default="after_gnn", choices=("before_gnn", "after_gnn"))
+    p.add_argument("--stage", default="after_gnn", choices=EMBED_STAGES)
     p.add_argument("--split", default="test", choices=SPLITS)
     p.set_defaults(func=cmd_embed)
 
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speakers", type=int, default=2)
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--dims", default="8,16,8")
-    p.add_argument("--dependency", default="none", choices=("none", "neighbor"))
+    p.add_argument("--dependency", default="none", choices=DEPENDENCIES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 

@@ -17,6 +17,8 @@ import numpy as np
 MODALITIES = ("a", "t", "v")
 MODALITY_KEYS = {"a": "audio", "t": "text", "v": "video"}
 SPLITS = ("train", "valid", "test")
+TASK_MODES = ("single", "multi")
+DEPENDENCIES = ("none", "neighbor")   # synth_corpus's labelling rules
 
 
 class CorpusError(ValueError):
@@ -56,7 +58,7 @@ class Corpus:
     dialogues: list[Dialogue]
     label_names: list[str]
     dims: dict[str, int]  # widths for "a", "t", "v"; 0 when absent corpus-wide
-    task_mode: str = "single"  # "single" | "multi"
+    task_mode: str = "single"  # one of TASK_MODES
 
     @property
     def num_classes(self) -> int:
@@ -138,29 +140,43 @@ def _parse_vector(raw, want_dim: int, key: str, where: str) -> np.ndarray | None
         return None
     if raw is None:
         raise CorpusError(f"{where}: missing modality '{key}' (declared width {want_dim})")
-    vec = np.asarray(raw, dtype=np.float64)
+    try:
+        vec = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise CorpusError(f"{where}: modality '{key}' must be a list of numbers") from None
     if vec.shape != (want_dim,):
         raise CorpusError(f"{where}: modality '{key}' has width {vec.shape}, expected ({want_dim},)")
     return vec
 
 
 def load_corpus(path) -> Corpus:
-    """Load and eagerly validate a JSONL corpus file."""
+    """Load and eagerly validate a JSONL corpus file. Every malformed record,
+    and a NaN or Infinity literal anywhere, fails with one ``path:line``
+    diagnostic."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise CorpusError(f"{path}: empty corpus file")
+
+    def no_constant(name: str):   # NaN, Infinity or -Infinity
+        raise ValueError(f"non-finite number {name} is not allowed")
+
+    decode = json.JSONDecoder(parse_constant=no_constant).decode
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = decode(lines[0])
+    except ValueError as exc:
         raise CorpusError(f"{path}:1: header parse failure: {exc}") from exc
     for key in ("label_names", "dims", "task_mode"):
-        if key not in header:
+        if not isinstance(header, dict) or key not in header:
             raise CorpusError(f"{path}:1: header missing '{key}'")
-    label_names = list(header["label_names"])
-    dims = {k: int(header["dims"].get(k, 0)) for k in MODALITIES}
+    label_names, dims = header["label_names"], header["dims"]
+    if not isinstance(label_names, list) or not all(isinstance(n, str) for n in label_names):
+        raise CorpusError(f"{path}:1: label_names must be a list of strings")
+    dims = {k: dims.get(k, 0) for k in MODALITIES} if isinstance(dims, dict) else None
+    if dims is None or any(type(v) is not int or v < 0 for v in dims.values()):
+        raise CorpusError(f"{path}:1: dims must map 'a', 't' and 'v' to widths >= 0")
     task_mode = header["task_mode"]
-    if task_mode not in ("single", "multi"):
+    if task_mode not in TASK_MODES:
         raise CorpusError(f"{path}:1: task_mode must be 'single' or 'multi'")
     if all(v == 0 for v in dims.values()):
         raise CorpusError(f"{path}:1: at least one modality dimension must be positive")
@@ -171,13 +187,15 @@ def load_corpus(path) -> Corpus:
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+            rec = decode(line)
+        except ValueError as exc:
             raise CorpusError(f"{path}:{lineno}: parse failure: {exc}") from exc
         where = f"{path}:{lineno}"
+        if not isinstance(rec, dict):
+            raise CorpusError(f"{where}: a dialogue must be a JSON object")
         did = rec.get("dialogue_id")
-        if not did:
-            raise CorpusError(f"{where}: missing dialogue_id")
+        if not did or not isinstance(did, str):
+            raise CorpusError(f"{where}: missing or non-string dialogue_id")
         if did in first_line:
             raise CorpusError(f"{where}: duplicate dialogue_id '{did}' "
                               f"(first at line {first_line[did]})")
@@ -188,12 +206,14 @@ def load_corpus(path) -> Corpus:
         split = rec.get("split")
         if split not in SPLITS:
             raise CorpusError(f"{where}: dialogue '{did}' has invalid split {split!r}")
-        raw_utts = rec.get("utterances") or []
-        if not raw_utts:
-            raise CorpusError(f"{where}: dialogue '{did}' has no utterances")
+        raw_utts = rec.get("utterances")
+        if not raw_utts or not isinstance(raw_utts, list):
+            raise CorpusError(f"{where}: dialogue '{did}' needs a non-empty list of utterances")
         utterances = []
         for idx, u in enumerate(raw_utts):
             spot = f"{where}: dialogue '{did}' utterance {idx}"
+            if not isinstance(u, dict):
+                raise CorpusError(f"{spot}: an utterance must be a JSON object")
             speaker = u.get("speaker")
             if not isinstance(speaker, int) or not 0 <= speaker < num_speakers:
                 raise CorpusError(f"{spot}: speaker index {speaker!r} not in [0, {num_speakers})")
@@ -247,7 +267,7 @@ class SynthSpec:
     num_speakers: int = 2
     num_classes: int = 4
     dims: dict[str, int] = field(default_factory=lambda: {"a": 8, "t": 16, "v": 8})
-    dependency: str = "none"  # "none" | "neighbor"
+    dependency: str = "none"  # one of DEPENDENCIES
     seed: int = 0
     center_scale: float = 2.0
     noise: float = 0.25
@@ -265,7 +285,7 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
     """
     if spec.num_dialogues < 1 or spec.utterances_per_dialogue < 1:
         raise ValueError("synthetic corpus sizes must be positive")
-    if spec.dependency not in ("none", "neighbor"):
+    if spec.dependency not in DEPENDENCIES:
         raise ValueError(f"unknown dependency mode '{spec.dependency}'")
     rng = np.random.default_rng(spec.seed)
     active_dims = {k: int(spec.dims.get(k, 0)) for k in MODALITIES}

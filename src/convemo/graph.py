@@ -42,6 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Corpus, Dialogue
+from .metrics import SHIFT_LEVELS
 
 PAST = 0
 FUTURE = 1
@@ -234,7 +235,7 @@ def transition_stats(corpus: Corpus, level: str = "utterance") -> tuple[np.ndarr
     """
     if corpus.task_mode != "single":
         raise ValueError("transition statistics need a single-label corpus")
-    if level not in ("utterance", "speaker"):
+    if level not in SHIFT_LEVELS:
         raise ValueError(f"level must be 'utterance' or 'speaker', got '{level}'")
     c = corpus.num_classes
     counts = np.zeros((c, c), dtype=np.int64)

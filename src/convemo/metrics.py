@@ -20,6 +20,8 @@ import numpy as np
 
 from .dataset import Corpus, Dialogue
 
+SHIFT_LEVELS = ("utterance", "speaker")   # the previous label: any speaker's, or the same one's
+
 
 def confusion_matrix(gold, pred, num_classes: int) -> np.ndarray:
     gold = np.asarray(gold, dtype=np.int64)
@@ -86,7 +88,7 @@ def shift_split(corpus_or_dialogues, preds: Sequence[Sequence[int]],
     ``preds`` is one prediction sequence per dialogue, aligned with the
     dialogue order of the corpus.
     """
-    if level not in ("utterance", "speaker"):
+    if level not in SHIFT_LEVELS:
         raise ValueError(f"level must be 'utterance' or 'speaker', got '{level}'")
     dialogues = _dialogues_of(corpus_or_dialogues)
     if len(dialogues) != len(preds):

@@ -33,14 +33,6 @@ class ModelDims:
     num_speakers: int
     task_mode: str = "single"
 
-    def to_dict(self) -> dict:
-        return {"width": self.width, "num_classes": self.num_classes,
-                "num_speakers": self.num_speakers, "task_mode": self.task_mode}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelDims":
-        return cls(**d)
-
     @classmethod
     def for_corpus(cls, corpus: Corpus, config: TrainConfig) -> "ModelDims":
         width = fused_dim(corpus.dims, config.active_modalities)
@@ -94,30 +86,6 @@ class ModelParams:
 
     def zero_grads(self) -> None:
         self.arena.zero_grad()
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Name -> view of one flat copy of the parameters."""
-        return dict(zip(self.named(), self.arena.views(self.arena.data.copy())))
-
-    def check_names(self, names) -> dict[str, Tensor]:
-        """``named()``, once ``names`` are checked to be exactly its keys."""
-        named = self.named()
-        missing = set(named) - set(names)
-        extra = set(names) - set(named)
-        if missing or extra:
-            raise ValueError(f"parameter name mismatch: missing {sorted(missing)}, "
-                             f"unexpected {sorted(extra)}")
-        return named
-
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        """Copy ``snapshot`` into the model's own arrays, which later in-place
-        updates then never share with the caller."""
-        named = self.check_names(snapshot)
-        for name, t in named.items():
-            arr = np.asarray(snapshot[name], dtype=np.float64)
-            if arr.shape != t.shape:
-                raise ValueError(f"parameter '{name}': shape {arr.shape} != {t.shape}")
-            np.copyto(t.data, arr)
 
 
 @dataclass

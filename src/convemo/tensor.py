@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-PARAMS_VERSION = 2
+PARAMS_VERSION = 3
 _HEADER = "__header__"
 
 
@@ -101,10 +101,6 @@ class Parameter(Tensor):
         if data is not None:
             data = np.ascontiguousarray(data, dtype=np.float64)
             Arena([self], [data.shape], data.reshape(-1))
-
-    def release_grad(self) -> None:
-        """Drop the gradients of every parameter in the arena and free its buffers."""
-        self.arena.release_grad()
 
     def _accumulate(self, g) -> None:
         """Add one adjoint into the buffer: ``g`` is an array, or a deferred
@@ -676,76 +672,27 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
-def save_params(path, params: Mapping[str, Tensor | np.ndarray],
+def save_params(path, members: Mapping[str, Sequence[np.ndarray]],
                 fmt: str, header: dict | None = None) -> None:
-    """Write named arrays as one version-2 container: an uncompressed zip
-    (``np.savez``) of one float64 ``.npy`` member per name plus a JSON header
-    member carrying ``fmt``, the version and ``header``. Members are streamed
-    in chunks, and zip members carry a fixed timestamp, so identical inputs
-    give identical bytes. The file is written atomically at exactly ``path``."""
+    """Write named members as one version-3 container: an uncompressed zip of
+    one 1-D float64 ``.npy`` member per name plus a JSON header member carrying
+    ``fmt``, the version and ``header``. A member holds its arrays' elements end
+    to end, written from each array in turn, so nothing is joined in memory.
+    Zip members carry a fixed timestamp, so identical inputs give identical
+    bytes. The file is written atomically at exactly ``path``."""
     meta = json.dumps({**(header or {}), "format": fmt, "version": PARAMS_VERSION},
                       sort_keys=True)
-    members = {_HEADER: np.frombuffer(meta.encode(), dtype=np.uint8)}
-    for name, value in params.items():
-        members[name] = np.ascontiguousarray(value.data if isinstance(value, Tensor) else value,
-                                             dtype=np.float64)
-    with atomic_open(path, "wb") as fh:
-        np.savez(fh, allow_pickle=False, **members)
-
-
-class _Members(Mapping):
-    """Name -> float64 array view of an open container; each lookup reads one
-    member, so a caller can hold one array at a time."""
-
-    def __init__(self, npz, fh, path, fmt: str):
-        self._npz, self._fh, self._path, self._fmt = npz, fh, path, fmt
-
-    def __iter__(self):
-        return (name for name in self._npz.files if name != _HEADER)
-
-    def __len__(self) -> int:
-        return len(self._npz.files) - 1
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        try:
-            arr = self._npz[name]
-        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
-            raise _damaged(self._path, self._fmt, exc) from None
-        if arr.dtype != np.float64:
-            raise _damaged(self._path, self._fmt, f"member '{name}' is {arr.dtype}, not float64")
-        return arr
-
-    def read_into(self, name: str, out: np.ndarray) -> None:
-        """Read member ``name`` from the file straight into ``out``, a
-        C-contiguous float64 array of the member's shape, with no copy in
-        between, then check the member's CRC over what was read."""
-        try:
-            info = self._npz.zip.getinfo(f"{name}.npy")
-            fh = self._fh
-            fh.seek(info.header_offset)
-            # the local file header: 30 bytes, with the lengths of the name and
-            # extra fields that follow it at bytes 26 and 28; then the data
-            local = fh.read(30)
-            if info.compress_type != zipfile.ZIP_STORED or local[:4] != b"PK\x03\x04":
-                raise ValueError(f"member '{name}' is not stored uncompressed")
-            start = fh.seek(info.header_offset + 30 + int.from_bytes(local[26:28], "little")
-                            + int.from_bytes(local[28:30], "little"))
-            version = np.lib.format.read_magic(fh)
-            read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                           else np.lib.format.read_array_header_2_0)
-            shape, fortran_order, dtype = read_header(fh)
-            head = fh.tell() - start
-            if dtype != np.float64 or fortran_order or shape != out.shape:
-                raise ValueError(f"member '{name}' is not a C-ordered float64 array of "
-                                 f"shape {out.shape}")
-            data = memoryview(out).cast("B")
-            if fh.readinto(data) != out.nbytes:
-                raise EOFError(f"member '{name}' ends early")
-            fh.seek(start)
-            if zlib.crc32(data, zlib.crc32(fh.read(head))) != info.CRC:
-                raise zipfile.BadZipFile(f"bad CRC-32 for member '{name}'")
-        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
-            raise _damaged(self._path, self._fmt, exc) from None
+    members = {_HEADER: [np.frombuffer(meta.encode(), dtype=np.uint8)], **members}
+    with atomic_open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+        for name, arrays in members.items():
+            dtype = np.dtype(np.uint8 if name == _HEADER else np.float64)
+            arrays = [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as out:
+                np.lib.format.write_array_header_1_0(out, {
+                    "descr": dtype.str, "fortran_order": False,
+                    "shape": (sum(a.size for a in arrays),)})
+                for a in arrays:
+                    out.write(a.data)
 
 
 def _damaged(path, fmt: str, why) -> ValueError:
@@ -754,21 +701,52 @@ def _damaged(path, fmt: str, why) -> ValueError:
 
 @contextmanager
 def open_params(path, fmt: str):
-    """Open a container written by ``save_params``; yields its header dict and a
-    lazy name -> array ``Mapping``. Never unpickles. A file that is not a zip,
-    or is damaged, raises a one-line ``ValueError`` naming ``path``."""
+    """Open a container written by ``save_params``; yields its header dict and
+    ``read_into(name, out)``, which reads member ``name`` from the file straight
+    into ``out``, a C-contiguous float64 array of the member's shape, with no
+    copy in between, then checks the member's CRC over what was read. Never
+    unpickles. A file that is not a zip, or is damaged, raises a one-line
+    ``ValueError`` naming ``path``."""
     with open(path, "rb") as fh:
         if fh.read(2) != b"PK":
             raise ValueError(f"not a {fmt} file: {path}")
-        fh.seek(0)
         try:
-            npz = np.load(fh, allow_pickle=False)
-            header = json.loads(npz[_HEADER].tobytes())
+            zf = zipfile.ZipFile(fh)
+            with zf.open(f"{_HEADER}.npy") as member:
+                header = json.loads(np.lib.format.read_array(member, allow_pickle=False).tobytes())
         except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
             raise _damaged(path, fmt, exc) from None
         if not isinstance(header, dict) or header.get("format") != fmt:
             raise ValueError(f"not a {fmt} file: {path}")
         if header.get("version") != PARAMS_VERSION:
             raise ValueError(f"unsupported {fmt} version {header.get('version')} in {path}")
-        yield header, _Members(npz, fh, path, fmt)
 
+        def read_into(name: str, out: np.ndarray) -> None:
+            try:
+                info = zf.getinfo(f"{name}.npy")
+                fh.seek(info.header_offset)
+                # the local file header: 30 bytes, with the lengths of the name
+                # and extra fields that follow it at bytes 26 and 28; then the data
+                local = fh.read(30)
+                if info.compress_type != zipfile.ZIP_STORED or local[:4] != b"PK\x03\x04":
+                    raise ValueError(f"member '{name}' is not stored uncompressed")
+                start = fh.seek(info.header_offset + 30 + int.from_bytes(local[26:28], "little")
+                                + int.from_bytes(local[28:30], "little"))
+                version = np.lib.format.read_magic(fh)
+                read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                               else np.lib.format.read_array_header_2_0)
+                shape, fortran_order, dtype = read_header(fh)
+                head = fh.tell() - start
+                if dtype != np.float64 or fortran_order or shape != out.shape:
+                    raise ValueError(f"member '{name}' is not a C-ordered float64 array of "
+                                     f"shape {out.shape}")
+                data = memoryview(out).cast("B")
+                if fh.readinto(data) != out.nbytes:
+                    raise EOFError(f"member '{name}' ends early")
+                fh.seek(start)
+                if zlib.crc32(data, zlib.crc32(fh.read(head))) != info.CRC:
+                    raise zipfile.BadZipFile(f"bad CRC-32 for member '{name}'")
+            except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+                raise _damaged(path, fmt, exc) from None
+
+        yield header, read_into

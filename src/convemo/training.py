@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import bisect
 import contextvars
+import itertools
+import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import classifier as clf
 from . import metrics
 from .config import ConfigError, TrainConfig
-from .dataset import Corpus, Dialogue
+from .dataset import TASK_MODES, Corpus, Dialogue
 from .model import (
     ForwardResult,
     ModelDims,
@@ -70,9 +72,8 @@ class Adam:
     process may use: the calling thread updates the first, short-lived helper
     threads the rest, each through scratch of its own, and the result is the
     same to the bit. A training loop releases the gradient arena between
-    epochs (``Parameter.release_grad``); the next backward allocates it again.
-    The optimizer owns the moments (``load_state`` copies into them); the
-    parameter arena belongs to the model.
+    epochs (``Arena.release_grad``); the next backward allocates it again.
+    The optimizer owns the moments; the parameter arena belongs to the model.
     """
 
     def __init__(self, params: dict[str, Parameter], lr: float,
@@ -183,13 +184,6 @@ class Adam:
                 "m": dict(zip(self.params, self.arena.views(self._m.copy()))),
                 "v": dict(zip(self.params, self.arena.views(self._v.copy())))}
 
-    def load_state(self, state: dict) -> None:
-        """Copy ``state``, name -> array dicts of any origin, into the moments."""
-        self.step_count = int(state["step_count"])
-        for key, own in (("m", self.m), ("v", self.v)):
-            for k, arr in own.items():
-                np.copyto(arr, np.asarray(state[key][k], dtype=np.float64).reshape(arr.shape))
-
 
 @dataclass
 class EpochStats:
@@ -219,7 +213,8 @@ def predict_dialogue(dialogue: Dialogue, model: ModelParams,
     return forward_dialogue(dialogue, model, config, training=False).preds
 
 
-STACK_BLOCK = 1 << 18   # float64 elements in a stacked forward's largest block: 2 MB
+STACK_BLOCK = 1 << 18   # float64 elements in a stacked forward's largest block: 2 MB.
+# It bounds that block only: blocks of like size are alive together, so the peak is ~3x it.
 
 
 def copies_per_forward(n: int, model: ModelParams) -> int:
@@ -292,11 +287,9 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
                      config.beta1, config.beta2, config.adam_eps)
 
     history: list[EpochStats] = []
-    # Weighted F1 is >= 0, so epoch 0 always sets the best snapshot.
-    best_wf1 = -1.0
-    best_epoch = -1
-    best_snapshot: dict[str, np.ndarray] = {}
-    best_opt_state: dict = {}
+    # The best epoch's parameters and Adam moments are kept as flat copies.
+    # Weighted F1 is >= 0, so epoch 0 always sets them.
+    best_wf1, best_epoch, best_params, best_opt_state = -1.0, -1, None, None
 
     def step(epoch: int) -> None:
         try:
@@ -335,17 +328,15 @@ def train(corpus: Corpus, config: TrainConfig) -> TrainResult:
         valid_wf1 = _validation_score(valid_dialogues, model, config)
         history.append(EpochStats(epoch, float(np.mean(losses)), valid_wf1))
         if valid_wf1 > best_wf1:
-            best_wf1 = valid_wf1
-            best_epoch = epoch
+            best_wf1, best_epoch = valid_wf1, epoch
             # free the previous best's three copies before taking new ones
-            best_snapshot.clear()
-            best_opt_state.clear()
-            best_snapshot = model.snapshot()
+            best_params = best_opt_state = None
+            best_params = model.arena.data.copy()
             best_opt_state = optimizer.state_dict()
         elif epoch - best_epoch > config.patience:
             break
 
-    model.restore(best_snapshot)
+    np.copyto(model.arena.data, best_params)
     return TrainResult(model, history, best_epoch, best_wf1,
                        best_opt_state, list(corpus.label_names))
 
@@ -421,22 +412,23 @@ def save_checkpoint(path, model: ModelParams, config: TrainConfig,
                     optimizer_state: dict, epoch: int, valid_wf1: float,
                     label_names: list[str], corpus_fingerprint: str = "") -> None:
     """Write the model, its Adam moments and run metadata as one container
-    (``tensor.save_params``): members ``param/<name>``, ``m/<name>`` and
-    ``v/<name>``, in the model's parameter order."""
+    (``tensor.save_params``) of three members laid out like ``model.arena``,
+    ``param``, ``m`` and ``v``, each written end to end from the per-name
+    arrays; the header's ``params`` lists each name and shape in that order."""
+    named = model.named()
     header = {
         "config": config.to_dict(),
-        "dims": model.dims.to_dict(),
+        "dims": asdict(model.dims),
         "label_names": label_names,
         "epoch": epoch,
         "valid_weighted_f1": valid_wf1,
         "corpus_fingerprint": corpus_fingerprint,
         "step_count": optimizer_state["step_count"],
+        "params": [[name, list(t.shape)] for name, t in named.items()],
     }
-    named = model.named()
-    arrays = {f"param/{name}": t for name, t in named.items()}
-    for key in ("m", "v"):
-        arrays.update((f"{key}/{name}", optimizer_state[key][name]) for name in named)
-    save_params(path, arrays, CHECKPOINT_FORMAT, header)
+    save_params(path, {"param": [t.data for t in named.values()],
+                       **{k: [optimizer_state[k][name] for name in named] for k in ("m", "v")}},
+                CHECKPOINT_FORMAT, header)
 
 
 @dataclass
@@ -466,20 +458,53 @@ class Checkpoint:
             raise ConfigError("checkpoint does not fit the corpus: " + "; ".join(problems))
 
 
+def _check_header(path, header: dict) -> None:
+    """Raise a one-line ``ValueError`` naming ``path`` and the key unless a
+    checkpoint header holds every key ``load_checkpoint`` reads, each of its type."""
+    get, dims, names = header.get, header.get("dims"), header.get("label_names")
+    valid = {
+        "config": type(get("config")) is dict,
+        "dims": (type(dims) is dict and dims.keys() == ModelDims.__dataclass_fields__.keys()
+                 and all(type(dims[k]) is int and dims[k] > 0
+                         for k in ("width", "num_classes", "num_speakers"))
+                 and dims["task_mode"] in TASK_MODES),
+        "label_names": type(names) is list and all(type(s) is str for s in names),
+        "epoch": type(get("epoch")) is int,
+        "valid_weighted_f1": type(get("valid_weighted_f1")) in (int, float),
+        "step_count": type(get("step_count")) is int,
+        "params": type(get("params")) is list,   # its entries are matched by load_checkpoint
+    }
+    bad = [key for key, ok in valid.items() if not ok]
+    if bad:
+        raise ValueError(f"malformed {CHECKPOINT_FORMAT} file {path}: header key '{bad[0]}' "
+                         "is missing or of the wrong type")
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by ``save_checkpoint``. Each parameter and
-    moment array is read from the file in place: three parameter-sized copies."""
-    with open_params(path, CHECKPOINT_FORMAT) as (header, members):
-        config = TrainConfig.from_dict(header["config"])
-        model = ModelParams.init(config, ModelDims.from_dict(header["dims"]), None)
-        named = model.check_names([name.removeprefix("param/")
-                                   for name in members if name.startswith("param/")])
-        for name, t in named.items():
-            members.read_into(f"param/{name}", t.data)
-        state: dict = {"step_count": int(header["step_count"])}
+    """Read a checkpoint written by ``save_checkpoint``, once its header is
+    checked and its parameter layout matched with the model its config builds:
+    the parameters straight into the model's arena and each moment into one
+    flat array, so three arena-sized arrays in all, each CRC-checked."""
+    with open_params(path, CHECKPOINT_FORMAT) as (header, read_into):
+        _check_header(path, header)
+        try:
+            config = TrainConfig.from_dict(header["config"])
+        except ConfigError as exc:
+            raise ValueError(f"malformed {CHECKPOINT_FORMAT} file {path}: header key 'config': "
+                             f"{exc}") from None
+        model = ModelParams.init(config, ModelDims(**header["dims"]), None)
+        named = model.named()
+        layout = [[name, list(t.shape)] for name, t in named.items()]
+        for i, pair in enumerate(itertools.zip_longest(header["params"], layout)):
+            if pair[0] != pair[1]:
+                theirs, ours = ("nothing" if e is None else json.dumps(e) for e in pair)
+                raise ValueError(f"checkpoint {path} does not fit the model of its config: "
+                                 f"parameter {i} is {theirs} in the file, {ours} in the model")
+        read_into("param", model.arena.data)
+        state: dict = {"step_count": header["step_count"]}
         for key in ("m", "v"):
-            state[key] = dict(zip(named, model.arena.views(np.empty_like(model.arena.data))))
-            for name, arr in state[key].items():
-                members.read_into(f"{key}/{name}", arr)
-    return Checkpoint(model, config, int(header["epoch"]), float(header["valid_weighted_f1"]),
-                      list(header["label_names"]), header.get("corpus_fingerprint", ""), state)
+            flat = np.empty_like(model.arena.data)
+            read_into(key, flat)
+            state[key] = dict(zip(named, model.arena.views(flat)))
+    return Checkpoint(model, config, header["epoch"], float(header["valid_weighted_f1"]),
+                      header["label_names"], header.get("corpus_fingerprint", ""), state)

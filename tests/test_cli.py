@@ -309,3 +309,17 @@ def test_numerical_abort_exit_code(tmp_path, capsys):
                      "--lr", "1e100", "--epochs", "2", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "numerical abort" in capsys.readouterr().err
+
+
+def test_train_refuses_a_non_finite_feature_at_load(tmp_path, capsys):
+    lines = Path(TINY).read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["utterances"][0]["audio"][0] = float("nan")
+    lines[1] = json.dumps(rec)
+    corpus = tmp_path / "nan.jsonl"
+    corpus.write_text("\n".join(lines) + "\n")
+    code = main(["train", "--corpus", str(corpus), "--config", _fast_config_file(tmp_path),
+                 "--out", str(tmp_path / "o"), *FAST_ARGS])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {corpus}:2: parse failure: non-finite number NaN is not allowed\n"

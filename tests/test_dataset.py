@@ -173,6 +173,54 @@ def test_load_parse_failure_has_line_number(tmp_path):
         load_corpus(path)
 
 
+def _set(path, keys, value):
+    """Rewrite line ``keys[0]`` of the JSONL file at ``path`` with the value at
+    the nested ``keys[1:]`` set to ``value``, or, with only a line, replaced."""
+    import json
+
+    lines = path.read_text().splitlines()
+    if len(keys) == 1:
+        lines[keys[0]] = json.dumps(value)
+    else:
+        rec = json.loads(lines[keys[0]])
+        node = rec
+        for k in keys[1:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+        lines[keys[0]] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("keys, value, line, message", [
+    ((1, "utterances", 0, "text", 1), float("nan"), 2, "parse failure: non-finite number NaN"),
+    ((2, "utterances", 1, "audio", 0), float("inf"), 3, "parse failure: non-finite number Infinity"),
+    ((1, "utterances", 2, "text", 0), -float("inf"), 2,
+     "parse failure: non-finite number -Infinity"),
+    ((0, "dims", "a"), float("nan"), 1, "header parse failure: non-finite number NaN"),
+    ((0, "dims"), [2, 3, 0], 1, "dims must map 'a', 't' and 'v' to widths >= 0"),
+    ((0, "dims", "t"), "3", 1, "dims must map 'a', 't' and 'v' to widths >= 0"),
+    ((0, "label_names"), "ab", 1, "label_names must be a list of strings"),
+    ((0,), ["neutral", "angry"], 1, "header missing 'label_names'"),
+    ((1,), [{"dialogue_id": "dlg-a"}], 2, "a dialogue must be a JSON object"),
+    ((1, "dialogue_id"), 7, 2, "missing or non-string dialogue_id"),
+    ((2, "utterances"), {"speaker": 0}, 3, "dialogue 'dlg-b' needs a non-empty list of utterances"),
+    ((1, "utterances", 1), "hello", 2, "dialogue 'dlg-a' utterance 1: an utterance must be a JSON object"),
+    ((1, "utterances", 0, "text", 2), "x", 2,
+     "dialogue 'dlg-a' utterance 0: modality 't' must be a list of numbers"),
+    ((2, "utterances", 0, "audio"), {"x": 1}, 3,
+     "dialogue 'dlg-b' utterance 0: modality 'a' must be a list of numbers"),
+])
+def test_malformed_corpus_is_refused_at_load_naming_the_line(tmp_path, keys, value, line,
+                                                            message):
+    path = tmp_path / "bad.jsonl"
+    save_corpus(path, _tiny_corpus())
+    _set(path, keys, value)
+    with pytest.raises(CorpusError) as info:
+        load_corpus(path)
+    assert str(info.value).startswith(f"{path}:{line}: {message}")
+    assert "\n" not in str(info.value)
+
+
 def test_synth_determinism():
     spec = SynthSpec(num_dialogues=6, utterances_per_dialogue=5, seed=13)
     c1 = synth_corpus(spec)

@@ -288,7 +288,7 @@ def test_owned_grad_is_one_buffer_across_steps():
         np.testing.assert_array_equal(w.grad, want)
         buffers.append(w.grad)
     assert buffers[0] is buffers[1] is buffers[2]
-    w.release_grad()
+    w.arena.release_grad()
     assert w.grad is None
 
 
@@ -528,21 +528,24 @@ def test_grad_dropout_fixed_mask():
 
 def test_params_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
-    params = {
-        "layer.w": parameter(rng.standard_normal((3, 4))),
-        "layer.b": parameter(rng.standard_normal(4)),
-    }
+    w, b = rng.standard_normal((3, 4)), rng.standard_normal(4)
     path = tmp_path / "params.npz"
-    T.save_params(path, params, "convemo-params", {"note": "x"})
+    T.save_params(path, {"layer.b": [b], "flat": [w, b[:0], b]}, "convemo-params", {"note": "x"})
     assert path.read_bytes()[:2] == b"PK"
-    with T.open_params(path, "convemo-params") as (header, members):
-        assert header == {"format": "convemo-params", "version": 2, "note": "x"}
-        loaded = dict(members)
-    assert list(loaded) == list(params)
-    for name, t in params.items():
-        np.testing.assert_array_equal(loaded[name], t.data)
-    # saving what was loaded gives the same bytes
-    T.save_params(tmp_path / "again.npz", loaded, "convemo-params", {"note": "x"})
+    with T.open_params(path, "convemo-params") as (header, read_into):
+        assert header == {"format": "convemo-params", "version": 3, "note": "x"}
+        loaded = {"layer.b": np.empty(4), "flat": np.empty(16)}
+        for name, out in loaded.items():
+            read_into(name, out)
+    # a member is one 1-D array, its arrays' elements end to end
+    np.testing.assert_array_equal(loaded["layer.b"], b)
+    np.testing.assert_array_equal(loaded["flat"], np.concatenate([w.ravel(), b]))
+    # members are plain .npy files, and saving what was loaded gives the same bytes
+    with np.load(path) as npz:
+        assert npz.files == ["__header__", "layer.b", "flat"]
+        np.testing.assert_array_equal(npz["flat"], loaded["flat"])
+    T.save_params(tmp_path / "again.npz", {k: [v] for k, v in loaded.items()},
+                  "convemo-params", {"note": "x"})
     assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["again.npz", "params.npz"]
 
@@ -551,20 +554,26 @@ def test_params_damaged_or_pickled_rejected(tmp_path):
     import json
 
     path = tmp_path / "p.npz"
-    T.save_params(path, {"w": np.arange(6.0).reshape(2, 3)}, "convemo-params")
+    T.save_params(path, {"w": [np.arange(6.0)]}, "convemo-params")
     data = path.read_bytes()
     path.write_bytes(data[:-10])
     with pytest.raises(ValueError, match="corrupt or truncated convemo-params file") as info:
-        with T.open_params(path, "convemo-params") as (_, members):
-            dict(members)
+        with T.open_params(path, "convemo-params") as (_, read_into):
+            read_into("w", np.empty(6))
     assert str(path) in str(info.value) and "\n" not in str(info.value)
-    header = json.dumps({"format": "convemo-params", "version": 2}).encode()
+    # a pickled header is never unpickled, and a pickled member never read
+    with open(path, "wb") as fh:
+        np.savez(fh, __header__=np.array([{"a": 1}], dtype=object))
+    with pytest.raises(ValueError, match="allow_pickle=False"):
+        with T.open_params(path, "convemo-params"):
+            pass
+    header = json.dumps({"format": "convemo-params", "version": T.PARAMS_VERSION}).encode()
     with open(path, "wb") as fh:
         np.savez(fh, __header__=np.frombuffer(header, dtype=np.uint8),
                  w=np.array([{"a": 1}], dtype=object))
-    with pytest.raises(ValueError, match="allow_pickle=False"):
-        with T.open_params(path, "convemo-params") as (_, members):
-            dict(members)
+    with pytest.raises(ValueError, match="member 'w' is not a C-ordered float64 array"):
+        with T.open_params(path, "convemo-params") as (_, read_into):
+            read_into("w", np.empty(1))
 
 
 def test_atomic_open_keeps_old_file_on_failure(tmp_path):

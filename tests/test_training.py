@@ -442,22 +442,6 @@ def test_train_aborts_on_non_finite_gradient(monkeypatch, bad):
         train(_none_corpus(n=6, utts=4), _fast_config(epochs=2))
 
 
-def test_adam_load_state_copies():
-    rng = np.random.default_rng(3)
-    params = {"w": T.parameter(rng.standard_normal((4, 5)))}
-    opt = Adam(params, lr=1e-2)
-    state = {"step_count": 2, "m": {"w": rng.standard_normal((4, 5))},
-             "v": {"w": rng.random((4, 5))}}
-    kept = {k: state[k]["w"].copy() for k in ("m", "v")}
-    opt.load_state(state)
-    np.testing.assert_array_equal(opt.m["w"], kept["m"])
-    params["w"].grad = rng.standard_normal((4, 5))
-    opt.step()
-    assert not np.array_equal(opt.m["w"], kept["m"])
-    for k in ("m", "v"):
-        np.testing.assert_array_equal(state[k]["w"], kept[k])
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=-1.0).validate()
@@ -521,10 +505,8 @@ def test_train_determinism_same_seed():
     r1 = train(corpus, cfg)
     r2 = train(corpus, cfg)
     assert r1.history_csv() == r2.history_csv()
-    s1, s2 = r1.model.snapshot(), r2.model.snapshot()
-    assert set(s1) == set(s2)
-    for k in s1:
-        np.testing.assert_array_equal(s1[k], s2[k])
+    assert list(r1.model.named()) == list(r2.model.named())
+    np.testing.assert_array_equal(r1.model.arena.data, r2.model.arena.data)
 
 
 def test_train_is_deterministic_with_a_warm_graph_memo(tmp_path):
@@ -766,6 +748,137 @@ def test_checkpoint_header_rejected(tmp_path):
         with pytest.raises(ValueError, match="not a convemo-checkpoint") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value) and "\n" not in str(info.value)
+
+
+def _saved_checkpoint(tmp_path):
+    """A model after one driven step, its optimizer, and its checkpoint's path."""
+    cfg = _fast_config()
+    corpus = _none_corpus(n=2, utts=4)
+    model = ModelParams.init(cfg, ModelDims.for_corpus(corpus, cfg), np.random.default_rng(0))
+    opt = Adam(model.named(), cfg.learning_rate)
+    _driven_step(model, cfg, corpus.dialogues[0], opt, np.random.default_rng(1))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, model, cfg, opt.state_dict(), 0, 0.5, ["a", "b", "c"])
+    return model, opt, path
+
+
+def _resave_with_header(path, model, state, edit):
+    """Rewrite the checkpoint at ``path`` with ``edit`` applied to its header."""
+    with T.open_params(path, training.CHECKPOINT_FORMAT) as (header, _):
+        pass
+    edit(header)
+    named = model.named()
+    T.save_params(path, {"param": [t.data for t in named.values()],
+                         "m": [state["m"][k] for k in named], "v": [state["v"][k] for k in named]},
+                  training.CHECKPOINT_FORMAT, header)
+
+
+def test_checkpoint_is_three_arena_members_and_a_layout_header(tmp_path):
+    import zipfile
+
+    model, opt, path = _saved_checkpoint(tmp_path)
+    with zipfile.ZipFile(path) as zf:
+        assert zf.namelist() == ["__header__.npy", "param.npy", "m.npy", "v.npy"]
+    with np.load(path) as npz:
+        for key, flat in (("param", model.arena.data), ("m", opt._m), ("v", opt._v)):
+            assert npz[key].dtype == np.float64
+            assert npz[key].tobytes() == flat.tobytes()
+    with T.open_params(path, training.CHECKPOINT_FORMAT) as (header, _):
+        assert header["params"] == [[k, list(t.shape)] for k, t in model.named().items()]
+        assert header["step_count"] == 1
+
+
+def test_version_2_checkpoint_is_refused_in_one_line(tmp_path):
+    import json
+
+    path = tmp_path / "old.json"
+    header = json.dumps({"format": "convemo-checkpoint", "version": 2}).encode()
+    with open(path, "wb") as fh:
+        np.savez(fh, __header__=np.frombuffer(header, dtype=np.uint8),
+                 **{"param/classifier.w1": np.zeros((2, 2))})
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"unsupported convemo-checkpoint version 2 in {path}"
+
+
+@pytest.mark.parametrize("edit, names", [
+    (lambda h: h["params"][-1].__setitem__(0, "classifier.w9"), "classifier.w9"),
+    (lambda h: h["params"][3].__setitem__(1, [1, 1]), "[1, 1]"),
+    (lambda h: h["params"].pop(), "nothing"),
+    (lambda h: h["params"].append(["extra", [2]]), "extra"),
+])
+def test_checkpoint_whose_layout_differs_from_its_model_is_refused(tmp_path, edit, names):
+    model, opt, path = _saved_checkpoint(tmp_path)
+    _resave_with_header(path, model, opt.state_dict(), edit)
+    with pytest.raises(ValueError, match="does not fit the model of its config") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and names in str(info.value)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dims", None), ("step_count", None), ("config", None), ("params", None),
+    ("dims", {"width": 14, "num_classes": 3, "num_speakers": 2, "task_mode": "single",
+              "extra": 1}),
+    ("dims", {"width": 14, "num_classes": 3, "num_speakers": 2}),
+    ("dims", {"width": "14", "num_classes": 3, "num_speakers": 2, "task_mode": "single"}),
+    ("dims", {"width": 14, "num_classes": 3, "num_speakers": 2, "task_mode": "both"}),
+    ("dims", [6, 3, 2]), ("config", []), ("label_names", "abc"), ("label_names", [1, 2, 3]),
+    ("epoch", 1.5), ("valid_weighted_f1", "0.5"), ("step_count", True), ("params", {}),
+])
+def test_malformed_checkpoint_header_is_refused_naming_the_key(tmp_path, key, value):
+    model, opt, path = _saved_checkpoint(tmp_path)
+
+    def edit(header):
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+
+    _resave_with_header(path, model, opt.state_dict(), edit)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (f"malformed convemo-checkpoint file {path}: header key "
+                               f"'{key}' is missing or of the wrong type")
+
+
+@pytest.mark.parametrize("config, why", [({"bogus": 1}, "unknown config keys: ['bogus']"),
+                                         ({"dropout": "x"}, "dropout must be a finite number")])
+def test_checkpoint_with_a_bad_config_is_refused_naming_the_file(tmp_path, config, why):
+    model, opt, path = _saved_checkpoint(tmp_path)
+    _resave_with_header(path, model, opt.state_dict(), lambda h: h["config"].update(config))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"malformed convemo-checkpoint file {path}: header key "
+                                      f"'config': {why}")
+    assert "\n" not in str(info.value)
+
+
+def test_checkpoint_save_and_load_hold_no_parameter_sized_temporary(tmp_path):
+    # save writes each member from the per-name arrays; load reads into the
+    # new model's arena and two flat moments, so three arena-sized arrays
+    cfg = TrainConfig(seed=0).validate()
+    model = ModelParams.init(cfg, ModelDims(width=96, num_speakers=2, num_classes=3),
+                             np.random.default_rng(0))
+    opt = Adam(model.named(), cfg.learning_rate)
+    rng = np.random.default_rng(1)
+    opt._m[:], opt._v[:] = rng.standard_normal(opt._m.size), rng.random(opt._v.size)
+    state, arena = opt.state_dict(), model.arena.data.nbytes
+    assert arena >= 4 << 20
+    path = tmp_path / "ckpt.json"
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, model, cfg, state, 0, 0.5, ["a", "b", "c"])
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        ckpt = load_checkpoint(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert save_peak < arena / 4
+    assert load_peak < 3 * arena + arena / 4
+    _assert_same_checkpoint(ckpt, model, state)
 
 
 def test_multilabel_training_smoke():

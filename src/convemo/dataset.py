@@ -144,6 +144,9 @@ def _parse_vector(raw, want_dim: int, key: str, where: str) -> np.ndarray | None
         vec = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError):
         raise CorpusError(f"{where}: modality '{key}' must be a list of numbers") from None
+    except OverflowError:   # an integer literal beyond float64's range
+        raise CorpusError(f"{where}: modality '{key}' holds a number beyond "
+                          "float64's range") from None
     if vec.shape != (want_dim,):
         raise CorpusError(f"{where}: modality '{key}' has width {vec.shape}, expected ({want_dim},)")
     return vec
@@ -151,8 +154,8 @@ def _parse_vector(raw, want_dim: int, key: str, where: str) -> np.ndarray | None
 
 def load_corpus(path) -> Corpus:
     """Load and eagerly validate a JSONL corpus file. Every malformed record,
-    and a NaN or Infinity literal anywhere, fails with one ``path:line``
-    diagnostic."""
+    a NaN or Infinity literal anywhere, and a feature beyond float64's range
+    fail with one ``path:line`` diagnostic."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -225,6 +228,13 @@ def load_corpus(path) -> Corpus:
                 video=_parse_vector(u.get("video"), dims["v"], "v", spot),
                 raw_text=u.get("raw_text"),
             ))
+        # once per dialogue: json decodes a literal such as 1e999 as inf
+        features = [v for u in utterances for v in (u.audio, u.text, u.video) if v is not None]
+        if not np.isfinite(np.concatenate(features)).all():
+            idx, key = next((i, k) for i, u in enumerate(utterances) for k in MODALITIES
+                            if dims[k] and not np.isfinite(u.modality(k)).all())
+            raise CorpusError(f"{where}: dialogue '{did}' utterance {idx}: "
+                              f"modality '{key}' holds a number beyond float64's range")
         dialogues.append(Dialogue(did, num_speakers, split, utterances))
     if not dialogues:
         raise CorpusError(f"{path}: corpus has no dialogues")

@@ -41,8 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Corpus, Dialogue
-from .metrics import SHIFT_LEVELS
+from .dataset import Dialogue
 
 PAST = 0
 FUTURE = 1
@@ -224,30 +223,3 @@ def collapse_relations(g: ConversationGraph) -> ConversationGraph:
     """
     src, dst, _ = g.edge_arrays
     return replace(g, edge_arrays=np.stack([src, dst, np.zeros_like(src)]), relation_count=1)
-
-
-def transition_stats(corpus: Corpus, level: str = "utterance") -> tuple[np.ndarray, np.ndarray]:
-    """Label-to-label transition counts over consecutive utterances.
-
-    ``utterance`` level follows the dialogue order regardless of speaker;
-    ``speaker`` level follows each speaker's own utterance sequence.
-    Returns (counts, row_normalized); zero rows normalize to zero.
-    """
-    if corpus.task_mode != "single":
-        raise ValueError("transition statistics need a single-label corpus")
-    if level not in SHIFT_LEVELS:
-        raise ValueError(f"level must be 'utterance' or 'speaker', got '{level}'")
-    c = corpus.num_classes
-    counts = np.zeros((c, c), dtype=np.int64)
-    for d in corpus.dialogues:
-        if level == "utterance":
-            seqs = [[u.label for u in d.utterances]]
-        else:
-            seqs = [[u.label for u in d.utterances if u.speaker == s]
-                    for s in range(d.num_speakers)]
-        for seq in seqs:
-            for prev, cur in zip(seq, seq[1:]):
-                counts[prev, cur] += 1
-    row = counts.sum(axis=1, keepdims=True)
-    normalized = np.divide(counts, row, out=np.zeros((c, c)), where=row > 0)
-    return counts, normalized

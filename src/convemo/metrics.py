@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Corpus, Dialogue
+from .dataset import Dialogue
 
 SHIFT_LEVELS = ("utterance", "speaker")   # the previous label: any speaker's, or the same one's
 
@@ -75,22 +75,15 @@ class ShiftSplit:
     non_shift_count: int
 
 
-def _dialogues_of(corpus_or_dialogues) -> list[Dialogue]:
-    if isinstance(corpus_or_dialogues, Corpus):
-        return corpus_or_dialogues.dialogues
-    return list(corpus_or_dialogues)
-
-
-def shift_split(corpus_or_dialogues, preds: Sequence[Sequence[int]],
+def shift_split(dialogues: Sequence[Dialogue], preds: Sequence[Sequence[int]],
                 level: str = "utterance") -> ShiftSplit:
     """Accuracy over emotion-shift vs emotion-stable utterances.
 
-    ``preds`` is one prediction sequence per dialogue, aligned with the
-    dialogue order of the corpus.
+    ``preds`` is one prediction sequence per dialogue, in the order of
+    ``dialogues``.
     """
     if level not in SHIFT_LEVELS:
         raise ValueError(f"level must be 'utterance' or 'speaker', got '{level}'")
-    dialogues = _dialogues_of(corpus_or_dialogues)
     if len(dialogues) != len(preds):
         raise ValueError(f"{len(preds)} prediction sequences for {len(dialogues)} dialogues")
     buckets = {True: [0, 0], False: [0, 0]}  # shift? -> [correct, total]

@@ -81,9 +81,6 @@ class ModelParams:
         out.update(self.classifier.named())
         return out
 
-    def param_count(self) -> int:
-        return self.arena.data.size
-
     def zero_grads(self) -> None:
         self.arena.zero_grad()
 

@@ -21,14 +21,13 @@ Parameters live in arenas (``Arena``): one flat float64 array holds the
 values of a set of parameters, each parameter's ``data`` a reshaped view
 into it, and a second flat array, allocated by the first backward that
 reaches one of them, holds their gradient buffers the same way. A model
-(``Init.place``) or an optimizer over hand-made parameters (``Arena.pack``)
-is one arena; a lone ``parameter`` is an arena of its own. Nothing may
-rebind a parameter's ``data``. ``parameter.grad`` is the parameter's buffer
-view: it stays valid until the first backward after ``zero_grad`` writes the
-next step's gradient into it, or ``release_grad`` frees the arena's buffers,
-so copy it to keep it. An array assigned to ``grad`` by hand is never written
-into. Every other tensor's ``grad`` is a fresh array per contribution, as a
-value.
+(``Init.place``) is one arena, a lone ``parameter`` an arena of its own, and
+an optimizer steps one whole arena. Nothing may rebind a parameter's
+``data``. ``parameter.grad`` is the parameter's buffer view: it stays valid
+until the first backward after ``zero_grad`` writes the next step's gradient
+into it, or ``release_grad`` frees the arena's buffers, so copy it to keep it.
+An array assigned to ``grad`` by hand is never written into. Every other
+tensor's ``grad`` is a fresh array per contribution, as a value.
 
 Storage is always row-major contiguous float64. Any op that produces a
 NaN or Inf from finite inputs raises ``NonFiniteError`` instead of
@@ -147,16 +146,6 @@ class Arena:
     def params(self) -> list[Parameter | None]:
         """The members in order, None in the place of one since freed."""
         return [ref() for ref in self.members]
-
-    @classmethod
-    def pack(cls, params: Sequence[Parameter]) -> "Arena":
-        """A new arena holding a copy of each parameter's value, in order."""
-        shared = [t for t in params if len(t.arena.members) > 1]
-        if shared:
-            raise ValueError(f"cannot pack {len(shared)} parameters that share an arena "
-                             "with others: pack or step the whole arena")
-        return cls(params, [t.shape for t in params],
-                   np.concatenate([t.data.reshape(-1) for t in params]))
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """``flat``, an array laid out like ``data``, cut into one view per parameter."""

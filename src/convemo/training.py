@@ -34,7 +34,6 @@ from .model import (
     fused_matrix,
 )
 from .tensor import (
-    Arena,
     NonFiniteError,
     Parameter,
     Tape,
@@ -62,8 +61,8 @@ ADAM_SPLIT = 1 << 24
 class Adam:
     """Adaptive-moment optimizer over a named parameter map.
 
-    The parameters form one arena (``tensor.Arena``), in the map's order: a
-    model's own, or one packed here, once, from hand-made parameters. The
+    The map is every member of one arena (``tensor.Arena``), in arena order:
+    a model's ``named()``, or a lone parameter; anything else is refused. The
     moments are two flat arrays laid out alike, ``m`` and ``v`` name -> view
     dicts into them. ``step`` walks the parameter, gradient and moment arrays
     in ``ADAM_CHUNK``-element pieces through two scratch buffers, so a step
@@ -83,12 +82,14 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         tensors = list(params.values())
-        arena = tensors[0].arena
-        own = arena.params == tensors
-        for name, t in params.items() if own else ():
+        arena = tensors[0].arena if tensors else None
+        if arena is None or arena.params != tensors:
+            raise ValueError(f"Adam steps one whole arena: the {len(tensors)} parameters given "
+                             "must be all that share an arena, in arena order")
+        for name, t in params.items():
             if t.data is not t._view:
                 raise ValueError(f"parameter '{name}' no longer views its arena: update it in place")
-        self.arena = arena if own else Arena.pack(tensors)
+        self.arena = arena
         self._m, self._v = np.zeros(self.arena.data.size), np.zeros(self.arena.data.size)
         self.m = dict(zip(params, self.arena.views(self._m)))
         self.v = dict(zip(params, self.arena.views(self._v)))
@@ -208,11 +209,6 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def predict_dialogue(dialogue: Dialogue, model: ModelParams,
-                     config: TrainConfig) -> np.ndarray:
-    return forward_dialogue(dialogue, model, config, training=False).preds
-
-
 STACK_BLOCK = 1 << 18   # float64 elements in a stacked forward's largest block: 2 MB.
 # It bounds that block only: blocks of like size are alive together, so the peak is ~3x it.
 
@@ -236,7 +232,7 @@ def predict_dialogues(dialogues: list[Dialogue], model: ModelParams,
 
     Dialogues of one length run stacked, each with its own graph, through
     one tape-free forward, ``copies_per_forward`` of them at a time; a
-    dialogue left alone in its chunk runs the 2-D forward.
+    dialogue alone in its chunk runs as a stack of one.
     """
     by_length: dict[int, list[int]] = {}
     for i, d in enumerate(dialogues):
@@ -246,9 +242,6 @@ def predict_dialogues(dialogues: list[Dialogue], model: ModelParams,
         step = copies_per_forward(n, model)
         for lo in range(0, len(members), step):
             chunk = members[lo:lo + step]
-            if len(chunk) == 1:
-                preds[chunk[0]] = predict_dialogue(dialogues[chunk[0]], model, config)
-                continue
             stacked = forward_dialogue([dialogues[i] for i in chunk], model, config).preds
             for i, p in zip(chunk, stacked):
                 preds[i] = p

@@ -1,8 +1,9 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking, and
+parameters laid out in one arena."""
 
 import numpy as np
 
-from convemo.tensor import Tape, Tensor, backward
+from convemo.tensor import Init, Parameter, Tape, Tensor, backward
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -51,3 +52,14 @@ def check_grads(build_loss, params, step=FD_STEP):
 
 def random_tensor(rng, *shape, requires_grad=True, scale=1.0):
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
+
+
+def arena_params(arrays: dict[str, np.ndarray]) -> dict[str, Parameter]:
+    """Parameters holding copies of ``arrays``, laid out in one arena in the
+    map's order, as a model's are."""
+    init = Init(None)
+    params = {name: init.fill(a.shape, 0.0) for name, a in arrays.items()}
+    init.place(list(params.values()))
+    for t, a in zip(params.values(), arrays.values()):
+        np.copyto(t.data, a)
+    return params

@@ -36,9 +36,9 @@ def test_ablation_grid_and_param_structure():
         assert all(0.0 <= v <= 1.0 for v in row.per_seed)
     # the no_gnn configuration allocates strictly fewer parameters
     dims = ModelDims.for_corpus(corpus, _config())
-    full = ModelParams.init(_config(), dims, np.random.default_rng(0)).param_count()
+    full = ModelParams.init(_config(), dims, np.random.default_rng(0)).arena.data.size
     nognn = ModelParams.init(_config(ablation="no_gnn"), dims,
-                             np.random.default_rng(0)).param_count()
+                             np.random.default_rng(0)).arena.data.size
     assert nognn < full
 
 

@@ -94,14 +94,15 @@ def test_eval_roundtrip_and_oracle_crosscheck(tmp_path, capsys):
     # cross-check weighted F1 against the metrics module on dumped predictions
     from convemo.dataset import load_corpus
     from convemo.metrics import weighted_f1
-    from convemo.training import load_checkpoint, predict_dialogue
+    from convemo.model import forward_dialogue
+    from convemo.training import load_checkpoint
 
     corpus = load_corpus(TINY)
     loaded = load_checkpoint(ckpt)
     gold, pred = [], []
     for d in corpus.split("test"):
         gold.extend(u.label for u in d.utterances)
-        pred.extend(int(p) for p in predict_dialogue(d, loaded.model, loaded.config))
+        pred.extend(int(p) for p in forward_dialogue(d, loaded.model, loaded.config).preds)
     _, want = weighted_f1(gold, pred, corpus.num_classes)
     got = json.loads(r1)["weighted_f1"]
     assert got == want
@@ -323,3 +324,19 @@ def test_train_refuses_a_non_finite_feature_at_load(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == f"error: {corpus}:2: parse failure: non-finite number NaN is not allowed\n"
+
+
+def test_train_refuses_an_overflowing_feature_at_load(tmp_path, capsys):
+    # json decodes 1e999 as inf, which would abort training at epoch 0 with exit 2
+    lines = Path(TINY).read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["utterances"][0]["audio"][0] = 12345.25
+    lines[1] = json.dumps(rec).replace("12345.25", "1e999")
+    corpus = tmp_path / "overflow.jsonl"
+    corpus.write_text("\n".join(lines) + "\n")
+    code = main(["train", "--corpus", str(corpus), "--config", _fast_config_file(tmp_path),
+                 "--out", str(tmp_path / "o"), *FAST_ARGS])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (f"error: {corpus}:2: dialogue '{rec['dialogue_id']}' utterance 0: "
+                   "modality 'a' holds a number beyond float64's range\n")

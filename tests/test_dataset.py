@@ -221,6 +221,26 @@ def test_malformed_corpus_is_refused_at_load_naming_the_line(tmp_path, keys, val
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("literal, spots, line, message", [
+    ("1e999", [(1, 2, "text", 1)], 2, "dialogue 'dlg-a' utterance 2: modality 't'"),
+    ("-1e999", [(2, 1, "audio", 0)], 3, "dialogue 'dlg-b' utterance 1: modality 'a'"),
+    # the first in utterance order, then in a, t, v order, is named
+    ("1e999", [(1, 2, "audio", 0), (1, 1, "text", 2), (1, 1, "audio", 1)], 2,
+     "dialogue 'dlg-a' utterance 1: modality 'a'"),
+    ("1" + "0" * 400, [(2, 0, "text", 0)], 3, "dialogue 'dlg-b' utterance 0: modality 't'"),
+], ids=["float", "negative", "first_named", "integer"])
+def test_feature_beyond_float64_range_is_refused_at_load_naming_the_utterance(
+        tmp_path, literal, spots, line, message):
+    path = tmp_path / "big.jsonl"
+    save_corpus(path, _tiny_corpus())
+    for at, idx, key, i in spots:
+        _set(path, (at, "utterances", idx, key, i), 12345.25)
+    path.write_text(path.read_text().replace("12345.25", literal))
+    with pytest.raises(CorpusError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}:{line}: {message} holds a number beyond float64's range"
+
+
 def test_synth_determinism():
     spec = SynthSpec(num_dialogues=6, utterances_per_dialogue=5, seed=13)
     c1 = synth_corpus(spec)

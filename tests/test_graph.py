@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from convemo.dataset import Corpus, Dialogue, SynthSpec, Utterance, synth_corpus
+from convemo.dataset import Dialogue, Utterance
 from convemo.graph import (
     EDGE_MODES,
     FUTURE,
@@ -15,7 +15,6 @@ from convemo.graph import (
     graph_from_speakers,
     num_relation_types,
     relation_type_id,
-    transition_stats,
 )
 
 
@@ -265,58 +264,3 @@ def test_graph_json_dict():
     d = g.to_json_dict()
     assert d["n"] == 2 and d["relation_count"] == 8
     assert sorted(tuple(e) for e in d["edges"]) == sorted(g.edges)
-
-
-def _label_corpus(dialogues):
-    utts = {"a": 1, "t": 0, "v": 0}
-    rng = np.random.default_rng(0)
-    out = []
-    for i, (speakers, labels) in enumerate(dialogues):
-        us = [Utterance(speaker=s, label=l, audio=rng.standard_normal(1))
-              for s, l in zip(speakers, labels)]
-        out.append(Dialogue(f"d{i}", max(speakers) + 1, "train", us))
-    c = max(l for _, labels in dialogues for l in labels) + 1
-    return Corpus(out, [f"c{i}" for i in range(c)], utts)
-
-
-def test_transition_counts_hand_case():
-    corpus = _label_corpus([([0, 0, 0], [0, 0, 1])])  # labels A,A,B one speaker
-    counts, normalized = transition_stats(corpus, "utterance")
-    assert counts[0, 0] == 1 and counts[0, 1] == 1
-    assert counts.sum() == 2
-    np.testing.assert_allclose(normalized[0], [0.5, 0.5])
-
-
-def test_transition_speaker_level_constant_speakers():
-    # two interleaved speakers, each emotionally constant
-    corpus = _label_corpus([([0, 1, 0, 1, 0, 1], [0, 1, 0, 1, 0, 1])])
-    counts, _ = transition_stats(corpus, "speaker")
-    off_diag = counts - np.diag(np.diag(counts))
-    assert off_diag.sum() == 0
-    assert counts[0, 0] == 2 and counts[1, 1] == 2
-
-
-def test_transition_matches_naive_scan():
-    corpus = synth_corpus(SynthSpec(num_dialogues=12, utterances_per_dialogue=9,
-                                    num_speakers=3, num_classes=5, seed=3))
-    for level in ("utterance", "speaker"):
-        counts, _ = transition_stats(corpus, level)
-        want = np.zeros((5, 5), dtype=np.int64)
-        for d in corpus.dialogues:
-            if level == "utterance":
-                labels = [u.label for u in d.utterances]
-                for a, b in zip(labels, labels[1:]):
-                    want[a, b] += 1
-            else:
-                for s in range(d.num_speakers):
-                    labels = [u.label for u in d.utterances if u.speaker == s]
-                    for a, b in zip(labels, labels[1:]):
-                        want[a, b] += 1
-        np.testing.assert_array_equal(counts, want)
-
-
-def test_transition_rejects_multilabel():
-    corpus = _label_corpus([([0], [0])])
-    corpus.task_mode = "multi"
-    with pytest.raises(ValueError, match="single-label"):
-        transition_stats(corpus)

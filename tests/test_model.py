@@ -103,7 +103,7 @@ def test_parameter_count_ordering_across_ablations():
     counts = {}
     for ablation in ("full", "no_relations", "no_gnn"):
         _, _, model = _small_setup(ablation=ablation)
-        counts[ablation] = model.param_count()
+        counts[ablation] = model.arena.data.size
     assert counts["no_gnn"] < counts["no_relations"] < counts["full"]
 
 

@@ -32,10 +32,10 @@ from convemo.training import (
     evaluate_model,
     load_checkpoint,
     mask_importance,
-    predict_dialogue,
     save_checkpoint,
     train,
 )
+from helpers import arena_params
 
 
 def _none_corpus(n=40, utts=6, seed=0):
@@ -79,14 +79,14 @@ def _adam_reference_step(p, m, v, g, step, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def test_adam_step_bit_identical_to_reference_across_chunks():
-    # packed end to end, the first chunk straddles one|bias|small|large, and
+    # laid end to end, the first chunk straddles one|bias|small|large, and
     # "small" (mid-run, step 2) and "tail" (after the last chunk boundary,
     # step 3) go without a gradient
     shapes = {"one": (1,), "bias": (7,), "small": (5, 6), "large": (300, 250), "tail": (3, 4)}
     large = 300 * 250
     assert large > ADAM_CHUNK and large % ADAM_CHUNK  # several chunks, a ragged last one
     rng = np.random.default_rng(0)
-    params = {k: T.parameter(rng.standard_normal(s)) for k, s in shapes.items()}
+    params = arena_params({k: rng.standard_normal(s) for k, s in shapes.items()})
     ref = {k: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for k, t in params.items()}
     opt = Adam(params, lr=1e-2)
     assert all(t.data.base is opt.arena.data for t in params.values())
@@ -110,7 +110,7 @@ def test_adam_step_bit_identical_to_reference_across_chunks():
 
 
 def test_hand_assigned_gradient_gives_the_reference_update_and_is_not_written():
-    # as a driven benchmark step does: grads set by hand on a packed model,
+    # as a driven benchmark step does: grads set by hand on a model,
     # before any backward and again once the gradient arena exists
     cfg = _fast_config()
     corpus = _none_corpus(n=2, utts=4)
@@ -139,8 +139,7 @@ def test_hand_assigned_gradient_gives_the_reference_update_and_is_not_written():
 def test_adam_step_keeps_array_identity():
     """A step writes into the existing parameter and moment arrays."""
     rng = np.random.default_rng(1)
-    params = {"w": T.parameter(rng.standard_normal((300, 250))),
-              "b": T.parameter(rng.standard_normal(4))}
+    params = arena_params({"w": rng.standard_normal((300, 250)), "b": rng.standard_normal(4)})
     opt = Adam(params, lr=1e-2)
     before = {k: (t.data, opt.m[k], opt.v[k]) for k, t in params.items()}
     values = {k: t.data.copy() for k, t in params.items()}
@@ -158,9 +157,9 @@ def test_adam_non_finite_gradient_or_moment_names_parameter(bad):
     # in the chunk "rgcn.theta_rel3" shares with "ok", and in one of its own
     for at in ((0, 17), (299, 17)):
         rng = np.random.default_rng(2)
-        params = {"ok": T.parameter(rng.standard_normal(3)),
-                  "rgcn.theta_rel3": T.parameter(rng.standard_normal((300, 250))),
-                  "after": T.parameter(rng.standard_normal(5))}
+        params = arena_params({"ok": rng.standard_normal(3),
+                               "rgcn.theta_rel3": rng.standard_normal((300, 250)),
+                               "after": rng.standard_normal(5)})
         opt = Adam(params, lr=1e-2)
         for t in params.values():
             t.grad = rng.standard_normal(t.shape)
@@ -193,7 +192,7 @@ def split_steps(monkeypatch):
 def _two_large(rng):
     # one run of 5 chunks: 2 parts take 2 and 3 of them, 4 parts 1, 1, 1 and 2
     shapes = {"a": (300, 250), "b": (300, 250)}
-    return {k: T.parameter(rng.standard_normal(s)) for k, s in shapes.items()}
+    return arena_params({k: rng.standard_normal(s) for k, s in shapes.items()})
 
 
 @pytest.mark.parametrize("cpus", [2, 4])
@@ -205,7 +204,7 @@ def test_split_adam_step_bit_identical_to_reference(split_steps, cpus):
     affinity(cpus)
     shapes = {"one": (1,), "large": (300, 250), "mid": (5, 6), "wide": (400, 300), "tail": (3, 4)}
     rng = np.random.default_rng(3)
-    params = {k: T.parameter(rng.standard_normal(s)) for k, s in shapes.items()}
+    params = arena_params({k: rng.standard_normal(s) for k, s in shapes.items()})
     ref = {k: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for k, t in params.items()}
     opt = Adam(params, lr=1e-2)
     grad = opt.arena.alloc_grad()
@@ -298,7 +297,7 @@ def test_split_steps_stay_bit_identical_under_rapid_thread_switches(split_steps,
     monkeypatch.setattr(training, "ADAM_CHUNK", 1000)
     shapes = {"a": (37, 101), "b": (13,), "c": (90, 90), "d": (64, 70)}
     rng = np.random.default_rng(7)
-    params = {k: T.parameter(rng.standard_normal(s)) for k, s in shapes.items()}
+    params = arena_params({k: rng.standard_normal(s) for k, s in shapes.items()})
     ref = {k: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for k, t in params.items()}
     opt = Adam(params, lr=1e-2)
     failures = []
@@ -419,7 +418,7 @@ def test_second_backward_allocates_no_weight_gradients():
     finally:
         tracemalloc.stop()
     assert model.dims.width == 256
-    assert peak < 0.25 * model.param_count() * 8
+    assert peak < 0.25 * model.arena.data.size * 8
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -691,6 +690,22 @@ def test_adam_over_part_of_an_arena_is_refused():
         Adam(model.classifier.named(), cfg.learning_rate)
 
 
+@pytest.mark.parametrize("case", ["two_lone_parameters", "reordered_model", "empty"])
+def test_adam_refuses_all_but_one_whole_arena_in_one_line(case):
+    cfg = _fast_config()
+    model = ModelParams.init(cfg, ModelDims(width=6, num_speakers=2, num_classes=3),
+                             np.random.default_rng(0))
+    params = {
+        "two_lone_parameters": {"a": T.parameter(np.zeros(3)), "b": T.parameter(np.ones(2))},
+        "reordered_model": dict(reversed(model.named().items())),
+        "empty": {},
+    }[case]
+    with pytest.raises(ValueError) as info:
+        Adam(params, cfg.learning_rate)
+    assert type(info.value) is ValueError
+    assert "share an arena" in str(info.value) and "\n" not in str(info.value)
+
+
 def test_adam_over_a_rebound_parameter_is_refused():
     cfg = _fast_config()
     model = ModelParams.init(cfg, ModelDims(width=6, num_speakers=2, num_classes=3),
@@ -901,7 +916,7 @@ def test_multilabel_training_smoke():
     result = train(corpus, cfg)
     assert len(result.history) == 3
     d = corpus.dialogues[0]
-    preds = predict_dialogue(d, result.model, cfg)
+    preds = forward_dialogue(d, result.model, cfg).preds
     assert preds.shape == (4, 3)
     assert set(np.unique(preds)) <= {0, 1}
     report = evaluate_multilabel(corpus, result.model, cfg, "test")
@@ -937,7 +952,7 @@ def test_mask_baseline_equals_plain_eval(neighbor_model):
     gold = [u.label for u in d.utterances]
     from convemo.metrics import weighted_f1
 
-    _, wf1 = weighted_f1(gold, predict_dialogue(d, model, cfg), model.dims.num_classes)
+    _, wf1 = weighted_f1(gold, forward_dialogue(d, model, cfg).preds, model.dims.num_classes)
     assert report.baseline_f1 == wf1
     assert len(report.masked_f1) == len(d)
 
@@ -1092,7 +1107,7 @@ def test_mask_memory_stays_within_the_budget(monkeypatch):
 
 
 def _per_dialogue_preds(dialogues, model, cfg):
-    return [predict_dialogue(d, model, cfg) for d in dialogues]
+    return [forward_dialogue(d, model, cfg).preds for d in dialogues]
 
 
 def test_predict_dialogues_keeps_input_order_and_splits_by_budget(monkeypatch):
@@ -1120,11 +1135,57 @@ def test_predict_dialogues_keeps_input_order_and_splits_by_budget(monkeypatch):
 
     monkeypatch.setattr(training, "forward_dialogue", recording)
     got = training.predict_dialogues(dialogues, model, cfg)
-    # a dialogue left alone in its chunk runs the 2-D forward
-    assert calls == [(8, 4), (8, 4), (8, "2-D"), (5, 2), (1, "2-D")]
+    # a dialogue left alone in its chunk runs as a stack of one
+    assert calls == [(8, 4), (8, 4), (8, 1), (5, 2), (1, 1)]
     assert len(got) == len(want)
     for p, w in zip(got, want):
         np.testing.assert_array_equal(p, w)
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_gnn"])
+@pytest.mark.parametrize("task_mode", ["single", "multi"])
+def test_evaluation_where_every_chunk_is_lone_matches_the_per_dialogue_loop(monkeypatch,
+                                                                          task_mode, ablation):
+    # every length differs, so each dialogue runs as a stack of one
+    from convemo.metrics import make_report, multilabel_f1
+    from convemo.training import evaluate_multilabel
+
+    rng = np.random.default_rng(8)
+    dialogues = []
+    for i, n in enumerate((5, 1, 17, 2)):
+        utts = [Utterance(speaker=int(rng.integers(3)),
+                          label=(int(rng.integers(4)) if task_mode == "single"
+                                 else (rng.random(4) < 0.5).astype(float)),
+                          audio=rng.standard_normal(4), text=rng.standard_normal(6))
+                for _ in range(n)]
+        dialogues.append(Dialogue(f"d{i}", 3, "test", utts))
+    corpus = Corpus(dialogues, list("wxyz"), {"a": 4, "t": 6, "v": 0}, task_mode)
+    cfg = _fast_config(ablation=ablation, active_modalities="at", multilabel_threshold=0.45)
+    model = ModelParams.init(cfg, ModelDims.for_corpus(corpus, cfg), np.random.default_rng(2))
+    want = _per_dialogue_preds(dialogues, model, cfg)
+    calls = []
+
+    def recording(dialogue, *args, **kwargs):
+        calls.append([len(d) for d in dialogue])
+        return forward_dialogue(dialogue, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_dialogue", recording)
+    got = training.predict_dialogues(dialogues, model, cfg)
+    assert calls == [[5], [1], [17], [2]]
+    for p, w in zip(got, want, strict=True):
+        assert p.dtype == w.dtype and p.shape == w.shape and p.tobytes() == w.tobytes()
+    if task_mode == "single":
+        report = make_report(dialogues, want, corpus.label_names, "utterance")
+        assert evaluate_model(corpus, model, cfg, "test").to_json() == report.to_json()
+        return
+    gold = np.concatenate([dialogue_gold(d, "multi") for d in dialogues])
+    pred = np.concatenate(want)
+    per_class = multilabel_f1(gold, pred)
+    assert evaluate_multilabel(corpus, model, cfg, "test") == {
+        "per_class_f1": dict(zip("wxyz", per_class.tolist())),
+        "mean_f1": float(per_class.mean()),
+        "exact_match_accuracy": float((gold == pred).all(axis=1).mean()),
+    }
 
 
 def test_evaluate_multilabel_matches_the_per_dialogue_loop():

@@ -52,11 +52,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _parse_window(value: str | None) -> int | None:
-    if value is None:
-        return None
+def _parse_window(value: str, flag: str) -> int | None:
     if value.lower() in ("inf", "none", "all"):
         return None
+    if not value.strip().isdecimal():
+        raise ConfigError(f"{flag} takes a non-negative integer or inf/none/all, not '{value}'")
     return int(value)
 
 
@@ -83,9 +83,9 @@ def _resolve_config(args) -> TrainConfig:
         if value is not None:
             values[key] = value
     if getattr(args, "past", None) is not None:
-        values["window_past"] = _parse_window(args.past)
+        values["window_past"] = _parse_window(args.past, "--past")
     if getattr(args, "future", None) is not None:
-        values["window_future"] = _parse_window(args.future)
+        values["window_future"] = _parse_window(args.future, "--future")
     return TrainConfig.from_dict(values)
 
 
@@ -167,7 +167,8 @@ def cmd_eval(args) -> int:
 def cmd_graph(args) -> int:
     corpus, _, _ = _require_corpus(args.corpus)
     dialogue = corpus.find_dialogue(args.dialogue_id)
-    g = build_graph(dialogue, _parse_window(args.past), _parse_window(args.future),
+    g = build_graph(dialogue, _parse_window(args.past, "--past"),
+                    _parse_window(args.future, "--future"),
                     edge_mode=args.edge_mode, self_loops=not args.no_self_loops)
     payload = json.dumps(g.to_json_dict(), sort_keys=True) + "\n"
     if args.out:
@@ -213,7 +214,7 @@ def cmd_study(args) -> int:
     elif args.kind == "context":
         if not args.grid:
             raise ConfigError("context study needs --grid, e.g. '1,3,10,all'")
-        n_values = [_parse_window(v) for v in args.grid.split(",")]
+        n_values = [_parse_window(v, "--grid") for v in args.grid.split(",")]
         result = run_context_sweep(corpus, config, n_values, seeds)
     else:
         if not args.grid:
@@ -221,7 +222,7 @@ def cmd_study(args) -> int:
         pf_values = []
         for cell in args.grid.split(","):
             p, _, f = cell.partition(":")
-            pf_values.append((_parse_window(p), _parse_window(f or p)))
+            pf_values.append((_parse_window(p, "--grid"), _parse_window(f or p, "--grid")))
         result = run_window_sweep(corpus, config, pf_values, seeds)
     out = _out_dir(args)
     stamp = time.strftime("%Y%m%d-%H%M%S")

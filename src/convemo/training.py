@@ -209,13 +209,17 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-STACK_BLOCK = 1 << 18   # float64 elements in a stacked forward's largest block: 2 MB.
-# It bounds that block only: blocks of like size are alive together, so the peak is ~3x it.
+STACK_BLOCK = 1 << 18   # float64 elements in a stacked forward's largest block: 2 MB at least,
+STACK_SHARE = 64        # or 1/64 of the parameters, as a forward reads them all once per stack.
+# The budget bounds that block only: blocks of like size are alive together, so the peak is ~3x
+# it, under 5% of one parameter array, while training holds four such arrays and a loaded
+# checkpoint three.
 
 
 def copies_per_forward(n: int, model: ModelParams) -> int:
     """How many n-utterance copies one stacked forward runs: as many as keep
-    its largest block within ``STACK_BLOCK`` elements. Per copy, that is n rows
+    its largest block within the larger of ``STACK_BLOCK`` elements and the
+    parameter count over ``STACK_SHARE``. Per copy, that block is n rows
     of the widest layer; per relation type, the RGCN's n x width messages or
     n x n mean; or per attention head, 3 or 4 n x k projections or n x n scores."""
     relations = model.rgcn.relation_count if model.rgcn is not None else 0
@@ -223,7 +227,8 @@ def copies_per_forward(n: int, model: ModelParams) -> int:
     heads = [(3, enc.num_heads, enc.head_dim)] + ([(4, len(gt.heads), gt.head_dim)] if gt else [])
     widest = max(max(t.shape[-1] for t in model.named().values()),
                  *(h * max(parts * k, n) for parts, h, k in heads))
-    return max(1, STACK_BLOCK // (n * max(n, widest, relations * max(model.dims.width, n))))
+    budget = max(STACK_BLOCK, model.arena.data.size // STACK_SHARE)
+    return max(1, budget // (n * max(n, widest, relations * max(model.dims.width, n))))
 
 
 def predict_dialogues(dialogues: list[Dialogue], model: ModelParams,

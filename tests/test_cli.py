@@ -191,6 +191,19 @@ def test_graph_windowed_to_file(tmp_path):
     assert len(payload["edges"]) == 7 + 6
 
 
+@pytest.mark.parametrize("command", ["graph", "train"])
+@pytest.mark.parametrize("flag, value", [("--past", "abc"), ("--future", "1.5"),
+                                         ("--past", "-1")])
+def test_bad_window_names_its_flag_in_one_line(tmp_path, capsys, command, flag, value):
+    args = (["--dialogue-id", "window-example"] if command == "graph"
+            else ["--out", str(tmp_path / "o")])
+    code = main([command, "--corpus", WINDOW_EXAMPLE, *args, f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.splitlines()) == 1
+    assert flag in err and f"'{value}'" in err and "inf" in err and "int()" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_mask_command_rows(tmp_path, capsys):
     out = _train(tmp_path)
     ckpt = str(out / "checkpoint.json")

@@ -1238,6 +1238,40 @@ def test_graph_attention_heads_can_set_the_stack_budget():
     assert peak <= 1.5 * training.STACK_BLOCK * 8
 
 
+def test_parameter_count_can_set_the_stack_budget(monkeypatch):
+    # the shape of the memory tests above, whose largest block is one copy's
+    # RGCN messages, 110,592 elements; with the fixed budget shrunk, the
+    # parameter count over STACK_SHARE sets the budget instead
+    corpus, cfg, model = _untrained(num_speakers=6, utts=24, dims={"a": 16, "t": 32, "v": 16},
+                                    window_past=None, window_future=None)
+    d = corpus.dialogues[0]
+    monkeypatch.setattr(training, "STACK_BLOCK", 4 * 1024)
+    monkeypatch.setattr(training, "STACK_SHARE", 1)
+    budget = model.arena.data.size // training.STACK_SHARE
+    assert training.copies_per_forward(24, model) == budget // 110_592 == 3
+    peaks = [_traced_peak(lambda: mask_importance(d, model, cfg)),
+             _traced_peak(lambda: training.predict_dialogues(corpus.dialogues, model, cfg))]
+    assert max(peaks) <= 1.5 * budget * 8
+    mask_sizes, eval_sizes = [], []
+
+    def fused(x, *args, **kwargs):
+        mask_sizes.append(x.shape[0])
+        return forward_fused(x, *args, **kwargs)
+
+    def dialogue(dialogues, *args, **kwargs):
+        eval_sizes.append(len(dialogues))
+        return forward_dialogue(dialogues, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_fused", fused)
+    monkeypatch.setattr(training, "forward_dialogue", dialogue)
+    report = mask_importance(d, model, cfg)
+    got = training.predict_dialogues(corpus.dialogues, model, cfg)
+    assert mask_sizes == [3] * 8 + [1] and eval_sizes == [3, 1]
+    assert [report.baseline_f1, *report.masked_f1] == _per_copy_f1(d, model, cfg)
+    for p, w in zip(got, _per_dialogue_preds(corpus.dialogues, model, cfg), strict=True):
+        np.testing.assert_array_equal(p, w)
+
+
 def test_train_history_and_checkpoint_match_per_dialogue_validation(monkeypatch, tmp_path):
     corpus = _none_corpus(n=24, utts=5, seed=4)
     assert len(corpus.split("valid")) > 1

@@ -199,14 +199,18 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def _parse_seeds(raw: str) -> list[int]:
-    return [int(v) for v in raw.split(",") if v != ""]
+def _parse_ints(raw: str, flag: str) -> list[int]:
+    """Comma-separated non-negative integers; empty entries are skipped."""
+    values = [v for v in raw.split(",") if v != ""]
+    if not all(v.strip().isdecimal() for v in values):
+        raise ConfigError(f"{flag} takes comma-separated non-negative integers, not '{raw}'")
+    return [int(v) for v in values]
 
 
 def cmd_study(args) -> int:
     config = _resolve_config(args)
     corpus, fingerprint, corpus_path = _require_corpus(args.corpus)
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_ints(args.seeds, "--seeds")
     if not seeds:
         raise ConfigError("study needs at least one seed")
     if args.kind == "ablation":
@@ -215,6 +219,8 @@ def cmd_study(args) -> int:
         if not args.grid:
             raise ConfigError("context study needs --grid, e.g. '1,3,10,all'")
         n_values = [_parse_window(v, "--grid") for v in args.grid.split(",")]
+        if 0 in n_values:
+            raise ConfigError(f"--grid takes context sizes >= 1 or all, not '{args.grid}'")
         result = run_context_sweep(corpus, config, n_values, seeds)
     else:
         if not args.grid:
@@ -249,9 +255,10 @@ def cmd_embed(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    dims = [int(v) for v in args.dims.split(",")]
-    if len(dims) != 3:
-        raise ConfigError("--dims needs three comma-separated widths, e.g. 8,16,8")
+    dims = _parse_ints(args.dims, "--dims")
+    if len(dims) != 3 or not any(dims):
+        raise ConfigError(f"--dims needs three comma-separated widths, one of them positive, "
+                          f"e.g. 8,16,8, not '{args.dims}'")
     spec = SynthSpec(num_dialogues=args.dialogues,
                      utterances_per_dialogue=args.utterances,
                      num_speakers=args.speakers, num_classes=args.classes,

@@ -293,8 +293,14 @@ def synth_corpus(spec: SynthSpec) -> Corpus:
     feature-only model can recover; solving it requires the conversation
     structure.
     """
-    if spec.num_dialogues < 1 or spec.utterances_per_dialogue < 1:
-        raise ValueError("synthetic corpus sizes must be positive")
+    sizes = ("num_dialogues", "utterances_per_dialogue", "num_speakers", "num_classes")
+    bad = [f"{name} {getattr(spec, name)}" for name in sizes if getattr(spec, name) < 1]
+    if bad:
+        raise ValueError(f"synthetic corpus sizes must be positive, got {', '.join(bad)}")
+    widths = [spec.dims.get(k, 0) for k in MODALITIES]
+    if min(widths) < 0 or max(widths) < 1:
+        raise ValueError(f"synthetic corpus widths must be >= 0, one of them positive, "
+                         f"got {spec.dims}")
     if spec.dependency not in DEPENDENCIES:
         raise ValueError(f"unknown dependency mode '{spec.dependency}'")
     rng = np.random.default_rng(spec.seed)

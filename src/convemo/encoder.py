@@ -2,7 +2,7 @@
 
 Maps fused utterance features X (n x d) to contextualized features
 Z (n x d) over a whole dialogue; a stack of B inputs (B x n x d) runs as
-B independent dialogues in one tape-free pass. There is deliberately no
+B independent dialogues in one pass, on a tape or not. There is deliberately no
 positional signal anywhere: each layer is multi-head scaled dot-product
 attention (every head in one ``block_matmul`` projection and one
 ``attention`` op, then the output projection), residual + LayerNorm, a

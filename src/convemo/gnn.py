@@ -16,9 +16,8 @@ to graph neighborhoods (relation types ignored at this layer), combining
 a transformed self term with attention-weighted neighbor messages, every
 head in one projection op and one attention op, then an output projection.
 
-Both layers take node features as n x d, or stacked as B x n x d for B
-tape-free copies, with one graph shared by every copy or one graph per
-copy (all of n nodes).
+Both layers take node features as n x d with one graph, or stacked as
+B x n x d with one graph per copy (all of n nodes), on a tape or not.
 """
 
 from __future__ import annotations
@@ -104,11 +103,13 @@ def _graphs(g: Graphs) -> list[ConversationGraph]:
 
 
 def _check_nodes(x: Tensor, g: Graphs, name: str) -> list[ConversationGraph]:
-    """The graphs of ``x``'s copies: one shared by every copy, or one per
-    copy of a stacked ``x``, each with as many nodes as ``x`` has rows."""
+    """The graphs of ``x``'s copies: one for a 2-D ``x``, or a sequence of one
+    per copy of a stacked ``x``, each with as many nodes as ``x`` has rows."""
     graphs = _graphs(g)
-    if not isinstance(g, ConversationGraph) and (x.data.ndim != 3 or len(graphs) != x.shape[0]):
-        raise T.ShapeError(f"{name}: {len(graphs)} graphs for input of shape {x.shape}")
+    stacked = x.data.ndim == 3
+    if isinstance(g, ConversationGraph) == stacked or stacked and len(graphs) != x.shape[0]:
+        raise T.ShapeError(f"{name}: {len(graphs)} graph(s) for input of shape {x.shape}; "
+                           "a stack takes a sequence of one per copy")
     for one in graphs:
         if x.shape[-2] != one.num_nodes:
             raise T.ShapeError(f"{name}: {x.shape[-2]} feature rows for "

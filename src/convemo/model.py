@@ -119,20 +119,18 @@ def forward_fused(x: Tensor, speakers: Sequence[int] | Sequence[Sequence[int]],
                   rng: np.random.Generator | None = None,
                   tape: Tape | None = None,
                   capture: dict | None = None) -> ForwardResult:
-    """Pipeline from an already-fused feature matrix (n x d). A stack of B
-    copies (B x n x d) runs without a tape as B forwards at once, with one
-    ``speakers`` sequence shared by every copy (the utterance-masking
-    analysis) or B sequences, one per copy (stacked evaluation)."""
+    """Pipeline from an already-fused feature matrix (n x d) and its
+    ``speakers``. A stack of B copies (B x n x d) runs as B forwards at once,
+    on a tape or not, and takes B ``speakers`` sequences, one per copy."""
     z = encode(x, params.encoder, training, config.dropout, rng, tape, capture)
     if config.ablation == "no_gnn":
         h = z
     else:
-        per_copy = len(speakers) > 0 and np.ndim(speakers[0]) > 0
         graphs = [graph_from_speakers(s, params.dims.num_speakers, config.window_past,
                                       config.window_future, config.edge_mode, config.self_loops,
                                       config.ablation == "no_relations")
-                  for s in (speakers if per_copy else [speakers])]
-        g = graphs if per_copy else graphs[0]
+                  for s in (speakers if x.data.ndim == 3 else [speakers])]
+        g = graphs if x.data.ndim == 3 else graphs[0]
         hid = rgcn_forward(z, g, params.rgcn, tape)
         if config.relu_between_graph_layers:
             hid = T.relu(hid, tape)
@@ -147,8 +145,8 @@ def forward_dialogue(dialogue: Dialogue | Sequence[Dialogue], params: ModelParam
                      rng: np.random.Generator | None = None,
                      tape: Tape | None = None,
                      capture: dict | None = None) -> ForwardResult:
-    """Forward of one dialogue, or a tape-free stacked forward of a sequence
-    of dialogues of one length."""
+    """Forward of one dialogue, or a stacked forward of a sequence of
+    dialogues of one length, each with its own graph."""
     if isinstance(dialogue, Dialogue):
         x, speakers = fused_matrix(dialogue, config.active_modalities), dialogue.speakers
     else:

@@ -11,11 +11,13 @@ receives the sum of all contributions.
 
 Ops act on the last two axes: rows are axis -2 and features axis -1. An
 operand may carry one leading stack axis, (B, n, d) for B copies of an
-(n, d) input, which runs B forwards at once: a stacked input times a 2-D
-weight is one GEMM over all B*n rows, and stacked @ stacked or 2-D @
-stacked is numpy's batched matmul. The stack axis is forward-only: an op
-whose output is stacked raises ``ShapeError`` when it would be recorded
-on a tape, so no gradient path runs on stacked operands.
+(n, d) input, which runs B forwards at once, on a tape or not: a stacked
+input times a 2-D weight is one GEMM over all B*n rows, and stacked @
+stacked is numpy's batched matmul. Each op has one backward, in which the
+adjoint of an operand shared by every copy (a weight, a bias, a layer-norm
+affine) sums over the rows of all copies; a 2-D operand is a stack of one.
+A stack carries one graph mask per copy, and a 2-D @ stacked matmul is
+refused, each with a one-line ``ShapeError``.
 
 Parameters live in arenas (``Arena``): one flat float64 array holds the
 values of a set of parameters, each parameter's ``data`` a reshaped view
@@ -293,9 +295,6 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], op: str,
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires)
     if tape is not None and requires:
-        if out_data.ndim > 2:
-            raise ShapeError(f"op '{op}' has a stacked output {out_data.shape}: "
-                             "stacked forwards run without a tape")
         tape.record(op, inputs, out, grad_fn)
     return out
 
@@ -318,7 +317,10 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     _check_2d("matmul", a, b)
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    a_data, b_data = a.data, b.data
+    if a.data.ndim < b.data.ndim:
+        raise ShapeError(f"matmul of a 2-D {a.shape} by a stacked {b.shape}: stack the left one")
+    # a 2-D b is shared by every copy: one GEMM over all their rows, forward and for b's adjoint
+    a_data, b_data = a.data.reshape(-1, a.shape[-1]) if b.data.ndim == 2 else a.data, b.data
     # An operand that takes no gradient gets no adjoint (None), and a
     # parameter's is deferred so that backward computes it into its buffer.
     # (One closure cell per operand says both: the tape keeps every closure
@@ -328,13 +330,10 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     adj_b = b.requires_grad and (_Product if type(b) is Parameter else np.matmul)
 
     def grad_fn(d):
-        return (adj_a(d, b_data.T) if adj_a else None,
-                adj_b(a_data.T, d) if adj_b else None)
+        return (adj_a(d, b_data.swapaxes(-1, -2)) if adj_a else None,
+                adj_b(a_data.swapaxes(-1, -2), d.reshape(*a_data.shape[:-1], -1)) if adj_b else None)
 
-    if a_data.ndim == 3 and b_data.ndim == 2:   # stacked rows, one weight: one GEMM
-        out = (a_data.reshape(-1, a.shape[-1]) @ b_data).reshape(*a.shape[:-1], b.shape[-1])
-    else:
-        out = a_data @ b_data
+    out = (a_data @ b_data).reshape(*a.shape[:-1], b.shape[-1])
     return _make(out, (a, b), "matmul", tape, grad_fn)
 
 
@@ -362,7 +361,8 @@ def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None)
     one batched matmul into its blocks; backward, one into ``x``'s adjoint (blocks
     summed last first) and, when no member has a grad yet, one into the run's view
     of the gradient arena (else each accumulates its own). B >= 2 stacked copies
-    run one GEMM over all B*n rows per weight, reading each weight once."""
+    run one GEMM over all B*n rows per weight, reading each weight once, and a
+    weight's adjoint sums over those rows."""
     _check_2d("block_matmul", x)
     if not weights or any(w.shape != (x.shape[-1], weights[0].shape[-1]) for w in weights):
         raise ShapeError(f"block_matmul needs k >= 1 weights of one 2-D shape with "
@@ -381,8 +381,9 @@ def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None)
              for w in weights]
 
     def grad_fn(g):
-        blocks, d_w = g.reshape(p, n, k), [None] * p
-        parts = np.empty((p, n, d)) if x.requires_grad else None   # x's: block i's in slot p-1-i
+        # weight i's blocks of every copy, (p, B*n, k), against ``rows``, (B*n, d)
+        blocks, d_w = g.reshape(-1, p, n, k).swapaxes(0, 1).reshape(p, -1, k), [None] * p
+        parts = np.empty((p, *rows.shape)) if x.requires_grad else None   # x's: block i's in slot p-1-i
         for lo, hi, stack in runs:
             if parts is not None:
                 np.matmul(blocks[lo:hi][::-1], stack[::-1].swapaxes(-1, -2),
@@ -395,7 +396,7 @@ def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None)
             else:
                 d_w[lo:hi] = [adj(rows.T, blk) if adj else None
                               for adj, blk in zip(adj_w[lo:hi], blocks[lo:hi])]
-        return (None if parts is None else np.add.reduce(parts, axis=0), *d_w)
+        return (None if parts is None else np.add.reduce(parts, axis=0).reshape(x.shape), *d_w)
 
     return _make(out, (x, *weights), "block_matmul", tape, grad_fn)
 
@@ -404,7 +405,7 @@ def transpose(x: Tensor, tape: Tape | None = None) -> Tensor:
     _check_2d("transpose", x)
 
     def grad_fn(d):
-        return (d.T,)
+        return (d.swapaxes(-1, -2),)
 
     return _make(x.data.swapaxes(-1, -2), (x,), "transpose", tape, grad_fn)
 
@@ -426,7 +427,7 @@ def add_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         raise ShapeError(f"add_bias needs bias of width {x.shape[-1]}, got shape {b.shape}")
 
     def grad_fn(d):
-        return d, d.sum(axis=0)
+        return d, d.reshape(-1, d.shape[-1]).sum(axis=0)
 
     return _make(x.data + b.data, (x, b), "add_bias", tape, grad_fn)
 
@@ -503,9 +504,9 @@ def attention(proj: Tensor, num_heads: int, scale: float, mask: np.ndarray | Non
     of n rows by the layer's weights, head after head: q, k, v or, with a
     neighbourhood ``mask``, self, msg, key_self, key_nbr. Head h is softmax(q kᵀ
     * scale) v, or self + softmax(key_self key_nbrᵀ * scale) msg, each row's
-    softmax over its true entries in ``mask`` ((n, n), or one per copy; a row
-    with none gets zero weights). Returns the heads side by side, (..., n, H*k),
-    and their weights, (..., H, n, n)."""
+    softmax over its true entries in ``mask`` ((n, n), or (B, n, n) for a stack,
+    one per copy; a row with none gets zero weights). Returns the heads side by
+    side, (..., n, H*k), and their weights, (..., H, n, n)."""
     _check_2d("attention", proj)
     parts = 3 if mask is None else 4
     *lead, rows, k = proj.shape
@@ -517,8 +518,9 @@ def attention(proj: Tensor, num_heads: int, scale: float, mask: np.ndarray | Non
     q, key, v = blocks[..., iq, :, :], blocks[..., ik, :, :], blocks[..., iv, :, :]
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape not in ((n, n), (*lead, n, n)):
-            raise ShapeError(f"mask shape {mask.shape} does not match input {proj.shape}")
+        if mask.shape != (*lead, n, n):
+            raise ShapeError(f"mask shape {mask.shape} does not match input {proj.shape}: "
+                             "a stack takes one mask per copy")
         mask = mask[..., None, :, :]      # shared by every head
     scores = q @ key.swapaxes(-1, -2)
     scores *= scale
@@ -529,16 +531,16 @@ def attention(proj: Tensor, num_heads: int, scale: float, mask: np.ndarray | Non
         out += blocks[..., 0, :, :].swapaxes(-3, -2)
 
     def grad_fn(d):
-        d_out = d.reshape(n, num_heads, k).swapaxes(0, 1)
-        d_blocks = np.empty((num_heads, parts, n, k))
-        np.matmul(alpha.swapaxes(-1, -2), d_out, out=d_blocks[:, iv])
+        d_out = d.reshape(*lead, n, num_heads, k).swapaxes(-3, -2)
+        d_blocks = np.empty((*lead, num_heads, parts, n, k))
+        np.matmul(alpha.swapaxes(-1, -2), d_out, out=d_blocks[..., iv, :, :])
         d_alpha = d_out @ v.swapaxes(-1, -2)
         d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True)) * scale
-        np.matmul(d_scores, key, out=d_blocks[:, iq])
-        np.matmul(d_scores.swapaxes(-1, -2), q, out=d_blocks[:, ik])
+        np.matmul(d_scores, key, out=d_blocks[..., iq, :, :])
+        np.matmul(d_scores.swapaxes(-1, -2), q, out=d_blocks[..., ik, :, :])
         if mask is not None:
-            d_blocks[:, 0] = d_out
-        return (d_blocks.reshape(rows, k),)
+            d_blocks[..., 0, :, :] = d_out
+        return (d_blocks.reshape(proj.shape),)
 
     return _make(out.reshape(*lead, n, num_heads * k), (proj,), "attention", tape, grad_fn), alpha
 
@@ -561,8 +563,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
 
     def grad_fn(d):
         d_xhat = d * g_data
-        d_gamma = (d * xhat).sum(axis=0)
-        d_beta = d.sum(axis=0)
+        d_gamma = (d * xhat).reshape(-1, d_width).sum(axis=0)
+        d_beta = d.reshape(-1, d_width).sum(axis=0)
         mean_dxhat = d_xhat.sum(axis=-1, keepdims=True) / d_width
         mean_dxhat_xhat = (d_xhat * xhat).sum(axis=-1, keepdims=True) / d_width
         d_x = inv * (d_xhat - mean_dxhat - xhat * mean_dxhat_xhat)

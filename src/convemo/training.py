@@ -236,8 +236,8 @@ def predict_dialogues(dialogues: list[Dialogue], model: ModelParams,
     """Eval-mode preds of each dialogue, in input order.
 
     Dialogues of one length run stacked, each with its own graph, through
-    one tape-free forward, ``copies_per_forward`` of them at a time; a
-    dialogue alone in its chunk runs as a stack of one.
+    one forward, ``copies_per_forward`` of them at a time; a dialogue alone
+    in its chunk runs as a stack of one.
     """
     by_length: dict[int, list[int]] = {}
     for i, d in enumerate(dialogues):
@@ -384,7 +384,8 @@ def mask_importance(dialogue: Dialogue, model: ModelParams,
     edges stay, so only information is removed, not topology.
 
     The n+1 inputs (copy 0 unmasked, copy k+1 with utterance k zeroed) run
-    stacked through ``forward_fused``, ``copies_per_forward`` at a time.
+    stacked through ``forward_fused``, ``copies_per_forward`` at a time, each
+    with the dialogue's speakers, so its graph (one memoised object) per copy.
     """
     if model.dims.task_mode != "single":
         raise ConfigError(f"mask_importance needs a single-label corpus, "
@@ -398,7 +399,7 @@ def mask_importance(dialogue: Dialogue, model: ModelParams,
         copies = np.repeat(x[None], min(per_forward, n + 1 - lo), axis=0)
         j = np.arange(max(lo, 1), lo + len(copies))   # copy j > 0 zeroes utterance j-1
         copies[j - lo, j - 1] = 0.0
-        preds = forward_fused(Tensor(copies), dialogue.speakers, model, config).preds
+        preds = forward_fused(Tensor(copies), [dialogue.speakers] * len(copies), model, config).preds
         f1 += [metrics.weighted_f1(gold, p, model.dims.num_classes)[1] for p in preds]
     return MaskReport(f1[0], f1[1:])
 

@@ -281,6 +281,26 @@ def test_synth_command_roundtrip(tmp_path, capsys):
     assert corpus.dims == {"a": 2, "t": 3, "v": 2}
 
 
+@pytest.mark.parametrize("args, named", [
+    (["synth", "--dims", "4,x,4"], "--dims"),
+    (["synth", "--dims", "4,-1,4"], "--dims"),
+    (["synth", "--dims", "0,0,0"], "--dims"),
+    (["synth", "--classes", "0"], "num_classes"),
+    (["synth", "--speakers", "0"], "num_speakers"),
+    (["study", "--kind", "ablation", "--seeds", "0,x"], "--seeds"),
+    (["study", "--kind", "context", "--grid", "0"], "--grid"),
+])
+def test_bad_size_names_its_flag_in_one_line(tmp_path, capsys, args, named):
+    out = tmp_path / "o"
+    where = (["--out", str(out / "z.jsonl")] if args[0] == "synth"
+             else ["--corpus", TINY, "--out", str(out)])
+    assert main([*args, *where]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and named in err
+    assert not any(word in err for word in ("int()", "high <= 0", "negative dimensions", "chunk"))
+    assert not out.exists()
+
+
 def test_eval_multilabel_corpus(tmp_path, capsys):
     from convemo.dataset import Corpus, Dialogue, Utterance, save_corpus
 

@@ -253,6 +253,19 @@ def test_synth_determinism():
             np.testing.assert_array_equal(u1.text, u2.text)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("num_speakers", 0, "sizes must be positive, got num_speakers 0"),
+    ("num_classes", 0, "sizes must be positive, got num_classes 0"),
+    ("num_dialogues", 0, "sizes must be positive, got num_dialogues 0"),
+    ("dims", {"a": 4, "t": -1, "v": 4}, "widths must be >= 0"),
+    ("dims", {"a": 0, "t": 0, "v": 0}, "one of them positive"),
+])
+def test_synth_refuses_bad_sizes_naming_them(field, value, message):
+    with pytest.raises(ValueError, match=message) as info:
+        synth_corpus(SynthSpec(**{"num_dialogues": 2, field: value}))
+    assert len(str(info.value).splitlines()) == 1
+
+
 def _centroid_probe_accuracy(corpus):
     """Feature-only oracle: nearest centroid fitted on train, scored on train.
 

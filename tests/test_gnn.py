@@ -340,6 +340,7 @@ def test_graph_count_or_node_count_mismatch_per_copy():
     for layer in layers:
         for x, g in ((rng.standard_normal((3, 3, 3)), graphs),     # 2 graphs, 3 copies
                      (rng.standard_normal((3, 3)), graphs),        # graphs for a 2-D input
+                     (rng.standard_normal((2, 3, 3)), graphs[0]),  # one graph for a stack
                      (rng.standard_normal((1, 3, 3)), []),
                      (rng.standard_normal((2, 3, 3)),              # a 2-node graph
                       [graphs[0], graph_from_speakers([0, 1], 2, 1, 1)])):

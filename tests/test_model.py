@@ -90,6 +90,42 @@ def test_forward_dialogue_stacks_a_sequence_of_dialogues():
         assert np.abs(stacked.logits.data[b] - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("ablation", ["full", "no_relations", "no_gnn"])
+def test_taped_stacked_forward_gradients_equal_the_sum_of_per_dialogue_backwards(ablation):
+    """One backward through a stacked forward of three same-length dialogues,
+    each with its own graph, gives every parameter the sum of the gradients of
+    three per-dialogue backwards: the tape composes through the encoder, the
+    per-copy RGCN mean matrices and the masked graph attention."""
+    corpus, config, model = _small_setup(ablation=ablation, num_speakers=3)
+    config = replace(config, dropout=0.0)
+    dialogues = corpus.dialogues[:3]
+    speakers = [d.speakers for d in dialogues]
+    assert len({tuple(s) for s in speakers}) == 3
+    xs = [fused_matrix(d, config.active_modalities) for d in dialogues]
+    probe = np.random.default_rng(4).standard_normal((3, 3, model.dims.num_classes))
+
+    def grads(*runs):
+        model.zero_grads()
+        for x, s, p in runs:
+            tape = T.Tape()
+            out = forward_fused(Tensor(x), s, model, config, training=True,
+                                rng=np.random.default_rng(0), tape=tape)
+            T.backward(T.sum_all(T.mul(out.logits, Tensor(p), tape), tape), tape)
+        return {name: None if t.grad is None else t.grad.copy()
+                for name, t in model.named().items()}
+
+    stacked = grads((np.stack(xs), speakers, probe))
+    per_dialogue = grads(*zip(xs, speakers, probe))
+    # only the relation types no dialogue uses get no gradient
+    assert all(g is not None for name, g in per_dialogue.items() if "theta_rel" not in name)
+    for name, want in per_dialogue.items():
+        got = stacked[name]
+        if want is None:
+            assert got is None, name
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
 def test_eval_forward_is_bitwise_deterministic():
     corpus, config, model = _small_setup()
     d = corpus.dialogues[0]

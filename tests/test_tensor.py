@@ -1,9 +1,13 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from convemo import tensor as T
+from convemo.gnn import (GraphTransformerParams, RgcnParams, graph_transformer_forward,
+                         rgcn_forward)
+from convemo.graph import graph_from_speakers
 from convemo.tensor import (
     NonFiniteError,
     ShapeError,
@@ -12,7 +16,7 @@ from convemo.tensor import (
     backward,
     parameter,
 )
-from helpers import FD_TOL, check_grads, random_tensor
+from helpers import FD_TOL, arena_params, check_grads, random_tensor
 
 
 def test_matmul_identity():
@@ -608,52 +612,162 @@ def test_params_header_validation(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# stacked operands: a leading axis of B copies, forward-only
+# stacked operands: a leading axis of B copies, on a tape or not
+
+# ops that take a tape but act on one dialogue's 2-D rows only: a loss
+# belongs to one dialogue
+TWO_D_ONLY = {"cross_entropy_logits", "bce_with_logits"}
+
 
 def _stacked_cases(rng):
-    """(op, fn(*inputs, tape), inputs): inputs of ndim 3 are stacked copies,
-    the rest are shared by every copy."""
+    """(cases, reseed). Each case is (op, fn(*operands, tape), inputs): float
+    inputs of ndim 3 are stacked copies and the rest are shared by every copy;
+    a boolean input is a mask, passed as it is (one per copy), not as a tensor.
+    ``reseed()`` restarts the dropout case's generator, so a stacked dropout and
+    a loop over its copies, each run after a reseed, draw the same masks."""
     proj, mask = _attention_inputs(rng, 2, 4, 3, masked=True, lead=(3,))
+    drop = {}
+
+    def reseed():
+        drop["rng"] = np.random.default_rng(27)
 
     def stacked(*shape):
         return rng.standard_normal((3, *shape))
 
+    off_kink = stacked(4, 5)
+    off_kink[np.abs(off_kink) < 1e-2] = 0.5   # keeps relu's finite differences off its kink
     return [
         ("matmul stacked @ 2-D", T.matmul, [stacked(4, 5), rng.standard_normal((5, 6))]),
         ("matmul stacked @ stacked", T.matmul, [stacked(4, 5), stacked(5, 2)]),
-        ("matmul 2-D @ stacked", T.matmul, [rng.standard_normal((4, 5)), stacked(5, 2)]),
         ("block_matmul", lambda a, b, c, tape: T.block_matmul(a, [b, c], tape),
          [stacked(4, 5), rng.standard_normal((5, 6)), rng.standard_normal((5, 6))]),
         ("transpose", T.transpose, [stacked(4, 5)]),
+        ("add", T.add, [stacked(4, 5), stacked(4, 5)]),
         ("add_bias", T.add_bias, [stacked(4, 5), rng.standard_normal(5)]),
+        ("mul", T.mul, [stacked(4, 5), stacked(4, 5)]),
+        ("mul_scalar", lambda a, tape: T.mul_scalar(a, 1.7, tape), [stacked(4, 5)]),
+        ("relu", T.relu, [off_kink]),
+        ("sigmoid", T.sigmoid, [stacked(4, 5)]),
         ("softmax_rows", T.softmax_rows, [stacked(4, 5)]),
         ("attention", lambda a, tape: T.attention(a, 2, 0.5, tape=tape)[0], [stacked(3 * 2 * 4, 3)]),
-        ("attention, one mask", lambda a, tape: T.attention(a, 2, 0.5, mask[0], tape)[0], [proj]),
+        ("attention, a mask per copy", lambda a, m, tape: T.attention(a, 2, 0.5, m, tape)[0],
+         [proj, mask]),
         ("layer_norm", lambda a, g, b, tape: T.layer_norm(a, g, b, tape=tape),
          [stacked(4, 5), rng.standard_normal(5), rng.standard_normal(5)]),
-    ]
+        ("dropout", lambda a, tape: T.dropout(a, 0.5, True, drop["rng"], tape), [stacked(4, 5)]),
+        ("sum_all", T.sum_all, [stacked(4, 5)]),
+    ], reseed
+
+
+def _copy(inputs, b):
+    """Copy ``b`` of the inputs: a stacked one's b-th slice, a shared one whole."""
+    return [a[b] if a.ndim == 3 else a for a in inputs]
+
+
+def _operands(inputs):
+    return [a if a.dtype == bool else Tensor(a) for a in inputs]
+
+
+def _as_parameters(inputs):
+    """(operands, parameters): the float inputs as parameters laid out in one
+    arena in order, so that block_matmul's adjacent weights run as one batched
+    matmul, and each mask as it is."""
+    floats = {str(i): a for i, a in enumerate(inputs) if a.dtype != bool}
+    params = arena_params(floats)
+    return [params.get(str(i), a) for i, a in enumerate(inputs)], list(params.values())
 
 
 def test_stacked_ops_match_a_loop_over_copies():
-    for op, fn, inputs in _stacked_cases(np.random.default_rng(21)):
-        out = fn(*(Tensor(a) for a in inputs), tape=None).data
+    cases, reseed = _stacked_cases(np.random.default_rng(21))
+    for op, fn, inputs in cases:
+        reseed()
+        out = fn(*_operands(inputs), tape=None).data
+        reseed()
+        ones = [fn(*_operands(_copy(inputs, b)), tape=None).data for b in range(3)]
+        if op == "sum_all":   # the one op that also sums over the stack
+            assert abs(out - sum(ones)) <= 1e-12 * abs(sum(ones)), op
+            continue
         assert out.shape[0] == 3, op
-        for b in range(3):
-            one = fn(*(Tensor(a[b] if a.ndim == 3 else a) for a in inputs), tape=None).data
+        for b, one in enumerate(ones):
             assert np.abs(out[b] - one).max() <= 1e-12 * np.abs(one).max(), op
 
 
-def test_stacked_op_on_a_tape_raises_shape_error():
-    for op, fn, inputs in _stacked_cases(np.random.default_rng(22)):
-        tape = Tape()
-        with pytest.raises(ShapeError, match="stacked"):
-            fn(*(parameter(a) for a in inputs), tape=tape)
-        assert len(tape) == 0, op
-    # so does a stacked constant times a parameter; without a tape both run
-    x, w = Tensor(np.ones((2, 3, 4))), parameter(np.ones((4, 2)))
-    with pytest.raises(ShapeError, match="stacked"):
-        T.matmul(x, w, Tape())
-    assert T.matmul(x, w).shape == (2, 3, 2)
+def test_stacked_tape_gradients_equal_per_copy_gradients_and_finite_differences():
+    """Every op on a stacked tape: the gradients of sum_all(mul(out, probe))
+    equal those of a loop over the copies, summed over the copies for an
+    operand shared by all of them, and agree with central finite differences."""
+    rng = np.random.default_rng(22)
+    cases, reseed = _stacked_cases(rng)
+    for op, fn, inputs in cases:
+        reseed()
+        probe = rng.standard_normal(fn(*_operands(inputs), tape=None).shape)
+
+        def loss(operands, probe, tape):
+            return T.sum_all(T.mul(fn(*operands, tape=tape), Tensor(probe), tape), tape)
+
+        def taped(operands, probe):
+            tape = Tape()
+            backward(loss(operands, probe, tape), tape)
+
+        operands, params = _as_parameters(inputs)
+        reseed()
+        taped(operands, probe)
+        floats = [a for a in inputs if a.dtype != bool]
+        want = [np.zeros_like(a) for a in floats]
+        reseed()
+        for b in range(3):
+            mine, mine_params = _as_parameters(_copy(inputs, b))
+            taped(mine, probe[b] if probe.ndim == 3 else probe)
+            for w, p, a in zip(want, mine_params, floats):
+                if a.ndim == 3:
+                    w[b] = p.grad
+                else:
+                    w += p.grad
+        for p, w in zip(params, want):
+            assert p.grad.shape == w.shape, op
+            assert np.abs(p.grad - w).max() <= 1e-12 * np.abs(w).max(), op
+
+        def rerun(tape):
+            reseed()
+            return loss(operands, probe, tape)
+
+        err = check_grads(rerun, params)
+        assert err < FD_TOL, f"{op}: rel err {err:.3e}"
+
+
+def test_every_taped_op_is_in_the_stacked_table():
+    """Every public function of ``tensor`` that takes a tape is in the stacked
+    table above, or on the explicit 2-D-only list, so a new op cannot skip the
+    stack rule. (``backward`` replays a tape; it is no op.)"""
+    taped = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+             if not name.startswith("_") and fn.__module__ == T.__name__
+             and "tape" in inspect.signature(fn).parameters}
+    table = {op.split()[0].rstrip(",") for op, *_ in _stacked_cases(np.random.default_rng(0))[0]}
+    assert taped - TWO_D_ONLY - {"backward"} == table
+    assert TWO_D_ONLY | {"backward"} <= taped
+
+
+def test_a_stack_refuses_a_shared_graph_a_shared_mask_and_a_2d_left_operand():
+    rng = np.random.default_rng(28)
+    proj, masks = _attention_inputs(rng, 2, 4, 3, masked=True, lead=(3,))
+    g = graph_from_speakers([0, 1, 0, 1], 2, 1, 1)
+    rgcn = RgcnParams.init(3, 3, g.relation_count, rng)
+    gt = GraphTransformerParams.init(3, 3, 1, rng)
+    z = rng.standard_normal((3, 4, 3))
+    cases = [
+        ("matmul of a 2-D", lambda tape: T.matmul(parameter(rng.standard_normal((4, 5))),
+                                                  parameter(rng.standard_normal((3, 5, 2))), tape)),
+        ("mask shape", lambda tape: T.attention(parameter(proj), 2, 0.5, masks[0], tape)),
+        ("rgcn_forward: 1 graph", lambda tape: rgcn_forward(parameter(z), g, rgcn, tape)),
+        ("graph_transformer_forward: 1 graph",
+         lambda tape: graph_transformer_forward(parameter(z), g, gt, tape)),
+    ]
+    for match, call in cases:
+        for tape in (None, Tape()):
+            with pytest.raises(ShapeError, match=match) as info:
+                call(tape)
+            assert len(str(info.value).splitlines()) == 1
+            assert tape is None or len(tape) == 0
 
 
 def _masked_softmax(x, mask):
@@ -711,20 +825,18 @@ def test_attention_equals_the_per_head_composition(masked, heads):
 
 def test_masked_softmax_with_a_mask_per_copy_equals_a_loop():
     """Stacked ``attention`` in the neighbourhood form, one mask per copy
-    (broadcast over heads) or one shared by every copy, against each copy
-    composed head by head."""
+    (broadcast over heads), against each copy composed head by head."""
     rng = np.random.default_rng(25)
     proj, masks = _attention_inputs(rng, 3, 4, 2, masked=True, lead=(3,))
     masks[2] = True
-    for mask in (masks, masks[0]):
-        out, alpha = T.attention(Tensor(proj), 3, 0.5, mask)
-        assert out.shape == (3, 4, 6) and alpha.shape == (3, 3, 4, 4)
-        for b in range(3):
-            want_out, want_alpha = _attention_per_head(proj[b], 3, 0.5, mask[b] if mask.ndim == 3
-                                                       else mask)
-            _assert_close(out.data[b], want_out)
-            _assert_close(alpha[b], want_alpha)
-    for bad in (masks[:2], masks[:, :3], masks[0, 0], masks[None]):
+    out, alpha = T.attention(Tensor(proj), 3, 0.5, masks)
+    assert out.shape == (3, 4, 6) and alpha.shape == (3, 3, 4, 4)
+    for b in range(3):
+        want_out, want_alpha = _attention_per_head(proj[b], 3, 0.5, masks[b])
+        _assert_close(out.data[b], want_out)
+        _assert_close(alpha[b], want_alpha)
+    # one mask shared by every copy is refused: a stack takes one mask per copy
+    for bad in (masks[0], masks[:2], masks[:, :3], masks[0, 0], masks[None]):
         with pytest.raises(ShapeError, match="mask shape"):
             T.attention(Tensor(proj), 3, 0.5, bad)
     with pytest.raises(ShapeError, match="not 4 blocks per head of 5"):

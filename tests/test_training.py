@@ -1032,7 +1032,7 @@ def test_stacked_forward_matches_per_copy_forwards(case):
     one_utterance = Dialogue("one", first.num_speakers, "test", first.utterances[:1])
     for d in (first, corpus.dialogues[1], one_utterance):
         copies = np.stack(list(_masked_copies(d, cfg)))
-        stacked = forward_fused(Tensor(copies), d.speakers, model, cfg)
+        stacked = forward_fused(Tensor(copies), [d.speakers] * len(copies), model, cfg)
         assert stacked.logits.shape == (len(d) + 1, len(d), 4)
         for b, x in enumerate(copies):
             one = forward_fused(Tensor(x), d.speakers, model, cfg)

@@ -3,9 +3,9 @@ window-size sweep, and embedding dumps.
 
 Every study cell trains a fresh model from scratch (the comparisons are
 between independently trained configurations) and evaluates weighted F1
-on the test split. Cells report per-seed values plus their mean and
-median; reruns with the same (corpus, config, seeds) reproduce tables
-exactly.
+on the test split, or on multi-label data the mean of the per-class ones.
+Cells report per-seed values plus their mean and median; reruns with the
+same (corpus, config, seeds) reproduce tables exactly.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ABLATIONS, TrainConfig
+from .config import ABLATIONS, ConfigError, TrainConfig
 from .dataset import Corpus, truncate_context
 from .model import ModelParams, forward_dialogue
-from .training import evaluate_model, train
+from .training import _validation_score, train
 
 EMBED_STAGES = ("before_gnn", "after_gnn")
 
@@ -74,10 +74,11 @@ class StudyResult:
 
 
 def _train_and_score(corpus: Corpus, config: TrainConfig, seed: int) -> float:
+    test = corpus.split("test")
+    if not test:
+        raise ConfigError("corpus has no 'test' dialogues")
     cfg = config.with_overrides(seed=seed)
-    result = train(corpus, cfg)
-    report = evaluate_model(corpus, result.model, cfg, "test")
-    return report.weighted_f1
+    return _validation_score(test, train(corpus, cfg).model, cfg)
 
 
 def run_ablation(corpus: Corpus, base_config: TrainConfig, seeds: list[int],

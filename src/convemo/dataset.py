@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .tensor import atomic_open
+
 MODALITIES = ("a", "t", "v")
 MODALITY_KEYS = {"a": "audio", "t": "text", "v": "video"}
 SPLITS = ("train", "valid", "test")
@@ -254,7 +256,7 @@ def save_corpus(path, corpus: Corpus) -> None:
             rec["raw_text"] = u.raw_text
         return rec
 
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         header = {"label_names": corpus.label_names, "dims": corpus.dims,
                   "task_mode": corpus.task_mode}
         fh.write(json.dumps(header) + "\n")

@@ -28,9 +28,7 @@ def head_width(width: int, num_heads: int) -> int:
 
 @dataclass
 class EncoderLayerParams:
-    w_q: list[Tensor]  # per head, d x k
-    w_k: list[Tensor]
-    w_v: list[Tensor]
+    w_qkv: list[Tensor]  # d x k each: head 0's q, k, v, then head 1's, ... (arena order)
     w_o: Tensor        # (k*H) x d
     w_ffn1: Tensor     # d x m
     w_ffn2: Tensor     # m x d
@@ -57,10 +55,10 @@ class EncoderParams:
         init = T.Init.of(rng)
         layers = []
         for _ in range(num_layers):
+            # drawn role by role (every head's q, then k, then v), kept head by head
+            qkv = [[init.xavier((width, k)) for _ in range(num_heads)] for _ in range(3)]
             layers.append(EncoderLayerParams(
-                w_q=[init.xavier((width, k)) for _ in range(num_heads)],
-                w_k=[init.xavier((width, k)) for _ in range(num_heads)],
-                w_v=[init.xavier((width, k)) for _ in range(num_heads)],
+                w_qkv=[w for head in zip(*qkv) for w in head],
                 w_o=init.xavier((k * num_heads, width)),
                 w_ffn1=init.xavier((width, m)),
                 w_ffn2=init.xavier((m, width)),
@@ -73,12 +71,11 @@ class EncoderParams:
 
     def named(self, prefix: str = "encoder") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
+        roles = ("wq", "wk", "wv")
         for li, layer in enumerate(self.layers):
             base = f"{prefix}.layer{li}"
-            for h in range(self.num_heads):
-                out[f"{base}.head{h}.wq"] = layer.w_q[h]
-                out[f"{base}.head{h}.wk"] = layer.w_k[h]
-                out[f"{base}.head{h}.wv"] = layer.w_v[h]
+            for i, w in enumerate(layer.w_qkv):
+                out[f"{base}.head{i // 3}.{roles[i % 3]}"] = w
             out[f"{base}.wo"] = layer.w_o
             out[f"{base}.ffn1"] = layer.w_ffn1
             out[f"{base}.ffn2"] = layer.w_ffn2
@@ -99,8 +96,7 @@ def encode(x: Tensor, params: EncoderParams, training: bool = False,
     scale = 1.0 / math.sqrt(params.head_dim)
     maps: list[list[Tensor]] = []
     for layer in params.layers:
-        weights = [w for qkv in zip(layer.w_q, layer.w_k, layer.w_v) for w in qkv]
-        heads, alpha = T.attention(T.block_matmul(x, weights, tape), params.num_heads,
+        heads, alpha = T.attention(T.block_matmul(x, layer.w_qkv, tape), params.num_heads,
                                    scale, tape=tape)
         if capture is not None:
             maps.append([Tensor(a) for a in np.moveaxis(alpha, -3, 0)])

@@ -60,18 +60,16 @@ class RgcnParams:
 
 
 @dataclass
-class GraphTransformerHead:
-    w_self: Tensor   # d' x k   (transform of the node itself)
-    w_msg: Tensor    # d' x k   (transform of attended neighbors)
-    w_key_self: Tensor   # d' x k  (query side of the dot product)
-    w_key_nbr: Tensor    # d' x k  (key side)
-
-
-@dataclass
 class GraphTransformerParams:
-    heads: list[GraphTransformerHead]
+    # d' x k each, per head in turn: w_self (the node's own transform), w_msg (of
+    # attended neighbors), w_key_self (query side) and w_key_nbr (key side)
+    proj: list[Tensor]
     w_out: Tensor    # (k*H) x d''
     head_dim: int
+
+    @property
+    def num_heads(self) -> int:
+        return len(self.proj) // 4
 
     @classmethod
     def init(cls, d_in: int, d_out: int, num_heads: int,
@@ -80,17 +78,12 @@ class GraphTransformerParams:
             raise ValueError("need at least one attention head")
         k = head_width(d_out, num_heads)
         init = T.Init.of(rng)
-        heads = [GraphTransformerHead(*(init.xavier((d_in, k)) for _ in range(4)))
-                 for _ in range(num_heads)]
-        return cls(heads, init.xavier((k * num_heads, d_out)), k)
+        proj = [init.xavier((d_in, k)) for _ in range(4 * num_heads)]
+        return cls(proj, init.xavier((k * num_heads, d_out)), k)
 
     def named(self, prefix: str = "graph_attention") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for h, head in enumerate(self.heads):
-            out[f"{prefix}.head{h}.w_self"] = head.w_self
-            out[f"{prefix}.head{h}.w_msg"] = head.w_msg
-            out[f"{prefix}.head{h}.w_key_self"] = head.w_key_self
-            out[f"{prefix}.head{h}.w_key_nbr"] = head.w_key_nbr
+        roles = ("w_self", "w_msg", "w_key_self", "w_key_nbr")
+        out = {f"{prefix}.head{i // 4}.{roles[i % 4]}": w for i, w in enumerate(self.proj)}
         out[f"{prefix}.w_out"] = self.w_out
         return out
 
@@ -178,9 +171,7 @@ def graph_transformer_forward(xp: Tensor, g: Graphs,
     """
     _check_nodes(xp, g, "graph_transformer_forward")
     scale = 1.0 / math.sqrt(params.head_dim)
-    weights = [w for head in params.heads
-               for w in (head.w_self, head.w_msg, head.w_key_self, head.w_key_nbr)]
-    heads, alpha = T.attention(T.block_matmul(xp, weights, tape), len(params.heads),
+    heads, alpha = T.attention(T.block_matmul(xp, params.proj, tape), params.num_heads,
                                scale, neighborhood_mask(g), tape)
     if capture is not None:
         capture["graph_attention"] = [Tensor(a) for a in np.moveaxis(alpha, -3, 0)]

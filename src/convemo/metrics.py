@@ -13,7 +13,7 @@ speaker's previous utterance at speaker level. Reference-less utterances
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -143,21 +143,8 @@ class EvalReport:
     shift_level: str
     label_names: list[str]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "per_class_f1": self.per_class_f1,
-            "weighted_f1": self.weighted_f1,
-            "support": self.support,
-            "confusion": self.confusion,
-            "shift_accuracy": self.shift_accuracy,
-            "non_shift_accuracy": self.non_shift_accuracy,
-            "shift_level": self.shift_level,
-            "label_names": self.label_names,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def format_table(self) -> str:
         names = [n[:10] for n in self.label_names]

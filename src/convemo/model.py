@@ -86,22 +86,9 @@ class ModelParams:
 
 
 @dataclass
-class ForwardResult:
-    output: ClassifierOutput
+class ForwardResult(ClassifierOutput):
     context: Tensor       # encoder output Z (before any graph layer)
     graph_out: Tensor     # features entering the classifier
-
-    @property
-    def probs(self) -> Tensor:
-        return self.output.probs
-
-    @property
-    def preds(self) -> np.ndarray:
-        return self.output.preds
-
-    @property
-    def logits(self) -> Tensor:
-        return self.output.logits
 
 
 def fused_matrix(dialogue: Dialogue, active: str) -> np.ndarray:
@@ -122,6 +109,11 @@ def forward_fused(x: Tensor, speakers: Sequence[int] | Sequence[Sequence[int]],
     """Pipeline from an already-fused feature matrix (n x d) and its
     ``speakers``. A stack of B copies (B x n x d) runs as B forwards at once,
     on a tape or not, and takes B ``speakers`` sequences, one per copy."""
+    nested = len(speakers) > 0 and not isinstance(speakers[0], (int, np.integer))
+    if nested != (x.data.ndim == 3):
+        given = f"{len(speakers)} speakers sequences" if nested else "one flat speakers sequence"
+        raise T.ShapeError(f"forward_fused: {given} for input of shape {x.shape}; "
+                           "a stack takes one speakers sequence per copy")
     z = encode(x, params.encoder, training, config.dropout, rng, tape, capture)
     if config.ablation == "no_gnn":
         h = z
@@ -129,15 +121,15 @@ def forward_fused(x: Tensor, speakers: Sequence[int] | Sequence[Sequence[int]],
         graphs = [graph_from_speakers(s, params.dims.num_speakers, config.window_past,
                                       config.window_future, config.edge_mode, config.self_loops,
                                       config.ablation == "no_relations")
-                  for s in (speakers if x.data.ndim == 3 else [speakers])]
-        g = graphs if x.data.ndim == 3 else graphs[0]
+                  for s in (speakers if nested else [speakers])]
+        g = graphs if nested else graphs[0]
         hid = rgcn_forward(z, g, params.rgcn, tape)
         if config.relu_between_graph_layers:
             hid = T.relu(hid, tape)
         h = graph_transformer_forward(hid, g, params.graph_attention, tape, capture)
     out = classify(h, params.classifier, params.dims.task_mode,
                    config.multilabel_threshold, tape)
-    return ForwardResult(out, z, h)
+    return ForwardResult(out.probs, out.preds, out.logits, z, h)
 
 
 def forward_dialogue(dialogue: Dialogue | Sequence[Dialogue], params: ModelParams,

@@ -224,7 +224,7 @@ def copies_per_forward(n: int, model: ModelParams) -> int:
     n x n mean; or per attention head, 3 or 4 n x k projections or n x n scores."""
     relations = model.rgcn.relation_count if model.rgcn is not None else 0
     enc, gt = model.encoder, model.graph_attention
-    heads = [(3, enc.num_heads, enc.head_dim)] + ([(4, len(gt.heads), gt.head_dim)] if gt else [])
+    heads = [(3, enc.num_heads, enc.head_dim)] + ([(4, gt.num_heads, gt.head_dim)] if gt else [])
     widest = max(max(t.shape[-1] for t in model.named().values()),
                  *(h * max(parts * k, n) for parts, h, k in heads))
     budget = max(STACK_BLOCK, model.arena.data.size // STACK_SHARE)

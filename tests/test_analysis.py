@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from convemo.analysis import dump_embeddings, run_ablation, run_context_sweep, run_window_sweep
-from convemo.config import TrainConfig
-from convemo.dataset import SynthSpec, synth_corpus
+from convemo.config import ConfigError, TrainConfig
+from convemo.dataset import Corpus, Dialogue, SynthSpec, Utterance, synth_corpus
 from convemo.encoder import encode
 from convemo.model import ModelDims, ModelParams, fused_matrix
 from convemo.tensor import Tensor
-from convemo.training import train
+from convemo.training import evaluate_multilabel, train
 
 
 def _corpus(dependency="none", n=16, seed=0):
@@ -67,6 +67,35 @@ def test_context_rows_in_requested_order():
     corpus = _corpus(n=8)
     result = run_context_sweep(corpus, _config(epochs=1), [3, None, 1], seeds=[0])
     assert [r.cell["context"] for r in result.rows] == [3, "all", 1]
+
+
+def _multilabel_corpus(n=12, test=True):
+    rng = np.random.default_rng(0)
+    dialogues = []
+    for i in range(n):
+        utts = []
+        for speaker in (0, 1, 0, 1):
+            on = (rng.random(3) < 0.5).astype(float)
+            utts.append(Utterance(speaker=speaker, label=on,
+                                  text=np.concatenate([on, rng.standard_normal(2) * 0.05])))
+        split = "train" if i < n - 4 else ("valid" if i < n - 2 or not test else "test")
+        dialogues.append(Dialogue(f"m{i}", 2, split, utts))
+    return Corpus(dialogues, ["x", "y", "z"], {"a": 0, "t": 5, "v": 0}, "multi")
+
+
+def test_multilabel_study_scores_the_mean_of_per_class_weighted_f1():
+    corpus = _multilabel_corpus()
+    cfg = _config(epochs=2, active_modalities="t")
+    result = run_ablation(corpus, cfg, seeds=[0, 1], variants=("full", "no_gnn"))
+    assert [r.cell["variant"] for r in result.rows] == ["full", "no_gnn"]
+    for row in result.rows:
+        variant = cfg.with_overrides(ablation=row.cell["variant"])
+        for seed, score in zip([0, 1], row.per_seed):
+            seeded = variant.with_overrides(seed=seed)
+            model = train(corpus, seeded).model
+            assert score == evaluate_multilabel(corpus, model, seeded, "test")["mean_f1"]
+    with pytest.raises(ConfigError, match="no 'test' dialogues"):
+        run_context_sweep(_multilabel_corpus(test=False), cfg, [None], seeds=[0])
 
 
 def test_window_sweep_cells_and_degenerate_windows():

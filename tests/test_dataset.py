@@ -111,6 +111,18 @@ def test_load_save_roundtrip(tmp_path):
     assert path.read_text() == path2.read_text()
 
 
+def test_a_failed_corpus_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(path, _tiny_corpus())
+    before = path.read_bytes()
+    broken = _tiny_corpus()
+    broken.dialogues[1].utterances[0].raw_text = object()   # not JSON: fails after line 2
+    with pytest.raises(TypeError):
+        save_corpus(path, broken)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
 def test_load_multilabel_roundtrip(tmp_path):
     corpus = _tiny_corpus("multi")
     path = tmp_path / "multi.jsonl"

@@ -67,7 +67,8 @@ def test_hand_unrolled_single_layer_reference():
     layer = params.layers[0]
     x = rng.standard_normal((3, 2))
 
-    wq, wk, wv = layer.w_q[0].data, layer.w_k[0].data, layer.w_v[0].data
+    named = params.named()
+    wq, wk, wv = (named[f"encoder.layer0.head0.{w}"].data for w in ("wq", "wk", "wv"))
     wo, w1, w2 = layer.w_o.data, layer.w_ffn1.data, layer.w_ffn2.data
     n, d, k, m = 3, 2, 2, 3
     eps = 1e-5

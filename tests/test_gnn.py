@@ -38,9 +38,10 @@ def gt_loop_oracle(x, g, params):
     """Per-node attention over unique in-neighbors, one head at a time."""
     n = x.shape[0]
     head_outs = []
-    for head in params.heads:
-        w1, w2 = head.w_self.data, head.w_msg.data
-        w3, w4 = head.w_key_self.data, head.w_key_nbr.data
+    named = params.named()
+    for h in range(params.num_heads):
+        w1, w2, w3, w4 = (named[f"graph_attention.head{h}.{w}"].data
+                          for w in ("w_self", "w_msg", "w_key_self", "w_key_nbr"))
         out = np.zeros((n, w1.shape[1]))
         for i in range(n):
             out[i] = x[i] @ w1
@@ -208,7 +209,9 @@ def test_gt_isolated_node_keeps_self_term():
     params = GraphTransformerParams.init(3, 4, 2, rng)
     x = rng.standard_normal((2, 3))
     out = graph_transformer_forward(Tensor(x), g, params).data
-    per_head = [x[0] @ h.w_self.data for h in params.heads]
+    named = params.named()
+    per_head = [x[0] @ named[f"graph_attention.head{h}.w_self"].data
+                for h in range(params.num_heads)]
     want0 = np.concatenate(per_head) @ params.w_out.data
     np.testing.assert_allclose(out[0], want0, atol=1e-12)
 

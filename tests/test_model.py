@@ -91,6 +91,23 @@ def test_forward_dialogue_stacks_a_sequence_of_dialogues():
 
 
 @pytest.mark.parametrize("ablation", ["full", "no_relations", "no_gnn"])
+@pytest.mark.parametrize("stacked", [True, False])
+def test_speakers_must_match_the_stack_depth(ablation, stacked):
+    # a stack takes one speakers sequence per copy and a 2-D input one flat
+    # sequence, in every ablation: refused in one line before any forward runs
+    corpus, config, model = _small_setup(ablation=ablation)
+    d = corpus.dialogues[0]
+    x = fused_matrix(d, config.active_modalities)
+    data, speakers, given = ((np.stack([x, x]), d.speakers, "one flat speakers sequence")
+                             if stacked else (x, [d.speakers, d.speakers], "2 speakers sequences"))
+    with pytest.raises(T.ShapeError) as err:
+        forward_fused(Tensor(data), speakers, model, config)
+    message = str(err.value)
+    assert given in message and "one speakers sequence per copy" in message
+    assert len(message.splitlines()) == 1
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_relations", "no_gnn"])
 def test_taped_stacked_forward_gradients_equal_the_sum_of_per_dialogue_backwards(ablation):
     """One backward through a stacked forward of three same-length dialogues,
     each with its own graph, gives every parameter the sum of the gradients of
@@ -248,10 +265,13 @@ def test_each_layer_multiplies_its_weights_as_runs_of_the_arena(tmp_path):
         forward_dialogue(d, m, config, training=True, rng=np.random.default_rng(1), tape=tape)
         lists = [list(inputs[1:]) for op, inputs, *_ in tape.entries if op == "block_matmul"]
         *qkv, thetas, projections = lists
-        assert qkv == [[w for ws in zip(layer.w_q, layer.w_k, layer.w_v) for w in ws]
-                       for layer in m.encoder.layers]
-        assert projections == [w for h in m.graph_attention.heads
-                               for w in (h.w_self, h.w_msg, h.w_key_self, h.w_key_nbr)]
+        named = m.named()
+        assert qkv == [[named[f"encoder.layer{li}.head{h}.{w}"]
+                        for h in range(m.encoder.num_heads) for w in ("wq", "wk", "wv")]
+                       for li in range(len(m.encoder.layers))]
+        assert projections == [named[f"graph_attention.head{h}.{w}"]
+                               for h in range(m.graph_attention.num_heads)
+                               for w in ("w_self", "w_msg", "w_key_self", "w_key_nbr")]
         present = [next(r for r, th in enumerate(m.rgcn.thetas) if th is w) for w in thetas]
         pieces = 1 + int(np.count_nonzero(np.diff(present) != 1))
         assert pieces >= 2

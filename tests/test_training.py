@@ -613,7 +613,7 @@ def _xavier_draw_order(model):
     if model.rgcn is not None:
         names += ["rgcn.theta_root"]
         names += [f"rgcn.theta_rel{r}" for r in range(model.rgcn.relation_count)]
-        for h in range(len(model.graph_attention.heads)):
+        for h in range(model.graph_attention.num_heads):
             names += [f"graph_attention.head{h}.{w}"
                       for w in ("w_self", "w_msg", "w_key_self", "w_key_nbr")]
         names += ["graph_attention.w_out"]
@@ -801,6 +801,24 @@ def test_checkpoint_is_three_arena_members_and_a_layout_header(tmp_path):
     with T.open_params(path, training.CHECKPOINT_FORMAT) as (header, _):
         assert header["params"] == [[k, list(t.shape)] for k, t in model.named().items()]
         assert header["step_count"] == 1
+
+
+def test_a_committed_version_3_checkpoint_loads_and_predicts_its_logits():
+    # written by an earlier layout of the code (tiny corpus, 1 encoder layer, 2 + 2
+    # heads, ffn_mult 1, 1 epoch, seed 7): a change to parameter names, order or
+    # shapes must fail here rather than silently break files already on disk
+    fixtures = Path(__file__).parent / "fixtures"
+    path = fixtures / "tiny_checkpoint_v3.zip"
+    with T.open_params(path, training.CHECKPOINT_FORMAT) as (header, _):
+        assert header["version"] == 3
+        layout = header["params"]
+    ckpt = load_checkpoint(path)
+    assert layout == [[k, list(t.shape)] for k, t in ckpt.model.named().items()]
+    corpus = load_corpus(fixtures / "tiny_corpus.jsonl")
+    logits = np.concatenate([forward_dialogue(d, ckpt.model, ckpt.config).logits.data
+                             for d in corpus.split("test")])
+    want = np.load(fixtures / "tiny_checkpoint_v3_test_logits.npy")
+    assert logits.shape == want.shape and logits.tobytes() == want.tobytes()
 
 
 def test_version_2_checkpoint_is_refused_in_one_line(tmp_path):

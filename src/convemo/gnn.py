@@ -3,13 +3,17 @@
 ``rgcn_forward`` is a plain relational graph convolution: a root
 transform of each node plus, for every relation type, the mean of the
 type's in-neighbor features pushed through that type's own weight
-matrix. It runs as one aggregation: the messages ``z @ theta_r`` of the
-P relation types present in the graph are computed straight into the
-row blocks of one (P*n) x d' matrix, and one constant n x (P*n) mean
-matrix, holding 1/|N_r(i)| at [i, slot(r)*n + j] for each edge j -> i
-of type r, sums and averages them for every node at once. Each graph
-keeps that matrix's nonzero weights, and its neighborhood mask, from
-its first forward on; a forward only scatters them.
+matrix. It computes one message ``z_j @ theta_r`` per distinct (relation
+r, source j) pair that some edge of type r uses, all of them in one
+``block_matmul`` op whose block r picks the sources of type r, and one
+constant n x M mean matrix over those M message rows, holding
+count/|N_r(i)| at [i, row of (r, j)] for each edge j -> i of type r,
+averages them for every node at once. Each graph keeps its message rows
+and the mean's nonzero entries (``ConversationGraph.rgcn_layout``), and
+its neighborhood mask, from its first forward on; a forward only
+scatters them. In a stack of distinct graphs, each relation's rows are
+padded to the most sources any copy has, and a copy's mean is zero at
+its padding.
 
 ``graph_transformer_forward`` then runs dot-product attention restricted
 to graph neighborhoods (relation types ignored at this layer), combining
@@ -110,45 +114,71 @@ def _check_nodes(x: Tensor, g: Graphs, name: str) -> list[ConversationGraph]:
     return graphs
 
 
-def rgcn_mean_matrix(g: Graphs) -> tuple[np.ndarray, np.ndarray]:
-    """The relation ids present in any graph, sorted, and the mean matrix:
-    n x (P*n) for one graph, (B, n, P*n) for B graphs, scattered from each
-    graph's kept ``mean_aggregation``. A copy's matrix is zero in the
-    blocks of types its own graph lacks."""
-    graphs = _graphs(g)
-    # the sorted distinct ids, without np.unique, whose plain form imports numpy.ma
-    ids = np.sort(np.concatenate([one.mean_aggregation[0] for one in graphs]))
-    present = np.concatenate([ids[:1], ids[1:][ids[1:] != ids[:-1]]])
-    n, p = graphs[0].num_nodes, present.size
-    mean = np.zeros((len(graphs), n * p * n))
-    for row, one in zip(mean, graphs):
-        own, pos, weights = one.mean_aggregation
-        if own.size < p:  # move the graph's slots to those of the union
-            dst, slot, src = np.unravel_index(pos, (n, own.size, n))
-            pos = np.ravel_multi_index((dst, np.searchsorted(present, own)[slot], src),
-                                       (n, p, n))
-        row[pos] = weights
-    mean = mean.reshape(len(graphs), n, p * n)
-    return present, mean[0] if isinstance(g, ConversationGraph) else mean
+def _widths(rels: np.ndarray, counts: np.ndarray, relation_count: int) -> np.ndarray:
+    """Per relation id, the most message rows any graph gives it, from the
+    relation ids and row counts of their layouts end to end."""
+    bad = rels[(rels < 0) | (rels >= relation_count)]
+    if bad.size:
+        raise ValueError(f"graph uses relation id {bad.max()} but parameters "
+                         f"cover only {relation_count} types")
+    widths = np.zeros(relation_count, np.intp)
+    np.maximum.at(widths, rels, counts)
+    return widths
+
+
+def message_rows(graphs: Sequence[ConversationGraph], relation_count: int) -> int:
+    """The message rows per copy of an RGCN forward over a stack of any of ``graphs``."""
+    rels, counts = (np.concatenate(a) for a in zip(*(g.rgcn_layout[:2] for g in graphs)))
+    return int(_widths(rels, counts, relation_count).sum())
+
+
+def rgcn_layout(graphs: list[ConversationGraph], relation_count: int,
+                stack: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The relation ids present in any of the graphs, sorted; per id, the source
+    nodes whose messages it needs, of shape (*stack, S_r); and the mean over
+    those M = sum S_r rows, (*stack, n, M). Copies of one graph share its own
+    rows; for distinct graphs, each relation's rows are padded to the most any
+    copy has, with node 0, whose column of the copy's mean is zero."""
+    n = graphs[0].num_nodes
+    if all(one is graphs[0] for one in graphs):
+        present, counts, index, dst, row, weights = graphs[0].rgcn_layout
+        _widths(present, counts, relation_count)   # refuses ids beyond the parameters
+        mean = np.zeros((n, index.size))
+        mean[dst, row] = weights
+        if stack:
+            index, mean = (np.broadcast_to(a, (*stack, *a.shape)) for a in (index, mean))
+    else:
+        layouts = [one.rgcn_layout for one in graphs]
+        rels, counts, sources, dst, row, weights = map(np.concatenate, zip(*layouts))
+        widths = _widths(rels, counts, relation_count)
+        present, copy = np.flatnonzero(widths), np.arange(len(graphs))
+        m, e = np.array([(one[2].size, one[5].size) for one in layouts]).T
+        # a row's column: its relation's first column plus its rank among the copy's rows of it
+        first = np.cumsum(counts) - counts
+        col = ((np.cumsum(widths) - widths)[np.repeat(rels, counts)]
+               + np.arange(sources.size) - np.repeat(first, counts))
+        index = np.zeros((len(graphs), widths.sum()), np.intp)
+        index[np.repeat(copy, m), col] = sources
+        mean = np.zeros((len(graphs), n, widths.sum()))
+        mean[np.repeat(copy, e), dst, col[row + np.repeat(np.cumsum(m) - m, e)]] = weights
+        counts = widths[present]
+    ends = np.cumsum(counts).tolist()
+    return present, [index[..., lo:hi] for lo, hi in zip([0, *ends], ends)], mean
 
 
 def rgcn_forward(z: Tensor, g: Graphs, params: RgcnParams,
                  tape: Tape | None = None) -> Tensor:
     """theta_root z_i plus per-relation mean of transformed in-neighbors.
 
-    With one graph per copy, the relation blocks are those present in any
-    copy's graph, and a copy's mean matrix is zero where its graph lacks one.
+    The messages are one row per (relation, source) pair an edge uses
+    (``rgcn_layout``), and each copy's mean reads only its own rows.
     """
-    _check_nodes(z, g, "rgcn_forward")
-    present, mean = rgcn_mean_matrix(g)
-    bad = present[(present < 0) | (present >= params.relation_count)]
-    if bad.size:
-        raise ValueError(f"graph uses relation id {bad.max()} but parameters "
-                         f"cover only {params.relation_count} types")
+    graphs = _check_nodes(z, g, "rgcn_forward")
+    present, rows, mean = rgcn_layout(graphs, params.relation_count, z.shape[:-2])
     out = T.matmul(z, params.theta_root, tape)
     if not present.size:
         return out
-    messages = T.block_matmul(z, [params.thetas[r] for r in present], tape)
+    messages = T.block_matmul(z, [params.thetas[r] for r in present], tape, rows)
     return T.add(out, T.matmul(Tensor(mean), messages, tape), tape)
 
 

@@ -26,9 +26,9 @@ includes the node itself).
 A graph stores its edges as one 3 x E int array (rows src, dst,
 relation id), built with numpy in the order a loop over destination
 nodes would give; the list of (src, dst, rel) triples is derived from it
-only when asked for. The graph layers' constants (the relational mean's
-weights and the neighborhood mask) are computed once per graph and kept
-with it, and ``graph_from_speakers`` keeps the ``GRAPH_MEMO`` most
+only when asked for. The graph layers' constants (the relational
+convolution's message rows and mean weights, and the neighborhood mask)
+are computed once per graph and kept with it, and ``graph_from_speakers`` keeps the ``GRAPH_MEMO`` most
 recently used graphs, so a dialogue's graph is built once per process.
 Graphs are frozen and their arrays read-only, since callers share them.
 """
@@ -92,20 +92,25 @@ class ConversationGraph:
         return list(zip(*self.edge_arrays.tolist()))
 
     @cached_property
-    def mean_aggregation(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The relational mean over in-neighbors in compact form: the sorted
-        relation ids present, the distinct flat positions [i, slot(r)*n + j]
-        of the n x (P*n) mean matrix for edges j -> i of type r, and each
-        position's weight count/deg, deg being i's in-edges of type r, so a
-        pair of parallel edges weighs 2/deg. Positions are int32: a matrix
-        of 2^31 entries would not fit in memory anyway."""
+    def rgcn_layout(self) -> tuple[np.ndarray, ...]:
+        """The relational mean over in-neighbors, over one message row per
+        distinct (relation r, source j) pair that an edge uses: the sorted
+        relation ids present, each one's row count, and each row's source j,
+        grouped by relation and sorted within; then the nonzero entries of the
+        n x rows mean, count/deg at [i, row of (r, j)] for edges j -> i of type
+        r, deg being i's in-edges of type r (so a pair of parallel edges weighs
+        2/deg), as their dst i, row (int32: a graph of 2^31 nodes would not fit
+        in memory anyway) and weight."""
         src, dst, rel = self.edge_arrays.astype(np.intp)
         n = self.num_nodes
-        present, slot = np.unique(rel, return_inverse=True)
-        pos, count = np.unique((dst * present.size + slot) * n + src, return_counts=True)
-        deg = np.bincount(pos // n, count, n * present.size)
-        return (_read_only(present), _read_only(pos.astype(np.int32)),
-                _read_only(count / deg[pos // n]))
+        pair, row = np.unique(rel * n + src, return_inverse=True)
+        rels, slot, counts = np.unique(pair // n, return_inverse=True, return_counts=True)
+        entry, count = np.unique(dst * pair.size + row, return_counts=True)
+        dst, row = np.divmod(entry, max(pair.size, 1))
+        key = dst * rels.size + slot[row]
+        weights = count / np.bincount(key, count, n * rels.size)[key]
+        return tuple(_read_only(a) for a in (rels, counts, pair % n, dst.astype(np.int32),
+                                             row.astype(np.int32), weights))
 
     @cached_property
     def neighbor_mask(self) -> np.ndarray:

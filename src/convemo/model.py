@@ -11,6 +11,7 @@ type to a single one.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .config import TrainConfig
 from .dataset import Corpus, Dialogue, fuse_features, fused_dim
 from .encoder import EncoderParams, encode
 from .gnn import GraphTransformerParams, RgcnParams, graph_transformer_forward, rgcn_forward
-from .graph import graph_from_speakers, num_relation_types
+from .graph import ConversationGraph, graph_from_speakers, num_relation_types
 from .tensor import Tape, Tensor
 
 
@@ -101,6 +102,26 @@ def dialogue_gold(dialogue: Dialogue, task_mode: str) -> np.ndarray:
     return np.stack([np.asarray(u.label, dtype=np.float64) for u in dialogue.utterances])
 
 
+def forward_graphs(speakers: Sequence[int] | Sequence[Sequence[int]], shape: tuple[int, ...],
+                   params: ModelParams, config: TrainConfig) -> list[ConversationGraph] | None:
+    """The conversation graph of each copy of an input of ``shape``, n x d or
+    B x n x d, from its ``speakers``: one flat sequence of n ids for n x d, one
+    per copy for a stack. None under ``no_gnn``, whose forward reads none; but
+    speakers that do not fit ``shape`` are refused in every ablation."""
+    nested = len(speakers) > 0 and not isinstance(speakers[0], (int, np.integer))
+    seqs = speakers if nested else [speakers]
+    if nested != (len(shape) == 3) or len(seqs) != math.prod(shape[:-2]) or any(
+            len(s) != shape[-2] for s in seqs):
+        given = f"{len(speakers)} speakers sequences" if nested else "one flat speakers sequence"
+        raise T.ShapeError(f"forward_fused: {given} for input of shape {shape}; a stack takes "
+                           "one speakers sequence per copy, each with one id per row")
+    if config.ablation == "no_gnn":
+        return None
+    return [graph_from_speakers(s, params.dims.num_speakers, config.window_past,
+                                config.window_future, config.edge_mode, config.self_loops,
+                                config.ablation == "no_relations") for s in seqs]
+
+
 def forward_fused(x: Tensor, speakers: Sequence[int] | Sequence[Sequence[int]],
                   params: ModelParams, config: TrainConfig, training: bool = False,
                   rng: np.random.Generator | None = None,
@@ -109,20 +130,12 @@ def forward_fused(x: Tensor, speakers: Sequence[int] | Sequence[Sequence[int]],
     """Pipeline from an already-fused feature matrix (n x d) and its
     ``speakers``. A stack of B copies (B x n x d) runs as B forwards at once,
     on a tape or not, and takes B ``speakers`` sequences, one per copy."""
-    nested = len(speakers) > 0 and not isinstance(speakers[0], (int, np.integer))
-    if nested != (x.data.ndim == 3):
-        given = f"{len(speakers)} speakers sequences" if nested else "one flat speakers sequence"
-        raise T.ShapeError(f"forward_fused: {given} for input of shape {x.shape}; "
-                           "a stack takes one speakers sequence per copy")
+    graphs = forward_graphs(speakers, x.shape, params, config)
     z = encode(x, params.encoder, training, config.dropout, rng, tape, capture)
-    if config.ablation == "no_gnn":
+    if graphs is None:
         h = z
     else:
-        graphs = [graph_from_speakers(s, params.dims.num_speakers, config.window_past,
-                                      config.window_future, config.edge_mode, config.self_loops,
-                                      config.ablation == "no_relations")
-                  for s in (speakers if nested else [speakers])]
-        g = graphs if nested else graphs[0]
+        g = graphs if x.data.ndim == 3 else graphs[0]
         hid = rgcn_forward(z, g, params.rgcn, tape)
         if config.relu_between_graph_layers:
             hid = T.relu(hid, tape)

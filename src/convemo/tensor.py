@@ -1,8 +1,9 @@
 """Dense float64 tensors with a reverse-mode autodiff tape.
 
 The conversation model runs entirely on the primitives in this module:
-matmul (and row blocks of matmuls sharing one input, one batched matmul
-per run of a layer's adjacent weights in their arena), multi-head attention
+matmul (and row blocks of matmuls sharing one input: one batched matmul
+per run of a layer's adjacent weights in their arena, or one GEMM per
+weight over the rows its block picks), multi-head attention
 over such blocks (plain or graph-masked), row softmax, layer norm, relu,
 inverted dropout, bias adds, and the two classification losses. Forward
 ops record onto an explicit ``Tape``; ``backward`` replays the tape in
@@ -354,7 +355,8 @@ def _span(flat: np.ndarray, first: Parameter, count: int) -> np.ndarray:
     return flat[first._at:first._at + count * first.data.size].reshape(count, *first.shape)
 
 
-def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
+def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None,
+                 rows: Sequence[np.ndarray] | None = None) -> Tensor:
     """The products ``x @ w`` of one input with P same-shape 2-D weights, stacked
     by rows: a (P*n) x k matrix whose i-th block of n rows is ``x @ weights[i]``.
     One tape op, bit-identical to separate matmuls: each run (``weight_runs``) is
@@ -362,43 +364,82 @@ def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None)
     summed last first) and, when no member has a grad yet, one into the run's view
     of the gradient arena (else each accumulates its own). B >= 2 stacked copies
     run one GEMM over all B*n rows per weight, reading each weight once, and a
-    weight's adjoint sums over those rows."""
+    weight's adjoint sums over those rows.
+
+    With ``rows``, one index array of shape (*stack, S_i) per weight, block i is
+    ``x[rows[i]] @ weights[i]`` instead, S_i rows picked from each copy's own:
+    one GEMM per weight over every copy's picked rows, and in backward a
+    scatter-add into ``x``'s adjoint, so a row that no block picks gets zero."""
     _check_2d("block_matmul", x)
     if not weights or any(w.shape != (x.shape[-1], weights[0].shape[-1]) for w in weights):
         raise ShapeError(f"block_matmul needs k >= 1 weights of one 2-D shape with "
                          f"{x.shape[-1]} rows, got {[w.shape for w in weights]}")
-    p, (n, d), k = len(weights), x.shape[-2:], weights[0].shape[-1]
-    out, rows = np.empty((*x.shape[:-2], p * n, k)), x.data.reshape(-1, d)
-    runs = weight_runs(weights)
-    if len(rows) == n:   # one copy
-        for lo, hi, stack in runs:
-            np.matmul(rows, stack, out=out.reshape(p, n, k)[lo:hi])
-    else:
-        for i, w in enumerate(weights):
-            out[:, i * n:(i + 1) * n] = (rows @ w.data).reshape(-1, n, k)
     # adjoints as matmul gives them: none, deferred into a parameter's buffer, or computed
     adj_w = [w.requires_grad and (_Product if type(w) is Parameter else np.matmul)
              for w in weights]
+    if rows is not None:
+        return _picked_matmul(x, weights, rows, adj_w, tape)
+    p, (n, d), k = len(weights), x.shape[-2:], weights[0].shape[-1]
+    out, flat = np.empty((*x.shape[:-2], p * n, k)), x.data.reshape(-1, d)
+    runs = weight_runs(weights)
+    if len(flat) == n:   # one copy
+        for lo, hi, stack in runs:
+            np.matmul(flat, stack, out=out.reshape(p, n, k)[lo:hi])
+    else:
+        for i, w in enumerate(weights):
+            out[:, i * n:(i + 1) * n] = (flat @ w.data).reshape(-1, n, k)
 
     def grad_fn(g):
-        # weight i's blocks of every copy, (p, B*n, k), against ``rows``, (B*n, d)
+        # weight i's blocks of every copy, (p, B*n, k), against ``flat``, (B*n, d)
         blocks, d_w = g.reshape(-1, p, n, k).swapaxes(0, 1).reshape(p, -1, k), [None] * p
-        parts = np.empty((p, *rows.shape)) if x.requires_grad else None   # x's: block i's in slot p-1-i
+        parts = np.empty((p, *flat.shape)) if x.requires_grad else None   # x's: block i's in slot p-1-i
         for lo, hi, stack in runs:
             if parts is not None:
                 np.matmul(blocks[lo:hi][::-1], stack[::-1].swapaxes(-1, -2),
                           out=parts[p - hi:p - lo])
             if all(a is _Product and w.grad is None for a, w in zip(adj_w[lo:hi], weights[lo:hi])):
                 grads = _span(weights[lo].arena.alloc_grad(), weights[lo], hi - lo)
-                np.matmul(rows.T, blocks[lo:hi], out=grads)
+                np.matmul(flat.T, blocks[lo:hi], out=grads)
                 for w in weights[lo:hi]:
                     w.grad = w._buf
             else:
-                d_w[lo:hi] = [adj(rows.T, blk) if adj else None
+                d_w[lo:hi] = [adj(flat.T, blk) if adj else None
                               for adj, blk in zip(adj_w[lo:hi], blocks[lo:hi])]
         return (None if parts is None else np.add.reduce(parts, axis=0).reshape(x.shape), *d_w)
 
     return _make(out, (x, *weights), "block_matmul", tape, grad_fn)
+
+
+def _picked_matmul(x: Tensor, weights: Sequence[Tensor], rows: Sequence[np.ndarray],
+                   adj_w: list, tape: Tape | None) -> Tensor:
+    """``block_matmul`` with ``rows``: the picked rows gathered once, (B, M, d)."""
+    stack, (n, d), k = x.shape[:-2], x.shape[-2:], weights[0].shape[-1]
+    if len(rows) != len(weights) or any(r.shape[:-1] != stack for r in rows):
+        raise ShapeError(f"block_matmul needs one index array of shape {stack} + (S,) per "
+                         f"weight, got {[r.shape for r in rows]} for {len(weights)}")
+    ends = np.cumsum([r.shape[-1] for r in rows]).tolist()
+    spans, m, b = list(zip([0, *ends], ends)), ends[-1], math.prod(stack)
+    index = np.concatenate(rows, axis=-1).reshape(b, m)
+    picked = x.data.reshape(-1, d)[index + n * np.arange(b)[:, None]]
+    picked = [picked[:, lo:hi].reshape(-1, d) for lo, hi in spans]   # per weight, every copy's
+    out = np.empty((b, m, k))
+    for (lo, hi), xs, w in zip(spans, picked, weights):
+        out[:, lo:hi] = (xs @ w.data).reshape(b, hi - lo, k)
+
+    def grad_fn(g):
+        g = g.reshape(b, m, k)
+        blocks = [g[:, lo:hi].reshape(-1, k) for lo, hi in spans]
+        d_w = [adj(xs.T, blk) if adj else None for adj, xs, blk in zip(adj_w, picked, blocks)]
+        if not x.requires_grad:
+            return (None, *d_w)
+        parts = np.empty((b, m, d))
+        for (lo, hi), blk, w in zip(spans, blocks, weights):
+            parts[:, lo:hi] = (blk @ w.data.T).reshape(b, hi - lo, d)
+        scatter = np.zeros((b, n, m))   # 1 at [copy, picked row, block row]
+        scatter[np.arange(b)[:, None], index, np.arange(m)] = 1.0
+        return ((scatter @ parts).reshape(x.shape), *d_w)
+
+    return _make(out.reshape(*stack, m, k), (x, *weights), "block_matmul", tape, grad_fn)
 
 
 def transpose(x: Tensor, tape: Tape | None = None) -> Tensor:

@@ -24,6 +24,8 @@ from . import classifier as clf
 from . import metrics
 from .config import ConfigError, TrainConfig
 from .dataset import TASK_MODES, Corpus, Dialogue
+from .gnn import message_rows
+from .graph import ConversationGraph
 from .model import (
     ForwardResult,
     ModelDims,
@@ -31,6 +33,7 @@ from .model import (
     dialogue_gold,
     forward_dialogue,
     forward_fused,
+    forward_graphs,
     fused_matrix,
 )
 from .tensor import (
@@ -209,26 +212,28 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-STACK_BLOCK = 1 << 18   # float64 elements in a stacked forward's largest block: 2 MB at least,
-STACK_SHARE = 64        # or 1/64 of the parameters, as a forward reads them all once per stack.
-# The budget bounds that block only: blocks of like size are alive together, so the peak is ~3x
-# it, under 5% of one parameter array, while training holds four such arrays and a loaded
-# checkpoint three.
+STACK_BLOCK = 1 << 18   # float64 elements of a stacked forward's largest live set per layer: 2 MB
+STACK_SHARE = 64        # at least, or 1/64 of the parameters, as a forward reads them all once per stack.
+# The budget bounds one layer's largest block, or the RGCN's picked rows, messages and mean
+# together: blocks of like size are alive together, so the peak is ~3x it, under 5% of one
+# parameter array, while training holds four such arrays and a loaded checkpoint three.
 
 
-def copies_per_forward(n: int, model: ModelParams) -> int:
+def copies_per_forward(n: int, model: ModelParams, graphs: list[ConversationGraph] | None) -> int:
     """How many n-utterance copies one stacked forward runs: as many as keep
     its largest block within the larger of ``STACK_BLOCK`` elements and the
     parameter count over ``STACK_SHARE``. Per copy, that block is n rows
-    of the widest layer; per relation type, the RGCN's n x width messages or
-    n x n mean; or per attention head, 3 or 4 n x k projections or n x n scores."""
-    relations = model.rgcn.relation_count if model.rgcn is not None else 0
+    of the widest layer, or per attention head 3 or 4 n x k projections or n x n
+    scores, or the RGCN's live blocks over the message rows of a stack of any of
+    ``graphs`` (``gnn.message_rows``): its picked input rows and their messages,
+    rows x width each, and its n x rows mean."""
+    rows = 0 if graphs is None else message_rows(graphs, model.rgcn.relation_count)
     enc, gt = model.encoder, model.graph_attention
     heads = [(3, enc.num_heads, enc.head_dim)] + ([(4, gt.num_heads, gt.head_dim)] if gt else [])
-    widest = max(max(t.shape[-1] for t in model.named().values()),
+    widest = max(max(shape[-1] for shape in model.arena.shapes),
                  *(h * max(parts * k, n) for parts, h, k in heads))
     budget = max(STACK_BLOCK, model.arena.data.size // STACK_SHARE)
-    return max(1, budget // (n * max(n, widest, relations * max(model.dims.width, n))))
+    return max(1, budget // max(n * max(n, widest), rows * (2 * model.dims.width + n)))
 
 
 def predict_dialogues(dialogues: list[Dialogue], model: ModelParams,
@@ -236,15 +241,18 @@ def predict_dialogues(dialogues: list[Dialogue], model: ModelParams,
     """Eval-mode preds of each dialogue, in input order.
 
     Dialogues of one length run stacked, each with its own graph, through
-    one forward, ``copies_per_forward`` of them at a time; a dialogue alone
-    in its chunk runs as a stack of one.
+    one forward, ``copies_per_forward`` of them at a time, sized by the
+    graphs of every dialogue of that length; a dialogue alone in its chunk
+    runs as a stack of one.
     """
     by_length: dict[int, list[int]] = {}
     for i, d in enumerate(dialogues):
         by_length.setdefault(len(d), []).append(i)
     preds: list = [None] * len(dialogues)
     for n, members in by_length.items():
-        step = copies_per_forward(n, model)
+        speakers = [dialogues[i].speakers for i in members]
+        step = copies_per_forward(n, model, forward_graphs(speakers, (len(members), n, 0),
+                                                            model, config))
         for lo in range(0, len(members), step):
             chunk = members[lo:lo + step]
             stacked = forward_dialogue([dialogues[i] for i in chunk], model, config).preds
@@ -393,7 +401,8 @@ def mask_importance(dialogue: Dialogue, model: ModelParams,
     x = fused_matrix(dialogue, config.active_modalities)
     n = len(dialogue)
     gold = [u.label for u in dialogue.utterances]
-    per_forward = copies_per_forward(n, model)
+    per_forward = copies_per_forward(n, model, forward_graphs([dialogue.speakers], (1, n, 0),
+                                                               model, config))
     f1 = []
     for lo in range(0, n + 1, per_forward):
         copies = np.repeat(x[None], min(per_forward, n + 1 - lo), axis=0)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from convemo.gnn import (
     graph_transformer_forward,
     neighborhood_mask,
     rgcn_forward,
-    rgcn_mean_matrix,
+    rgcn_layout,
 )
 from convemo.graph import ConversationGraph, collapse_relations, graph_from_speakers
 from convemo.tensor import Tape, Tensor, backward
@@ -108,48 +109,100 @@ def test_rgcn_matches_loop_oracle(seed):
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def dense_mean_oracle(graphs):
-    """The (B, n, P*n) mean matrix by the dense formula the RGCN used before
-    graphs kept their constants: edge counts per (copy, dst, relation slot,
-    src), each divided by its (copy, dst, slot) degree."""
-    b, n = len(graphs), graphs[0].num_nodes
-    copy = np.concatenate([np.full(len(one.edges), k) for k, one in enumerate(graphs)])
-    src, dst, rel = np.concatenate(
-        [np.array(one.edges, dtype=np.intp).reshape(-1, 3).T for one in graphs], axis=1)
-    present, slot = np.unique(rel, return_inverse=True)
-    p = present.size
-    mean = np.bincount(((copy * n + dst) * p + slot) * n + src, np.ones(rel.size),
-                       b * n * p * n).astype(np.float64, copy=False).reshape(b, n, p, n)
-    deg = mean.sum(axis=3, keepdims=True)
-    np.divide(mean, deg, out=mean, where=deg > 0)
-    return present, mean.reshape(b, n, p * n)
+def dense_layout_oracle(graphs):
+    """The RGCN layout by its definition, from each graph's edge list: the
+    relation ids present in any graph; per id, each copy's sorted sources of
+    edges of that type, padded with node 0 to the most any copy has, (B, S_r);
+    and the (B, n, M) mean, count/deg at [copy, dst, column of (r, src)]."""
+    edges = [Counter(one.edges) for one in graphs]
+    present = sorted({rel for e in edges for _, _, rel in e})
+    sources = [[sorted({s for s, _, r in e if r == rel}) for e in edges] for rel in present]
+    widths = [max(map(len, per)) for per in sources]
+    starts = np.cumsum([0, *widths])
+    mean = np.zeros((len(graphs), graphs[0].num_nodes, sum(widths)))
+    for b, e in enumerate(edges):
+        for (src, dst, rel), count in e.items():
+            k = present.index(rel)
+            deg = sum(c for (_, d, r), c in e.items() if d == dst and r == rel)
+            mean[b, dst, starts[k] + sources[k][b].index(src)] = count / deg
+    rows = [np.array([s + [0] * (w - len(s)) for s in per]) for per, w in zip(sources, widths)]
+    return np.array(present, dtype=np.intp), rows, mean
 
 
 def test_kept_rgcn_constants_equal_the_dense_formula_bitwise():
     parallel = collapse_relations(graph_from_speakers([0, 1, 0, 1, 1], 2, 2, 2,
                                                       "single_direction"))
     assert len(set(parallel.edges)) < len(parallel.edges)
-    assert parallel.mean_aggregation[1].size == len(set(parallel.edges))
+    assert parallel.rgcn_layout[5].size == len(set(parallel.edges))   # one weight per distinct edge
     # node 0 has no in-edges: single direction, no past window, no self-loops
     sourceless = graph_from_speakers([0, 1, 0], 2, 0, 1, "single_direction", False)
     assert not (sourceless.edge_arrays[1] == 0).any()
     singles = [graph_from_speakers([0, 1, 1, 0, 2], 3, 2, None), parallel, sourceless,
                ConversationGraph(3, [], 2)]
     for g in singles:
-        present, mean = rgcn_mean_matrix(g)
-        want_present, want_mean = dense_mean_oracle([g])
+        want_present, want_rows, want_mean = dense_layout_oracle([g])
+        present, rows, mean = rgcn_layout([g], g.relation_count, ())
         assert np.array_equal(present, want_present)
+        assert [r.tolist() for r in rows][:present.size] == [r[0].tolist() for r in want_rows]
         assert mean.shape == want_mean.shape[1:] and np.array_equal(mean, want_mean[0])
-    assert 0.4 in rgcn_mean_matrix(parallel)[1]   # a parallel pair of a degree-5 node
-    # one graph per copy, whose present relation types differ
+        # copies of one graph share its layout
+        present, rows, mean = rgcn_layout([g] * 3, g.relation_count, (3,))
+        assert all(np.array_equal(r, np.repeat(w, 3, axis=0)) for r, w in zip(rows, want_rows))
+        assert np.array_equal(mean, np.repeat(want_mean, 3, axis=0))
+    assert 0.4 in rgcn_layout([parallel], 1, ())[2]   # a parallel pair of a degree-5 node
+    # one graph per copy, whose present relation types and source sets differ
     stacks = [[graph_from_speakers(s, 3, 1, None) for s in
                ([0, 1, 2, 0, 1], [1, 1, 1, 1, 1], [2, 0, 2, 0, 2])],
-              [graph_from_speakers(s, 2, 1, 1, self_loops=False) for s in ([0, 1, 0], [1, 1, 1])]]
+              [graph_from_speakers(s, 2, 1, 1, self_loops=False) for s in ([0, 1, 0], [1, 1, 1])],
+              [parallel, collapse_relations(graph_from_speakers([0, 0, 1, 1, 0], 2, 1, 1,
+                                                                "single_direction", False))]]
     for graphs in stacks:
-        assert len({tuple(g.mean_aggregation[0]) for g in graphs}) == len(graphs)
-        present, mean = rgcn_mean_matrix(graphs)
-        want_present, want_mean = dense_mean_oracle(graphs)
+        layouts = [g.rgcn_layout for g in graphs]
+        assert len({(tuple(k[0]), tuple(k[2])) for k in layouts}) == len(graphs)
+        present, rows, mean = rgcn_layout(graphs, graphs[0].relation_count, (len(graphs),))
+        want_present, want_rows, want_mean = dense_layout_oracle(graphs)
         assert np.array_equal(present, want_present) and np.array_equal(mean, want_mean)
+        assert len(rows) == len(want_rows)
+        assert all(np.array_equal(r, w) for r, w in zip(rows, want_rows))
+
+
+def _stacks_of_distinct_graphs():
+    """Stacks of 5-node graphs whose copies differ in present relation types
+    and source sets; the last two have parallel edges (single direction)."""
+    return [[graph_from_speakers(s, 3, 1, None) for s in
+             ([0, 1, 2, 0, 1], [1, 1, 1, 1, 1], [2, 0, 2, 0, 2])],
+            [graph_from_speakers(s, 3, 2, 1, "single_direction", False) for s in
+             ([0, 1, 2, 0, 1], [2, 2, 0, 1, 0], [1, 0, 1, 0, 1])],
+            [collapse_relations(graph_from_speakers([0, 1, 0, 1, 1], 2, 2, 2, "single_direction")),
+             collapse_relations(graph_from_speakers([1, 1, 0, 0, 0], 2, 2, 2, "single_direction",
+                                                    False))]]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_rgcn_on_a_stack_of_distinct_graphs_matches_the_loop_oracle_and_finite_differences(case):
+    graphs = _stacks_of_distinct_graphs()[case]
+    rng = np.random.default_rng(40 + case)
+    params = RgcnParams.init(3, 4, graphs[0].relation_count, rng)
+    z = T.parameter(rng.standard_normal((len(graphs), 5, 3)))
+    out = rgcn_forward(z, graphs, params)
+    for b, g in enumerate(graphs):
+        want = rgcn_loop_oracle(z.data[b], g, params.theta_root.data,
+                                [t.data for t in params.thetas])
+        np.testing.assert_allclose(out.data[b], want, atol=1e-12)
+    probe = Tensor(rng.standard_normal(out.shape))
+
+    def loss(tape):
+        return T.sum_all(T.mul(rgcn_forward(z, graphs, params, tape), probe, tape), tape)
+
+    present = sorted({rel for g in graphs for *_, rel in g.edges})
+    assert check_grads(loss, [z, params.theta_root, *(params.thetas[r] for r in present)]) < FD_TOL
+    # a message row that pads a copy's block is read by none of its nodes: its
+    # adjoint is an exact zero, and so the padding moves no gradient
+    tape = Tape()
+    backward(loss(tape), tape)
+    messages = tape.entries[1][2]
+    padded = ~rgcn_layout(graphs, params.relation_count, (len(graphs),))[2].any(axis=1)
+    assert padded.any() and not messages.grad[padded].any()
 
 
 def test_rgcn_absent_relations_get_no_gradient():
@@ -177,8 +230,9 @@ def test_rgcn_records_one_message_op_over_present_relations():
     assert [op for op, *_ in tape.entries] == ["matmul", "block_matmul", "matmul", "add"]
     _op, inputs, out, _fn = tape.entries[1]
     assert inputs[1:] == tuple(params.thetas[r] for r in present)
-    assert out.shape == (len(present) * len(speakers), 4)
-    assert len(present) > 40
+    # one message row per (relation, source) pair an edge uses
+    assert out.shape == (len({(rel, src) for src, _, rel in g.edges}), 4)
+    assert len(present) > 40 and out.shape[0] < len(present) * len(speakers)
 
 
 def test_rgcn_relation_id_beyond_params():

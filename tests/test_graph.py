@@ -196,7 +196,7 @@ def test_edge_arrays_are_kept_with_the_graph():
     # a graph, and the arrays it keeps, cannot be changed in place
     with pytest.raises(FrozenInstanceError):
         g.num_nodes = 5
-    for arr in (g.edge_arrays, *g.mean_aggregation, g.neighbor_mask):
+    for arr in (g.edge_arrays, *g.rgcn_layout, g.neighbor_mask):
         with pytest.raises(ValueError, match="read-only"):
             arr[..., 0] = 0
 

@@ -105,6 +105,13 @@ def test_speakers_must_match_the_stack_depth(ablation, stacked):
     message = str(err.value)
     assert given in message and "one speakers sequence per copy" in message
     assert len(message.splitlines()) == 1
+    # speakers of the right depth but the wrong count or lengths
+    data, speakers, given = ((np.stack([x, x]), [[0], [1, 2, 3, 4, 5], [0]], "3 speakers sequences")
+                             if stacked else (x, d.speakers[:2], "one flat speakers sequence"))
+    with pytest.raises(T.ShapeError) as err:
+        forward_fused(Tensor(data), speakers, model, config)
+    message = str(err.value)
+    assert given in message and "one id per row" in message and len(message.splitlines()) == 1
 
 
 @pytest.mark.parametrize("ablation", ["full", "no_relations", "no_gnn"])

@@ -622,7 +622,8 @@ TWO_D_ONLY = {"cross_entropy_logits", "bce_with_logits"}
 def _stacked_cases(rng):
     """(cases, reseed). Each case is (op, fn(*operands, tape), inputs): float
     inputs of ndim 3 are stacked copies and the rest are shared by every copy;
-    a boolean input is a mask, passed as it is (one per copy), not as a tensor.
+    a boolean input is a mask and an integer one a row index, each passed as it
+    is (one per copy), not as a tensor.
     ``reseed()`` restarts the dropout case's generator, so a stacked dropout and
     a loop over its copies, each run after a reseed, draw the same masks."""
     proj, mask = _attention_inputs(rng, 2, 4, 3, masked=True, lead=(3,))
@@ -641,6 +642,10 @@ def _stacked_cases(rng):
         ("matmul stacked @ stacked", T.matmul, [stacked(4, 5), stacked(5, 2)]),
         ("block_matmul", lambda a, b, c, tape: T.block_matmul(a, [b, c], tape),
          [stacked(4, 5), rng.standard_normal((5, 6)), rng.standard_normal((5, 6))]),
+        # rows picked per copy, of sizes 3 and 2: repeated in a copy, and some unused
+        ("block_matmul, rows", lambda a, b, c, r, s, tape: T.block_matmul(a, [b, c], tape, [r, s]),
+         [stacked(4, 5), rng.standard_normal((5, 6)), rng.standard_normal((5, 6)),
+          np.array([[0, 2, 3], [1, 1, 3], [3, 0, 0]]), np.array([[1, 2], [0, 3], [2, 2]])]),
         ("transpose", T.transpose, [stacked(4, 5)]),
         ("add", T.add, [stacked(4, 5), stacked(4, 5)]),
         ("add_bias", T.add_bias, [stacked(4, 5), rng.standard_normal(5)]),
@@ -661,18 +666,18 @@ def _stacked_cases(rng):
 
 def _copy(inputs, b):
     """Copy ``b`` of the inputs: a stacked one's b-th slice, a shared one whole."""
-    return [a[b] if a.ndim == 3 else a for a in inputs]
+    return [a[b] if a.ndim == 3 or a.dtype.kind == "i" else a for a in inputs]
 
 
 def _operands(inputs):
-    return [a if a.dtype == bool else Tensor(a) for a in inputs]
+    return [Tensor(a) if a.dtype.kind == "f" else a for a in inputs]
 
 
 def _as_parameters(inputs):
     """(operands, parameters): the float inputs as parameters laid out in one
     arena in order, so that block_matmul's adjacent weights run as one batched
     matmul, and each mask as it is."""
-    floats = {str(i): a for i, a in enumerate(inputs) if a.dtype != bool}
+    floats = {str(i): a for i, a in enumerate(inputs) if a.dtype.kind == "f"}
     params = arena_params(floats)
     return [params.get(str(i), a) for i, a in enumerate(inputs)], list(params.values())
 
@@ -712,7 +717,7 @@ def test_stacked_tape_gradients_equal_per_copy_gradients_and_finite_differences(
         operands, params = _as_parameters(inputs)
         reseed()
         taped(operands, probe)
-        floats = [a for a in inputs if a.dtype != bool]
+        floats = [a for a in inputs if a.dtype.kind == "f"]
         want = [np.zeros_like(a) for a in floats]
         reseed()
         for b in range(3):
@@ -880,6 +885,42 @@ def test_block_matmul_gradients():
     err = check_grads(lambda tape: T.sum_all(T.mul(T.block_matmul(x, ws, tape), w_out, tape), tape),
                       [x, *ws])
     assert err < FD_TOL
+
+
+def _picked_reference(x, ws, rows):
+    """``block_matmul`` with ``rows`` by its definition, copy by copy."""
+    xs = x.reshape(-1, *x.shape[-2:])
+    picks = [r.reshape(len(xs), r.shape[-1]) for r in rows]
+    return np.stack([np.concatenate([xb[r[b]] @ w for w, r in zip(ws, picks)])
+                     for b, xb in enumerate(xs)]).reshape(*x.shape[:-2], -1, ws[0].shape[-1])
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_block_matmul_with_rows_matches_its_definition_and_finite_differences(stack):
+    # three weights picking 2, 0 and 3 rows of each copy, the copies picking
+    # different rows: row 4 of copy 0 is picked by no block
+    rng = np.random.default_rng(35)
+    x = parameter(rng.standard_normal((*stack, 5, 4)))
+    ws = [parameter(rng.standard_normal((4, 3))) for _ in range(3)]
+    rows = [np.array([[0, 2], [1, 4], [3, 3]]), np.zeros((3, 0), int),
+            np.array([[1, 2, 3], [0, 4, 2], [4, 1, 0]])]
+    rows = [r[0] for r in rows] if not stack else rows
+    out = T.block_matmul(x, ws, None, rows)
+    want = _picked_reference(x.data, [w.data for w in ws], rows)
+    assert out.shape == (*stack, 5, 3)
+    assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
+    probe = Tensor(rng.standard_normal(out.shape))
+
+    def loss(tape):
+        return T.sum_all(T.mul(T.block_matmul(x, ws, tape, rows), probe, tape), tape)
+
+    assert check_grads(loss, [x, *ws]) < FD_TOL
+    unused = x.grad[..., 0, 4, :] if stack else x.grad[4]
+    assert np.array_equal(unused, np.zeros(4))   # picked by no block: an exact zero
+    with pytest.raises(ShapeError, match="one index array"):
+        T.block_matmul(x, ws, None, rows[:2])
+    with pytest.raises(ShapeError, match="one index array"):
+        T.block_matmul(x, ws, None, [r[..., None] for r in rows])
 
 
 def test_block_matmul_shape_errors():

@@ -11,9 +11,10 @@ count/|N_r(i)| at [i, row of (r, j)] for each edge j -> i of type r,
 averages them for every node at once. Each graph keeps its message rows
 and the mean's nonzero entries (``ConversationGraph.rgcn_layout``), and
 its neighborhood mask, from its first forward on; a forward only
-scatters them. In a stack of distinct graphs, each relation's rows are
-padded to the most sources any copy has, and a copy's mean is zero at
-its padding.
+scatters them. A stack's message rows are every copy's own, with no
+padding, as in a disjoint union of its graphs: each relation is one GEMM
+over all copies' rows of that type, gathered to a (B, M, k) block whose
+copy b holds its own rows, M the most any copy has, zero past them.
 
 ``graph_transformer_forward`` then runs dot-product attention restricted
 to graph neighborhoods (relation types ignored at this layer), combining
@@ -114,56 +115,43 @@ def _check_nodes(x: Tensor, g: Graphs, name: str) -> list[ConversationGraph]:
     return graphs
 
 
-def _widths(rels: np.ndarray, counts: np.ndarray, relation_count: int) -> np.ndarray:
-    """Per relation id, the most message rows any graph gives it, from the
-    relation ids and row counts of their layouts end to end."""
+def rgcn_layout(graphs: list[ConversationGraph], relation_count: int, stacked: bool
+                ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None, np.ndarray]:
+    """The message rows of a forward over ``graphs``: every copy's own
+    (relation, source) rows from its kept layout, and no others. Returns the
+    relation ids present in any copy, sorted; per id, its rows' sources over
+    every copy in turn, copy b's node j as b*n + j (``block_matmul``'s
+    ``rows``, one GEMM per id); ``at``, the (B, M) gather that hands each copy
+    its own rows, M the most any copy has, with zero rows past a copy's own
+    (None for a single graph, whose rows are its layout's as they are); and
+    each copy's mean over its own rows, (B, n, M) stacked or (n, M) for 2-D."""
+    n, copies = graphs[0].num_nodes, len(graphs)
+    layouts = [one.rgcn_layout for one in graphs]
+    m = [one[2].size for one in layouts]
+    mean = np.zeros((copies, n, max(m)))
+    for b, (*_, dst, row, weights) in enumerate(layouts):
+        mean[b, dst, row] = weights
+    rels, counts, sources = layouts[0][:3] if copies == 1 else (
+        np.concatenate(a) for a in zip(*(one[:3] for one in layouts)))
     bad = rels[(rels < 0) | (rels >= relation_count)]
     if bad.size:
         raise ValueError(f"graph uses relation id {bad.max()} but parameters "
                          f"cover only {relation_count} types")
-    widths = np.zeros(relation_count, np.intp)
-    np.maximum.at(widths, rels, counts)
-    return widths
-
-
-def message_rows(graphs: Sequence[ConversationGraph], relation_count: int) -> int:
-    """The message rows per copy of an RGCN forward over a stack of any of ``graphs``."""
-    rels, counts = (np.concatenate(a) for a in zip(*(g.rgcn_layout[:2] for g in graphs)))
-    return int(_widths(rels, counts, relation_count).sum())
-
-
-def rgcn_layout(graphs: list[ConversationGraph], relation_count: int,
-                stack: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """The relation ids present in any of the graphs, sorted; per id, the source
-    nodes whose messages it needs, of shape (*stack, S_r); and the mean over
-    those M = sum S_r rows, (*stack, n, M). Copies of one graph share its own
-    rows; for distinct graphs, each relation's rows are padded to the most any
-    copy has, with node 0, whose column of the copy's mean is zero."""
-    n = graphs[0].num_nodes
-    if all(one is graphs[0] for one in graphs):
-        present, counts, index, dst, row, weights = graphs[0].rgcn_layout
-        _widths(present, counts, relation_count)   # refuses ids beyond the parameters
-        mean = np.zeros((n, index.size))
-        mean[dst, row] = weights
-        if stack:
-            index, mean = (np.broadcast_to(a, (*stack, *a.shape)) for a in (index, mean))
-    else:
-        layouts = [one.rgcn_layout for one in graphs]
-        rels, counts, sources, dst, row, weights = map(np.concatenate, zip(*layouts))
-        widths = _widths(rels, counts, relation_count)
-        present, copy = np.flatnonzero(widths), np.arange(len(graphs))
-        m, e = np.array([(one[2].size, one[5].size) for one in layouts]).T
-        # a row's column: its relation's first column plus its rank among the copy's rows of it
-        first = np.cumsum(counts) - counts
-        col = ((np.cumsum(widths) - widths)[np.repeat(rels, counts)]
-               + np.arange(sources.size) - np.repeat(first, counts))
-        index = np.zeros((len(graphs), widths.sum()), np.intp)
-        index[np.repeat(copy, m), col] = sources
-        mean = np.zeros((len(graphs), n, widths.sum()))
-        mean[np.repeat(copy, e), dst, col[row + np.repeat(np.cumsum(m) - m, e)]] = weights
-        counts = widths[present]
+    at = None
+    if copies > 1:   # each relation's rows of every copy in turn, for one GEMM per relation
+        rel, m = np.repeat(rels, counts), np.array(m)
+        order = np.argsort(rel, kind="stable")
+        place = np.empty_like(order)
+        place[order] = np.arange(rel.size)
+        at = np.full((copies, m.max()), rel.size)
+        at[np.arange(m.max()) < m[:, None]] = place   # row-major: each copy's rows in turn
+        sources = (sources + np.repeat(np.arange(copies) * n, m))[order]
+        totals = np.bincount(rel)
+        rels = np.flatnonzero(totals)
+        counts = totals[rels]
     ends = np.cumsum(counts).tolist()
-    return present, [index[..., lo:hi] for lo, hi in zip([0, *ends], ends)], mean
+    return (rels, [sources[lo:hi] for lo, hi in zip([0, *ends], ends)], at,
+            mean if stacked else mean[0])
 
 
 def rgcn_forward(z: Tensor, g: Graphs, params: RgcnParams,
@@ -174,11 +162,11 @@ def rgcn_forward(z: Tensor, g: Graphs, params: RgcnParams,
     (``rgcn_layout``), and each copy's mean reads only its own rows.
     """
     graphs = _check_nodes(z, g, "rgcn_forward")
-    present, rows, mean = rgcn_layout(graphs, params.relation_count, z.shape[:-2])
+    present, rows, at, mean = rgcn_layout(graphs, params.relation_count, z.data.ndim == 3)
     out = T.matmul(z, params.theta_root, tape)
     if not present.size:
         return out
-    messages = T.block_matmul(z, [params.thetas[r] for r in present], tape, rows)
+    messages = T.block_matmul(z, [params.thetas[r] for r in present], tape, rows, at)
     return T.add(out, T.matmul(Tensor(mean), messages, tape), tape)
 
 

@@ -28,8 +28,9 @@ relation id), built with numpy in the order a loop over destination
 nodes would give; the list of (src, dst, rel) triples is derived from it
 only when asked for. The graph layers' constants (the relational
 convolution's message rows and mean weights, and the neighborhood mask)
-are computed once per graph and kept with it, and ``graph_from_speakers`` keeps the ``GRAPH_MEMO`` most
-recently used graphs, so a dialogue's graph is built once per process.
+are computed once per graph and kept with it, and ``graph_from_speakers``
+keeps the ``GRAPH_MEMO`` most recently used graphs, so a dialogue's graph
+is built once per process.
 Graphs are frozen and their arrays read-only, since callers share them.
 """
 
@@ -119,13 +120,6 @@ class ConversationGraph:
         mask = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
         mask[dst, src] = True
         return _read_only(mask)
-
-    def in_edges(self) -> list[list[tuple[int, int]]]:
-        """Per destination node: list of (src, relation_type_id)."""
-        table: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
-        for src, dst, rel in self.edges:
-            table[dst].append((src, rel))
-        return table
 
     def to_json_dict(self) -> dict:
         return {"n": self.num_nodes,

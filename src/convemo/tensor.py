@@ -83,9 +83,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -356,7 +353,7 @@ def _span(flat: np.ndarray, first: Parameter, count: int) -> np.ndarray:
 
 
 def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None,
-                 rows: Sequence[np.ndarray] | None = None) -> Tensor:
+                 rows: Sequence[np.ndarray] | None = None, at: np.ndarray | None = None) -> Tensor:
     """The products ``x @ w`` of one input with P same-shape 2-D weights, stacked
     by rows: a (P*n) x k matrix whose i-th block of n rows is ``x @ weights[i]``.
     One tape op, bit-identical to separate matmuls: each run (``weight_runs``) is
@@ -366,10 +363,14 @@ def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None,
     run one GEMM over all B*n rows per weight, reading each weight once, and a
     weight's adjoint sums over those rows.
 
-    With ``rows``, one index array of shape (*stack, S_i) per weight, block i is
-    ``x[rows[i]] @ weights[i]`` instead, S_i rows picked from each copy's own:
-    one GEMM per weight over every copy's picked rows, and in backward a
-    scatter-add into ``x``'s adjoint, so a row that no block picks gets zero."""
+    With ``rows``, one 1-D array per weight of row numbers into ``x``'s rows,
+    every copy's end to end (copy b's row j is b*n + j), block i is those rows
+    times ``weights[i]`` instead, one GEMM per weight, and the output is the
+    S x k blocks. With ``at`` too, an int array of shape (*lead, M) that names
+    each of those S rows at most once, the output is (*lead, M, k): row
+    ``at[..., m]`` of the blocks, or zero where ``at`` holds S. In backward,
+    the picked rows' adjoints are summed into ``x``'s, so a row that no block
+    picks gets zero."""
     _check_2d("block_matmul", x)
     if not weights or any(w.shape != (x.shape[-1], weights[0].shape[-1]) for w in weights):
         raise ShapeError(f"block_matmul needs k >= 1 weights of one 2-D shape with "
@@ -378,7 +379,7 @@ def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None,
     adj_w = [w.requires_grad and (_Product if type(w) is Parameter else np.matmul)
              for w in weights]
     if rows is not None:
-        return _picked_matmul(x, weights, rows, adj_w, tape)
+        return _picked_matmul(x, weights, rows, at, adj_w, tape)
     p, (n, d), k = len(weights), x.shape[-2:], weights[0].shape[-1]
     out, flat = np.empty((*x.shape[:-2], p * n, k)), x.data.reshape(-1, d)
     runs = weight_runs(weights)
@@ -411,35 +412,43 @@ def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None,
 
 
 def _picked_matmul(x: Tensor, weights: Sequence[Tensor], rows: Sequence[np.ndarray],
-                   adj_w: list, tape: Tape | None) -> Tensor:
-    """``block_matmul`` with ``rows``: the picked rows gathered once, (B, M, d)."""
-    stack, (n, d), k = x.shape[:-2], x.shape[-2:], weights[0].shape[-1]
-    if len(rows) != len(weights) or any(r.shape[:-1] != stack for r in rows):
-        raise ShapeError(f"block_matmul needs one index array of shape {stack} + (S,) per "
-                         f"weight, got {[r.shape for r in rows]} for {len(weights)}")
-    ends = np.cumsum([r.shape[-1] for r in rows]).tolist()
-    spans, m, b = list(zip([0, *ends], ends)), ends[-1], math.prod(stack)
-    index = np.concatenate(rows, axis=-1).reshape(b, m)
-    picked = x.data.reshape(-1, d)[index + n * np.arange(b)[:, None]]
-    picked = [picked[:, lo:hi].reshape(-1, d) for lo, hi in spans]   # per weight, every copy's
-    out = np.empty((b, m, k))
-    for (lo, hi), xs, w in zip(spans, picked, weights):
-        out[:, lo:hi] = (xs @ w.data).reshape(b, hi - lo, k)
+                   at: np.ndarray | None, adj_w: list, tape: Tape | None) -> Tensor:
+    """``block_matmul`` with ``rows``: the picked rows, (S, d), are gathered in
+    forward and again in backward, so that neither the tape nor ``at``'s gather
+    holds them, and their adjoints are summed into ``x``'s by one ``bincount``."""
+    d, k = x.shape[-1], weights[0].shape[-1]
+    if len(rows) != len(weights) or any(r.ndim != 1 for r in rows):
+        raise ShapeError(f"block_matmul needs one index array of shape (S,) per weight, "
+                         f"got {[r.shape for r in rows]} for {len(weights)}")
+    ends = np.cumsum([r.size for r in rows]).tolist()
+    spans, s = list(zip([0, *ends], ends)), ends[-1]
+    index = np.concatenate(rows)
+    prods = np.empty((s + 1, k))
+    prods[s] = 0.0   # the zero row of ``at``
+    _span_matmuls(x.data.reshape(-1, d)[index], [w.data for w in weights], spans, prods)
 
     def grad_fn(g):
-        g = g.reshape(b, m, k)
-        blocks = [g[:, lo:hi].reshape(-1, k) for lo, hi in spans]
-        d_w = [adj(xs.T, blk) if adj else None for adj, xs, blk in zip(adj_w, picked, blocks)]
+        if at is not None:
+            g, g_at = np.zeros((s + 1, k)), g
+            g[at] = g_at
+        picked = x.data.reshape(-1, d)[index]
+        d_w = [adj(picked[lo:hi].T, g[lo:hi]) if adj else None
+               for adj, (lo, hi) in zip(adj_w, spans)]
         if not x.requires_grad:
             return (None, *d_w)
-        parts = np.empty((b, m, d))
-        for (lo, hi), blk, w in zip(spans, blocks, weights):
-            parts[:, lo:hi] = (blk @ w.data.T).reshape(b, hi - lo, d)
-        scatter = np.zeros((b, n, m))   # 1 at [copy, picked row, block row]
-        scatter[np.arange(b)[:, None], index, np.arange(m)] = 1.0
-        return ((scatter @ parts).reshape(x.shape), *d_w)
+        parts = _span_matmuls(g, [w.data.T for w in weights], spans, np.empty((s, d)))
+        d_x = np.bincount((index[:, None] * d + np.arange(d)).ravel(), parts.ravel(), x.data.size)
+        return (d_x.reshape(x.shape), *d_w)
 
-    return _make(out.reshape(*stack, m, k), (x, *weights), "block_matmul", tape, grad_fn)
+    return _make(prods[:s] if at is None else prods[at], (x, *weights), "block_matmul",
+                 tape, grad_fn)
+
+
+def _span_matmuls(a: np.ndarray, ws: Sequence[np.ndarray], spans, out: np.ndarray) -> np.ndarray:
+    """``out``, whose rows lo:hi are ``a``'s times ``ws[i]`` for the i-th span (lo, hi)."""
+    for (lo, hi), w in zip(spans, ws):
+        np.matmul(a[lo:hi], w, out=out[lo:hi])
+    return out
 
 
 def transpose(x: Tensor, tape: Tape | None = None) -> Tensor:

@@ -24,7 +24,6 @@ from . import classifier as clf
 from . import metrics
 from .config import ConfigError, TrainConfig
 from .dataset import TASK_MODES, Corpus, Dialogue
-from .gnn import message_rows
 from .graph import ConversationGraph
 from .model import (
     ForwardResult,
@@ -215,8 +214,9 @@ class TrainResult:
 STACK_BLOCK = 1 << 18   # float64 elements of a stacked forward's largest live set per layer: 2 MB
 STACK_SHARE = 64        # at least, or 1/64 of the parameters, as a forward reads them all once per stack.
 # The budget bounds one layer's largest block, or the RGCN's picked rows, messages and mean
-# together: blocks of like size are alive together, so the peak is ~3x it, under 5% of one
-# parameter array, while training holds four such arrays and a loaded checkpoint three.
+# together, each copy's sized by the most message rows any copy has: blocks of like size are
+# alive together, so the peak is ~3x it, under 5% of one parameter array, while training
+# holds four such arrays and a loaded checkpoint three.
 
 
 def copies_per_forward(n: int, model: ModelParams, graphs: list[ConversationGraph] | None) -> int:
@@ -224,10 +224,10 @@ def copies_per_forward(n: int, model: ModelParams, graphs: list[ConversationGrap
     its largest block within the larger of ``STACK_BLOCK`` elements and the
     parameter count over ``STACK_SHARE``. Per copy, that block is n rows
     of the widest layer, or per attention head 3 or 4 n x k projections or n x n
-    scores, or the RGCN's live blocks over the message rows of a stack of any of
-    ``graphs`` (``gnn.message_rows``): its picked input rows and their messages,
-    rows x width each, and its n x rows mean."""
-    rows = 0 if graphs is None else message_rows(graphs, model.rgcn.relation_count)
+    scores, or the RGCN's live blocks over the most message rows any one of
+    ``graphs`` has (``gnn.rgcn_layout``): its picked input rows and their
+    messages, rows x width each, and its n x rows mean."""
+    rows = 0 if graphs is None else max(g.rgcn_layout[2].size for g in graphs)
     enc, gt = model.encoder, model.graph_attention
     heads = [(3, enc.num_heads, enc.head_dim)] + ([(4, gt.num_heads, gt.head_dim)] if gt else [])
     widest = max(max(shape[-1] for shape in model.arena.shapes),
@@ -242,8 +242,8 @@ def predict_dialogues(dialogues: list[Dialogue], model: ModelParams,
 
     Dialogues of one length run stacked, each with its own graph, through
     one forward, ``copies_per_forward`` of them at a time, sized by the
-    graphs of every dialogue of that length; a dialogue alone in its chunk
-    runs as a stack of one.
+    dialogue of that length whose graph has the most message rows; a
+    dialogue alone in its chunk runs as a stack of one.
     """
     by_length: dict[int, list[int]] = {}
     for i, d in enumerate(dialogues):

@@ -43,7 +43,7 @@ def check_grads(build_loss, params, step=FD_STEP):
     tape = Tape()
     loss = build_loss(tape)
     for p in params:
-        p.zero_grad()
+        p.grad = None
     backward(loss, tape)
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
     numeric = finite_difference(lambda: build_loss(None).item(), params, step)

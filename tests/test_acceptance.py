@@ -255,10 +255,10 @@ def test_worked_example_and_relation_formula():
 
     g = graph_from_speakers(SEVEN_SPEAKERS, 2, None, None)
     ok = g.relation_count == 8
-    incoming = g.in_edges()
+    srcs, dsts, rels = g.edge_arrays.tolist()
     for node, (want_intra, want_inter) in SEVEN_EXPECTED.items():
         got_intra, got_inter = set(), set()
-        for src, rel in incoming[node]:
+        for src, rel in [(s, r) for s, d, r in zip(srcs, dsts, rels) if d == node]:
             entry = (src, rel // 4)
             if SEVEN_SPEAKERS[src] == SEVEN_SPEAKERS[node]:
                 got_intra.add(entry)

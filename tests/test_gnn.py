@@ -109,24 +109,40 @@ def test_rgcn_matches_loop_oracle(seed):
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def dense_layout_oracle(graphs):
-    """The RGCN layout by its definition, from each graph's edge list: the
-    relation ids present in any graph; per id, each copy's sorted sources of
-    edges of that type, padded with node 0 to the most any copy has, (B, S_r);
-    and the (B, n, M) mean, count/deg at [copy, dst, column of (r, src)]."""
+def dense_layout_oracle(graphs, stacked):
+    """The RGCN layout by its definition, from each graph's edge list: each
+    copy's own message rows, its distinct (relation, source) pairs sorted; the
+    relation ids present in any copy; per id, the sources of its rows over
+    every copy in turn, copy b's node j as b*n + j; for two or more copies,
+    at[b, m], the place among those of copy b's m-th own row, or their count
+    past copy b's rows (else None); and the mean, count/deg at [copy, dst, own
+    row of (rel, src)], (B, n, M) for a stack and (n, M) for one 2-D graph."""
+    n = graphs[0].num_nodes
     edges = [Counter(one.edges) for one in graphs]
-    present = sorted({rel for e in edges for _, _, rel in e})
-    sources = [[sorted({s for s, _, r in e if r == rel}) for e in edges] for rel in present]
-    widths = [max(map(len, per)) for per in sources]
-    starts = np.cumsum([0, *widths])
-    mean = np.zeros((len(graphs), graphs[0].num_nodes, sum(widths)))
+    own = [sorted({(rel, src) for src, _, rel in e}) for e in edges]
+    present = sorted({rel for pairs in own for rel, _ in pairs})
+    gemm = [(rel, b, src) for rel in present for b, pairs in enumerate(own)
+            for r, src in pairs if r == rel]
+    rows = [np.array([b * n + src for r, b, src in gemm if r == rel]) for rel in present]
+    width = max(map(len, own))
+    at = np.full((len(graphs), width), len(gemm))
+    mean = np.zeros((len(graphs), n, width))
     for b, e in enumerate(edges):
+        for m, (rel, src) in enumerate(own[b]):
+            at[b, m] = gemm.index((rel, b, src))
         for (src, dst, rel), count in e.items():
-            k = present.index(rel)
             deg = sum(c for (_, d, r), c in e.items() if d == dst and r == rel)
-            mean[b, dst, starts[k] + sources[k][b].index(src)] = count / deg
-    rows = [np.array([s + [0] * (w - len(s)) for s in per]) for per, w in zip(sources, widths)]
-    return np.array(present, dtype=np.intp), rows, mean
+            mean[b, dst, own[b].index((rel, src))] = count / deg
+    return (np.array(present, dtype=np.intp), rows, at if len(graphs) > 1 else None,
+            mean if stacked else mean[0])
+
+
+def _assert_same_layout(got, want):
+    (present, rows, at, mean), (want_present, want_rows, want_at, want_mean) = got, want
+    assert np.array_equal(present, want_present) and len(rows) == len(want_rows)
+    assert all(np.array_equal(r, w) for r, w in zip(rows, want_rows))
+    assert (at is None) == (want_at is None) and (at is None or np.array_equal(at, want_at))
+    assert mean.shape == want_mean.shape and np.array_equal(mean, want_mean)
 
 
 def test_kept_rgcn_constants_equal_the_dense_formula_bitwise():
@@ -140,45 +156,46 @@ def test_kept_rgcn_constants_equal_the_dense_formula_bitwise():
     singles = [graph_from_speakers([0, 1, 1, 0, 2], 3, 2, None), parallel, sourceless,
                ConversationGraph(3, [], 2)]
     for g in singles:
-        want_present, want_rows, want_mean = dense_layout_oracle([g])
-        present, rows, mean = rgcn_layout([g], g.relation_count, ())
-        assert np.array_equal(present, want_present)
-        assert [r.tolist() for r in rows][:present.size] == [r[0].tolist() for r in want_rows]
-        assert mean.shape == want_mean.shape[1:] and np.array_equal(mean, want_mean[0])
-        # copies of one graph share its layout
-        present, rows, mean = rgcn_layout([g] * 3, g.relation_count, (3,))
-        assert all(np.array_equal(r, np.repeat(w, 3, axis=0)) for r, w in zip(rows, want_rows))
-        assert np.array_equal(mean, np.repeat(want_mean, 3, axis=0))
-    assert 0.4 in rgcn_layout([parallel], 1, ())[2]   # a parallel pair of a degree-5 node
+        # one graph, 2-D or a stack of one, is its own layout; copies of it repeat it
+        for graphs, stacked in (([g], False), ([g], True), ([g] * 3, True)):
+            _assert_same_layout(rgcn_layout(graphs, g.relation_count, stacked),
+                                dense_layout_oracle(graphs, stacked))
+        rels, _, sources = g.rgcn_layout[:3]
+        present, rows, _, _ = rgcn_layout([g], g.relation_count, False)
+        assert present is rels and all(r.base is sources for r in rows)
+    assert 0.4 in rgcn_layout([parallel], 1, False)[3]   # a parallel pair of a degree-5 node
     # one graph per copy, whose present relation types and source sets differ
     stacks = [[graph_from_speakers(s, 3, 1, None) for s in
                ([0, 1, 2, 0, 1], [1, 1, 1, 1, 1], [2, 0, 2, 0, 2])],
               [graph_from_speakers(s, 2, 1, 1, self_loops=False) for s in ([0, 1, 0], [1, 1, 1])],
               [parallel, collapse_relations(graph_from_speakers([0, 0, 1, 1, 0], 2, 1, 1,
-                                                                "single_direction", False))]]
+                                                                "single_direction", False))],
+              [ConversationGraph(3, [], 8), sourceless, graph_from_speakers([1, 1, 0], 2, 1, 1)]]
     for graphs in stacks:
         layouts = [g.rgcn_layout for g in graphs]
         assert len({(tuple(k[0]), tuple(k[2])) for k in layouts}) == len(graphs)
-        present, rows, mean = rgcn_layout(graphs, graphs[0].relation_count, (len(graphs),))
-        want_present, want_rows, want_mean = dense_layout_oracle(graphs)
-        assert np.array_equal(present, want_present) and np.array_equal(mean, want_mean)
-        assert len(rows) == len(want_rows)
-        assert all(np.array_equal(r, w) for r, w in zip(rows, want_rows))
+        got = rgcn_layout(graphs, graphs[0].relation_count, True)
+        _assert_same_layout(got, dense_layout_oracle(graphs, True))
+        # a stack's GEMM rows are its copies' own rows, with no padding
+        assert sum(r.size for r in got[1]) == sum(k[2].size for k in layouts)
 
 
 def _stacks_of_distinct_graphs():
-    """Stacks of 5-node graphs whose copies differ in present relation types
-    and source sets; the last two have parallel edges (single direction)."""
+    """Stacks of 5-node graphs whose copies differ in present relation types,
+    source sets and row totals; the middle two have parallel edges (single
+    direction), and the last an edgeless copy and relations of one copy only."""
     return [[graph_from_speakers(s, 3, 1, None) for s in
              ([0, 1, 2, 0, 1], [1, 1, 1, 1, 1], [2, 0, 2, 0, 2])],
             [graph_from_speakers(s, 3, 2, 1, "single_direction", False) for s in
              ([0, 1, 2, 0, 1], [2, 2, 0, 1, 0], [1, 0, 1, 0, 1])],
             [collapse_relations(graph_from_speakers([0, 1, 0, 1, 1], 2, 2, 2, "single_direction")),
              collapse_relations(graph_from_speakers([1, 1, 0, 0, 0], 2, 2, 2, "single_direction",
-                                                    False))]]
+                                                    False))],
+            [graph_from_speakers([0, 1, 0, 1, 0], 3, None, None), ConversationGraph(5, [], 18),
+             graph_from_speakers([2, 2, 2, 2, 2], 3, 1, 0)]]
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 def test_rgcn_on_a_stack_of_distinct_graphs_matches_the_loop_oracle_and_finite_differences(case):
     graphs = _stacks_of_distinct_graphs()[case]
     rng = np.random.default_rng(40 + case)
@@ -196,13 +213,19 @@ def test_rgcn_on_a_stack_of_distinct_graphs_matches_the_loop_oracle_and_finite_d
 
     present = sorted({rel for g in graphs for *_, rel in g.edges})
     assert check_grads(loss, [z, params.theta_root, *(params.thetas[r] for r in present)]) < FD_TOL
-    # a message row that pads a copy's block is read by none of its nodes: its
-    # adjoint is an exact zero, and so the padding moves no gradient
+    # the messages are each copy's own rows, (B, M, k) for M the most any copy
+    # has: a copy's rows past its own are zero and read by none of its nodes,
+    # so they move no gradient
     tape = Tape()
     backward(loss(tape), tape)
     messages = tape.entries[1][2]
-    padded = ~rgcn_layout(graphs, params.relation_count, (len(graphs),))[2].any(axis=1)
-    assert padded.any() and not messages.grad[padded].any()
+    own = [g.rgcn_layout[2].size for g in graphs]
+    assert messages.shape == (len(graphs), max(own), 4)
+    for b, m in enumerate(own):
+        assert not messages.data[b, m:].any() and not messages.grad[b, m:].any()
+    if case == 3:   # row totals that differ, one of them 0, and relations of one copy only
+        assert min(own) == 0 and len(set(own)) == 3
+        assert any(sum(r in g.rgcn_layout[0] for g in graphs) == 1 for r in present)
 
 
 def test_rgcn_absent_relations_get_no_gradient():

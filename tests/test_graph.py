@@ -107,10 +107,10 @@ SEVEN_EXPECTED = {
 def test_seven_utterance_window_example():
     g = graph_from_speakers(SEVEN_SPEAKERS, num_speakers=2, past=None, future=None)
     assert g.relation_count == 8
-    incoming = g.in_edges()
+    srcs, dsts, rels = g.edge_arrays.tolist()
     for node, (want_intra, want_inter) in SEVEN_EXPECTED.items():
         got_intra, got_inter = set(), set()
-        for src, rel in incoming[node]:
+        for src, rel in [(s, r) for s, d, r in zip(srcs, dsts, rels) if d == node]:
             direction = rel // 4
             src_spk = (rel % 4) // 2
             dst_spk = rel % 2

@@ -236,7 +236,7 @@ def test_owned_grad_same_parameter_in_both_slots(op):
     rng = np.random.default_rng(21)
     p = parameter(rng.standard_normal((4, 4)))
     for _ in range(2):   # the first backward allocates the buffer, the second reuses it
-        p.zero_grad()
+        p.grad = None
         tape = Tape()
         loss = _weighted_sum(op(p, p, tape), rng, tape)
         want = _allocating_grads(loss, tape)[id(p)]
@@ -252,7 +252,7 @@ def test_owned_grad_parameter_consumed_by_two_ops():
     x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     w = parameter(rng.standard_normal((3, 3)))
     for _ in range(2):
-        p.zero_grad(), x.zero_grad(), w.zero_grad()
+        p.grad = x.grad = w.grad = None
         tape = Tape()
         h = T.relu(T.matmul(x, w, tape), tape)
         q = T.matmul(x, p, tape)
@@ -284,7 +284,7 @@ def test_owned_grad_is_one_buffer_across_steps():
     w = parameter(rng.standard_normal((3, 3)))
     buffers = []
     for _ in range(3):
-        w.zero_grad()
+        w.grad = None
         tape = Tape()
         loss = _weighted_sum(T.matmul(Tensor(rng.standard_normal((2, 3))), w, tape), rng, tape)
         want = _allocating_grads(loss, tape)[id(w)]
@@ -643,7 +643,8 @@ def _stacked_cases(rng):
         ("block_matmul", lambda a, b, c, tape: T.block_matmul(a, [b, c], tape),
          [stacked(4, 5), rng.standard_normal((5, 6)), rng.standard_normal((5, 6))]),
         # rows picked per copy, of sizes 3 and 2: repeated in a copy, and some unused
-        ("block_matmul, rows", lambda a, b, c, r, s, tape: T.block_matmul(a, [b, c], tape, [r, s]),
+        ("block_matmul, rows", lambda a, b, c, r, s, tape: T.block_matmul(
+            a, [b, c], tape, *_flat_picks(a, [[r, s]] if a.data.ndim == 2 else list(zip(r, s)))),
          [stacked(4, 5), rng.standard_normal((5, 6)), rng.standard_normal((5, 6)),
           np.array([[0, 2, 3], [1, 1, 3], [3, 0, 0]]), np.array([[1, 2], [0, 3], [2, 2]])]),
         ("transpose", T.transpose, [stacked(4, 5)]),
@@ -887,40 +888,64 @@ def test_block_matmul_gradients():
     assert err < FD_TOL
 
 
-def _picked_reference(x, ws, rows):
-    """``block_matmul`` with ``rows`` by its definition, copy by copy."""
+def _flat_picks(x, picks):
+    """``block_matmul``'s ``rows`` and ``at`` from ``picks[b][i]``, copy b's own
+    rows for weight i: per weight, every copy's rows in turn, copy b's row j as
+    b*n + j; and for a stack, at[b, m], the place among those of copy b's m-th
+    row in weight order, or their count past copy b's rows (for 2-D, None)."""
+    n = x.shape[-2]
+    rows = [np.array([b * n + j for b, p in enumerate(picks) for j in p[i]], dtype=np.intp)
+            for i in range(len(picks[0]))]
+    if x.data.ndim == 2:
+        return rows, None
+    place, at = 0, [[] for _ in picks]
+    for i in range(len(picks[0])):
+        for b, p in enumerate(picks):
+            at[b] += range(place, place + len(p[i]))
+            place += len(p[i])
+    width = max(map(len, at))
+    return rows, np.array([a + [place] * (width - len(a)) for a in at])
+
+
+def _picked_reference(x, ws, picks):
+    """``block_matmul`` with ``rows`` by its definition, copy by copy: each
+    copy's own rows in weight order, zero past them to the most any copy has."""
     xs = x.reshape(-1, *x.shape[-2:])
-    picks = [r.reshape(len(xs), r.shape[-1]) for r in rows]
-    return np.stack([np.concatenate([xb[r[b]] @ w for w, r in zip(ws, picks)])
-                     for b, xb in enumerate(xs)]).reshape(*x.shape[:-2], -1, ws[0].shape[-1])
+    outs = [np.concatenate([xb[p[i]] @ w for i, w in enumerate(ws)]) for xb, p in zip(xs, picks)]
+    width = max(len(o) for o in outs)
+    out = np.zeros((len(xs), width, ws[0].shape[-1]))
+    for o, one in zip(out, outs):
+        o[:len(one)] = one
+    return out if x.ndim == 3 else out[0]
 
 
 @pytest.mark.parametrize("stack", [(), (3,)])
 def test_block_matmul_with_rows_matches_its_definition_and_finite_differences(stack):
-    # three weights picking 2, 0 and 3 rows of each copy, the copies picking
-    # different rows: row 4 of copy 0 is picked by no block
+    # three weights, the copies picking different rows, and different numbers of
+    # them: 5, 4 and 6, one row twice, and the middle weight only some copies'
+    # rows; row 4 of copy 0 is picked by no block
     rng = np.random.default_rng(35)
     x = parameter(rng.standard_normal((*stack, 5, 4)))
     ws = [parameter(rng.standard_normal((4, 3))) for _ in range(3)]
-    rows = [np.array([[0, 2], [1, 4], [3, 3]]), np.zeros((3, 0), int),
-            np.array([[1, 2, 3], [0, 4, 2], [4, 1, 0]])]
-    rows = [r[0] for r in rows] if not stack else rows
-    out = T.block_matmul(x, ws, None, rows)
-    want = _picked_reference(x.data, [w.data for w in ws], rows)
-    assert out.shape == (*stack, 5, 3)
+    picks = [[[0, 2], [], [1, 2, 3]], [[1, 4], [2, 0], []], [[3, 3], [1], [4, 1, 0]]]
+    picks = picks[:1] if not stack else picks
+    rows, at = _flat_picks(x, picks)
+    out = T.block_matmul(x, ws, None, rows, at)
+    want = _picked_reference(x.data, [w.data for w in ws], picks)
+    assert out.shape == (*stack, 5 if not stack else 6, 3)
     assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
     probe = Tensor(rng.standard_normal(out.shape))
 
     def loss(tape):
-        return T.sum_all(T.mul(T.block_matmul(x, ws, tape, rows), probe, tape), tape)
+        return T.sum_all(T.mul(T.block_matmul(x, ws, tape, rows, at), probe, tape), tape)
 
     assert check_grads(loss, [x, *ws]) < FD_TOL
     unused = x.grad[..., 0, 4, :] if stack else x.grad[4]
     assert np.array_equal(unused, np.zeros(4))   # picked by no block: an exact zero
     with pytest.raises(ShapeError, match="one index array"):
-        T.block_matmul(x, ws, None, rows[:2])
+        T.block_matmul(x, ws, None, rows[:2], at)
     with pytest.raises(ShapeError, match="one index array"):
-        T.block_matmul(x, ws, None, [r[..., None] for r in rows])
+        T.block_matmul(x, ws, None, [r[:, None] for r in rows], at)
 
 
 def test_block_matmul_shape_errors():

@@ -14,7 +14,6 @@ from convemo import classifier as clf
 from convemo import tensor as T
 from convemo.config import ConfigError, TrainConfig
 from convemo.dataset import Corpus, Dialogue, SynthSpec, Utterance, load_corpus, synth_corpus
-from convemo.gnn import message_rows
 from convemo.graph import speaker_graph
 from convemo.model import (
     ModelDims,
@@ -1091,7 +1090,7 @@ def test_mask_budget_splits_copies_unevenly(monkeypatch):
     # mean, 600 elements for 8 utterances
     corpus, cfg, model = _untrained(num_speakers=2, utts=8, dims={"a": 4, "t": 8, "v": 4})
     d = corpus.dialogues[0]
-    assert message_rows(forward_graphs([d.speakers], (1, 8, 0), model, cfg), 8) == 15
+    assert _own_rows(forward_graphs([d.speakers], (1, 8, 0), model, cfg)) == [15]
     monkeypatch.setattr(training, "STACK_BLOCK", 4 * 600 + 100)
     sizes = []
 
@@ -1103,6 +1102,11 @@ def test_mask_budget_splits_copies_unevenly(monkeypatch):
     report = mask_importance(d, model, cfg)
     assert sizes == [4, 4, 1]
     assert [report.baseline_f1, *report.masked_f1] == _per_copy_f1(d, model, cfg)
+
+
+def _own_rows(graphs) -> list[int]:
+    """Each graph's RGCN message rows, one per (relation, source) pair its edges use."""
+    return [g.rgcn_layout[2].size for g in graphs]
 
 
 def _traced_peak(fn) -> int:
@@ -1147,9 +1151,9 @@ def _per_dialogue_preds(dialogues, model, cfg):
 
 def test_predict_dialogues_keeps_input_order_and_splits_by_budget(monkeypatch):
     # 2 speakers at width 16: one 8-utterance copy's largest live set is its
-    # RGCN's over the 40 message rows a stack of the 8-utterance dialogues
-    # needs, 40 * (16 + 16 + 8) = 1,600 elements, and a 5-utterance one's
-    # 20 * (16 + 16 + 5) = 740
+    # RGCN's over the 25 message rows of the 8-utterance dialogue that has the
+    # most, 25 * (16 + 16 + 8) = 1,000 elements, and a 5-utterance one's
+    # 13 * (16 + 16 + 5) = 481
     corpus = synth_corpus(SynthSpec(num_dialogues=12, utterances_per_dialogue=8,
                                     num_speakers=2, num_classes=4,
                                     dims={"a": 4, "t": 8, "v": 4}, seed=3))
@@ -1160,8 +1164,8 @@ def test_predict_dialogues_keeps_input_order_and_splits_by_budget(monkeypatch):
                  for i, d in enumerate(corpus.dialogues)]
     want = _per_dialogue_preds(dialogues, model, cfg)
     eights = [d.speakers for d in dialogues if len(d) == 8]
-    assert message_rows(forward_graphs(eights, (9, 8, 0), model, cfg), 8) == 40
-    monkeypatch.setattr(training, "STACK_BLOCK", 4 * 1600 + 1000)
+    assert max(_own_rows(forward_graphs(eights, (9, 8, 0), model, cfg))) == 25
+    monkeypatch.setattr(training, "STACK_BLOCK", 4 * 1000 + 500)
     calls = []
 
     def recording(dialogue, *args, **kwargs):
@@ -1253,11 +1257,13 @@ def test_evaluate_multilabel_matches_the_per_dialogue_loop():
 
 def test_stacked_eval_memory_stays_within_the_budget():
     # the masking test's shape: a copy's RGCN live set is sized by the message
-    # rows of a stack of any of the four dialogues, so they run in one forward
+    # rows of the dialogue that has the most, 229 * (2 * 64 + 24) elements, so
+    # the four dialogues run in one forward
     corpus, cfg, model = _untrained(num_speakers=6, utts=24, dims={"a": 16, "t": 32, "v": 16},
                                     window_past=None, window_future=None)
     graphs = forward_graphs([d.speakers for d in corpus.dialogues], (4, 24, 0), model, cfg)
-    assert len(corpus.dialogues) == 4 and training.copies_per_forward(24, model, graphs) == 4
+    assert len(corpus.dialogues) == 4 and max(_own_rows(graphs)) == 229
+    assert training.copies_per_forward(24, model, graphs) == training.STACK_BLOCK // (229 * 152) == 7
     peak = _traced_peak(lambda: training.predict_dialogues(corpus.dialogues, model, cfg))
     assert peak <= 1.5 * training.STACK_BLOCK * 8
 
@@ -1291,9 +1297,10 @@ def test_parameter_count_can_set_the_stack_budget(monkeypatch):
     budget = model.arena.data.size // training.STACK_SHARE
     one = forward_graphs([d.speakers], (1, 24, 0), model, cfg)
     every = forward_graphs([d.speakers for d in corpus.dialogues], (4, 24, 0), model, cfg)
-    rgcn = [message_rows(g, 72) * (2 * 64 + 24) for g in (one, every)]
+    rgcn = [max(_own_rows(g)) * (2 * 64 + 24) for g in (one, every)]
+    assert rgcn[0] < rgcn[1]   # the four dialogues are sized by the one with the most rows
     assert training.copies_per_forward(24, model, one) == budget // rgcn[0] == 3
-    assert training.copies_per_forward(24, model, every) == budget // rgcn[1] == 2
+    assert training.copies_per_forward(24, model, every) == budget // rgcn[1] == 3
     peaks = [_traced_peak(lambda: mask_importance(d, model, cfg)),
              _traced_peak(lambda: training.predict_dialogues(corpus.dialogues, model, cfg))]
     assert max(peaks) <= 1.5 * budget * 8
@@ -1311,10 +1318,49 @@ def test_parameter_count_can_set_the_stack_budget(monkeypatch):
     monkeypatch.setattr(training, "forward_dialogue", dialogue)
     report = mask_importance(d, model, cfg)
     got = training.predict_dialogues(corpus.dialogues, model, cfg)
-    assert mask_sizes == [3] * 8 + [1] and eval_sizes == [2, 2]
+    assert mask_sizes == [3] * 8 + [1] and eval_sizes == [3, 1]
     assert [report.baseline_f1, *report.masked_f1] == _per_copy_f1(d, model, cfg)
     for p, w in zip(got, _per_dialogue_preds(corpus.dialogues, model, cfg), strict=True):
         np.testing.assert_array_equal(p, w)
+
+
+def test_multiparty_long_eval_runs_three_copies_a_forward_over_their_own_message_rows(
+        monkeypatch):
+    # the shape of the benchmark's multiparty-long workload: 6 speakers, 40
+    # utterances, unbounded windows, width 64, the default config; a graph has
+    # some 400 message rows, so the budget runs 3 dialogues a forward, and
+    # each forward's RGCN GEMMs run over its copies' own rows, no more
+    corpus = synth_corpus(SynthSpec(num_dialogues=9, utterances_per_dialogue=40, num_speakers=6,
+                                    num_classes=6, dims={"a": 16, "t": 32, "v": 16},
+                                    dependency="neighbor", seed=3))
+    cfg = TrainConfig(window_past=None, window_future=None).validate()
+    model = ModelParams.init(cfg, ModelDims.for_corpus(corpus, cfg), np.random.default_rng(5))
+    assert model.dims.width == 64
+    chunks, gemm_rows, block_matmul = [], [], T.block_matmul
+
+    def dialogue(dialogues, *args, **kwargs):
+        chunks.append((dialogues, forward_dialogue(dialogues, *args, **kwargs)))
+        return chunks[-1][1]
+
+    def counting(x, weights, tape=None, rows=None, at=None):
+        if rows is not None:
+            gemm_rows.append(sum(r.size for r in rows))
+        return block_matmul(x, weights, tape, rows, at)
+
+    monkeypatch.setattr(training, "forward_dialogue", dialogue)
+    monkeypatch.setattr(T, "block_matmul", counting)
+    peak = _traced_peak(lambda: training.predict_dialogues(corpus.dialogues, model, cfg))
+    assert peak <= 1.5 * training.STACK_BLOCK * 8
+    sizes = [len(c) for c, _ in chunks]
+    assert sum(sizes) == 9 and min(sizes[:-1]) >= 3
+    assert gemm_rows == [sum(_own_rows(forward_graphs([d.speakers for d in c], (len(c), 40, 0),
+                                                      model, cfg))) for c, _ in chunks]
+    for c, stacked in chunks:
+        for b, d in enumerate(c):
+            one = forward_dialogue(d, model, cfg)
+            want = one.logits.data
+            assert np.abs(stacked.logits.data[b] - want).max() <= 1e-12 * np.abs(want).max()
+            np.testing.assert_array_equal(stacked.preds[b], one.preds)
 
 
 def test_a_ten_utterance_mask_at_paper_width_runs_in_one_forward():

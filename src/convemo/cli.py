@@ -89,10 +89,27 @@ def _resolve_config(args) -> TrainConfig:
     return TrainConfig.from_dict(values)
 
 
+def _numeric_environment() -> dict:
+    """What a run's last bits depend on beyond its inputs: the numpy and BLAS
+    builds, the CPUs the process may use and the BLAS thread-count variables."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):   # numpy before 1.26 has no mode="dicts"
+        blas = "unknown"
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"numpy": np.__version__, "blas": blas, "cpus": cpus,
+            **{k: os.environ.get(k) for k in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 def _write_manifest(out: Path, command: str, config: TrainConfig | None,
                     corpus_path, fingerprint: str, artifacts: dict) -> Path:
     manifest = {
         "tool_version": __version__,
+        "numeric_environment": _numeric_environment(),
         "command": command,
         "corpus": str(corpus_path),
         "corpus_fingerprint": fingerprint,

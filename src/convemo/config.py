@@ -68,8 +68,11 @@ class TrainConfig:
             setattr(self, f.name, stored(value))
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
+        for name in ("dropout", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1)")
+        if self.adam_eps <= 0:
+            raise ConfigError("adam_eps must be positive")
         for name in ("gnn_heads", "seq_context_layers", "encoder_heads", "ffn_mult",
                      "epochs", "grad_accum"):
             if getattr(self, name) < 1:

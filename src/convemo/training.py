@@ -61,7 +61,9 @@ ADAM_SPLIT = 1 << 24
 
 
 class Adam:
-    """Adaptive-moment optimizer over a named parameter map.
+    """Adaptive-moment optimizer over a named parameter map, in Kingma & Ba's
+    efficient order (2015, section 2): both bias corrections fold into one
+    step size per step, so an element costs one division and one square root.
 
     The map is every member of one arena (``tensor.Arena``), in arena order:
     a model's ``named()``, or a lone parameter; anything else is refused. The
@@ -75,10 +77,16 @@ class Adam:
     same to the bit. A training loop releases the gradient arena between
     epochs (``Arena.release_grad``); the next backward allocates it again.
     The optimizer owns the moments; the parameter arena belongs to the model.
+    Betas outside [0, 1) and an ``eps`` that is not positive are refused.
     """
 
     def __init__(self, params: dict[str, Parameter], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        for name, value in (("beta1", beta1), ("beta2", beta2)):
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"Adam: {name} must be in [0, 1), not {value!r}")
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"Adam: eps must be positive and finite, not {eps!r}")
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -99,7 +107,10 @@ class Adam:
 
     def step(self) -> None:
         """One update, bit-identical to ``m = b1*m + (1-b1)*g``,
-        ``v = b2*v + (1-b2)*g*g``, ``p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)``.
+        ``v = b2*v + (1-b2)*g*g``, ``p -= (m*alpha) / (sqrt(v) + eps_hat)``,
+        where ``alpha = lr*sqrt(bias2)/bias1``, ``eps_hat = eps*sqrt(bias2)``
+        and ``bias_i = 1 - b_i**t`` at step t. That equals the textbook
+        ``p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)`` but for rounding.
 
         Tensors without a gradient are skipped, so the update runs over maximal
         runs of adjacent tensors that have one; a gradient assigned by hand is
@@ -155,10 +166,10 @@ class Adam:
         """Update the [at, end) element ranges ``chunks`` in order, through the
         two rows of ``scratch``. Stops at the first chunk holding a non-finite
         value, before writing its parameters, and returns that value's index."""
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1, 1 - b2
-        bias1 = 1.0 - b1 ** self.step_count
-        bias2 = 1.0 - b2 ** self.step_count
+        bias1, root2 = 1.0 - b1 ** self.step_count, math.sqrt(1.0 - b2 ** self.step_count)
+        alpha, eps_hat = self.lr * root2 / bias1, self.eps * root2
         arrays = (self.arena.data, self.arena.grad, self._m, self._v)
         for at, end in chunks:
             p, g, m, v = (x[at:end] for x in arrays)
@@ -167,9 +178,9 @@ class Adam:
             np.add(m, np.multiply(g, c1, a), m)
             np.multiply(v, b2, v)
             np.add(v, np.multiply(np.multiply(g, c2, a), g, a), v)
-            np.add(np.sqrt(np.divide(v, bias2, a), a), eps, a)          # denominator
-            np.divide(np.multiply(np.divide(m, bias1, b), lr, b), a, b)  # update
-            # update * denominator is about lr*m/bias1 while every element is
+            np.add(np.sqrt(v, a), eps_hat, a)             # denominator
+            np.divide(np.multiply(m, alpha, b), a, b)    # update
+            # update * denominator is about alpha*m while every element is
             # finite, and NaN or Inf once a gradient, moment or update is not.
             # einsum, not np.vdot: BLAS's dot is itself threaded, and parts
             # calling it side by side oversubscribe the CPUs.

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -51,6 +52,11 @@ def test_train_is_deterministic_and_fast(tmp_path):
     assert manifest["resolved_config"]["seed"] == 7
     assert manifest["tool_version"]
     assert manifest["corpus_fingerprint"]
+    env = manifest["numeric_environment"]
+    assert set(env) == {"numpy", "blas", "cpus", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS"}
+    assert env["numpy"] == np.__version__ and env["blas"] and env["cpus"] >= 1
+    assert env["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS")
 
 
 def test_bad_config_file(tmp_path, capsys):
@@ -64,7 +70,8 @@ def test_bad_config_file(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("gnn_heads", "2"), ("learning_rate", None), ("window_past", "inf"),
     ("active_modalities", 5), ("seed", 1.5), ("seed", -1), ("self_loops", "no"),
-    ("gnn_heads", True),
+    ("gnn_heads", True), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("adam_eps", 0.0),
+    ("adam_eps", -1.0),
 ])
 def test_config_value_of_wrong_type_is_one_line_error(tmp_path, capsys, key, value):
     path = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import gc
+import math
 import sys
 import threading
 import tracemalloc
@@ -72,11 +73,55 @@ def test_adam_moves_against_gradient():
 
 
 def _adam_reference_step(p, m, v, g, step, lr, b1=0.9, b2=0.999, eps=1e-8):
-    """The allocating update Adam.step must reproduce bit for bit."""
+    """The allocating update Adam.step must reproduce bit for bit: Kingma &
+    Ba's efficient order, both bias corrections in one step size."""
     m = b1 * m + (1 - b1) * g
     v = b2 * v + (1 - b2) * g * g
-    bias1, bias2 = 1.0 - b1 ** step, 1.0 - b2 ** step
-    return p - lr * (m / bias1) / (np.sqrt(v / bias2) + eps), m, v
+    root2 = math.sqrt(1.0 - b2 ** step)
+    alpha, eps_hat = lr * root2 / (1.0 - b1 ** step), eps * root2
+    return p - (m * alpha) / (np.sqrt(v) + eps_hat), m, v
+
+
+def _adam_textbook_step(p, m, v, g, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Kingma & Ba's Algorithm 1 as printed: bias-corrected moments, eps added
+    to the square root of the corrected second moment."""
+    c1 = 1 - b1    # as Adam computes it
+    m = b1 * m + c1 * g
+    v = b2 * v + (1 - b2) * g * g
+    m_hat, v_hat = m / (1 - b1 ** step), v / (1 - b2 ** step)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_adam_stays_within_1e12_of_the_textbook_update_over_many_steps(split_steps, cpus):
+    # a multi-chunk arena over 60 steps, on one thread and split in 2 parts.
+    # Some gradient entries are exactly 0 and some about 1e-10, where eps
+    # outweighs sqrt(v/bias2) and a wrong eps_hat shows at once. Parameters
+    # start at magnitudes 2 to 3, which 60 steps at lr 1e-2 cannot bring near
+    # 0, where p - update cancels and a relative error measures the
+    # cancellation, not the update.
+    affinity, pools = split_steps
+    affinity(cpus)
+    shapes = {"w": (300, 250), "b": (17,), "u": (40, 30)}
+    rng = np.random.default_rng(8)
+    params = arena_params({k: (2 + rng.random(s)) * rng.choice([-1.0, 1.0], s)
+                           for k, s in shapes.items()})
+    assert params["w"].data.size > 2 * ADAM_CHUNK
+    ref = {k: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for k, t in params.items()}
+    opt = Adam(params, lr=1e-2)
+    for step in range(1, 61):
+        for name, t in params.items():
+            g = rng.standard_normal(t.shape)
+            g[rng.random(t.shape) < 0.1] = 0.0
+            tiny = rng.random(t.shape) < 0.1
+            g[tiny] = 1e-10 * rng.standard_normal(np.count_nonzero(tiny))
+            t.grad = g
+            ref[name] = _adam_textbook_step(*ref[name], g, step, 1e-2)
+        opt.step()
+        for name, t in params.items():
+            for got, want in zip((t.data, opt.m[name], opt.v[name]), ref[name]):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert pools == ([cpus - 1] * 60 if cpus > 1 else [])
 
 
 def test_adam_step_bit_identical_to_reference_across_chunks():
@@ -717,6 +762,18 @@ def test_adam_over_a_rebound_parameter_is_refused():
     with pytest.raises(ValueError, match=r"^parameter 'classifier\.w1' no longer views its "
                                          r"arena: [^\n]*$"):
         Adam(model.named(), cfg.learning_rate)
+
+
+@pytest.mark.parametrize("kw, name", [
+    ({"beta1": 1.0}, "beta1"), ({"beta1": -0.1}, "beta1"), ({"beta2": 1.5}, "beta2"),
+    ({"beta2": np.nan}, "beta2"), ({"eps": 0.0}, "eps"), ({"eps": -1.0}, "eps"),
+    ({"eps": np.inf}, "eps"),
+])
+def test_adam_refuses_meaningless_hyperparameters_in_one_line(kw, name):
+    params = {"p": T.parameter(np.zeros(3))}
+    with pytest.raises(ValueError, match=rf"^Adam: {name} must be [^\n]*$"):
+        Adam(params, 1e-2, **kw)
+    Adam(params, 1e-2, beta1=0.0, beta2=0.0, eps=1e-300)   # the edges that make sense
 
 
 def test_damaged_checkpoint_raises_one_line_error(tmp_path):

@@ -10,6 +10,7 @@ class label or a binary label vector in multi-label mode.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,22 +86,29 @@ class Corpus:
         return sum(len(d) for d in self.dialogues)
 
 
-def fuse_features(utt: Utterance, active: str = "atv") -> np.ndarray:
-    """Concatenate the requested modality vectors in fixed a, t, v order.
+def fuse_features(utt: Utterance | Sequence[Utterance], active: str = "atv") -> np.ndarray:
+    """Concatenate the requested modality vectors in fixed a, t, v order: of
+    one utterance, or as the rows of a sequence of N, N x d, each modality
+    gathered from all N at once.
 
     ``active`` is any subset of "atv"; request order never matters.
     """
-    parts = []
+    utts = [utt] if isinstance(utt, Utterance) else utt
+    columns = []
     for key in MODALITIES:
         if key not in active:
             continue
-        vec = utt.modality(key)
-        if vec is None:
+        vecs = [u.modality(key) for u in utts]
+        if any(vec is None for vec in vecs):
             raise CorpusError(f"utterance is missing requested modality '{key}'")
-        parts.append(vec)
-    if not parts:
+        columns.append(vecs)
+    if not columns:
         raise CorpusError("at least one modality must be active")
-    return np.concatenate(parts)
+    ends = np.cumsum([len(vecs[0]) for vecs in columns]).tolist()
+    fused = np.empty((len(utts), ends[-1]))
+    for lo, hi, vecs in zip([0, *ends], ends, columns):
+        fused[:, lo:hi] = vecs   # filled in place, not concatenated from per-modality copies
+    return fused[0] if isinstance(utt, Utterance) else fused
 
 
 def fused_dim(dims: dict[str, int], active: str = "atv") -> int:

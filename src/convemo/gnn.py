@@ -128,11 +128,11 @@ def rgcn_layout(graphs: list[ConversationGraph], relation_count: int, stacked: b
     n, copies = graphs[0].num_nodes, len(graphs)
     layouts = [one.rgcn_layout for one in graphs]
     m = [one[2].size for one in layouts]
+    rels, counts, sources, dst, row, weights = layouts[0] if copies == 1 else (
+        np.concatenate(a) for a in zip(*layouts))
     mean = np.zeros((copies, n, max(m)))
-    for b, (*_, dst, row, weights) in enumerate(layouts):
-        mean[b, dst, row] = weights
-    rels, counts, sources = layouts[0][:3] if copies == 1 else (
-        np.concatenate(a) for a in zip(*(one[:3] for one in layouts)))
+    first = np.repeat(np.arange(copies) * n, [one[3].size for one in layouts])   # copy's row 0
+    mean.reshape(-1)[(first + dst) * max(m) + row] = weights   # one flat index: cheapest scatter
     bad = rels[(rels < 0) | (rels >= relation_count)]
     if bad.size:
         raise ValueError(f"graph uses relation id {bad.max()} but parameters "

@@ -13,6 +13,7 @@ speaker's previous utterance at speaker level. Reference-less utterances
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -24,16 +25,20 @@ SHIFT_LEVELS = ("utterance", "speaker")   # the previous label: any speaker's, o
 
 
 def confusion_matrix(gold, pred, num_classes: int) -> np.ndarray:
+    """Counts of (gold, pred) label pairs, c x c; for R rows of predictions
+    (R x n), of one gold sequence of n or of R x n golds, R x c x c."""
     gold = np.asarray(gold, dtype=np.int64)
     pred = np.asarray(pred, dtype=np.int64)
-    if gold.shape != pred.shape:
+    rows = pred.ndim == 2 and gold.ndim == 1   # one gold sequence for every row
+    if pred.ndim > 2 or gold.shape != pred.shape[rows:]:
         raise ValueError(f"gold and pred lengths differ: {gold.shape} vs {pred.shape}")
     if gold.size and (gold.min() < 0 or gold.max() >= num_classes
                       or pred.min() < 0 or pred.max() >= num_classes):
         raise ValueError(f"labels out of range for {num_classes} classes")
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(cm, (gold, pred), 1)
-    return cm
+    lead, cells = pred.shape[:-1], num_classes * num_classes
+    pairs = gold * num_classes + pred + cells * np.arange(math.prod(lead)).reshape(*lead, 1)
+    return np.bincount(pairs.ravel(), minlength=cells * math.prod(lead)).reshape(
+        *lead, num_classes, num_classes)
 
 
 def _f1_from_counts(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
@@ -44,17 +49,24 @@ def _f1_from_counts(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.ndarra
                      out=np.zeros_like(denom), where=denom > 0)
 
 
+def f1_scores(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class F1 and the support-weighted average of a c x c confusion
+    matrix, or of each of an R x c x c stack: (R, c) and (R,)."""
+    tp = np.diagonal(cm, 0, -2, -1).astype(float)
+    fp = cm.sum(axis=-2) - tp
+    fn = cm.sum(axis=-1) - tp
+    per_class = _f1_from_counts(tp, fp, fn)
+    support = cm.sum(axis=-1)
+    total = support.sum(axis=-1)
+    weighted = np.divide((per_class * support).sum(axis=-1), total,
+                         out=np.zeros(np.shape(total)), where=total > 0)
+    return per_class, weighted
+
+
 def weighted_f1(gold, pred, num_classes: int) -> tuple[np.ndarray, float]:
     """Per-class F1 and the support-weighted average."""
-    cm = confusion_matrix(gold, pred, num_classes)
-    tp = np.diag(cm).astype(float)
-    fp = cm.sum(axis=0) - tp
-    fn = cm.sum(axis=1) - tp
-    per_class = _f1_from_counts(tp, fp, fn)
-    support = cm.sum(axis=1)
-    total = support.sum()
-    weighted = float((per_class * support).sum() / total) if total else 0.0
-    return per_class, weighted
+    per_class, weighted = f1_scores(confusion_matrix(gold, pred, num_classes))
+    return per_class, float(weighted)
 
 
 def accuracy(gold, pred) -> float:
@@ -80,34 +92,31 @@ def shift_split(dialogues: Sequence[Dialogue], preds: Sequence[Sequence[int]],
     """Accuracy over emotion-shift vs emotion-stable utterances.
 
     ``preds`` is one prediction sequence per dialogue, in the order of
-    ``dialogues``.
+    ``dialogues``. One stable sort by dialogue, and at speaker level by
+    speaker within it, puts each utterance right after its reference.
     """
     if level not in SHIFT_LEVELS:
         raise ValueError(f"level must be 'utterance' or 'speaker', got '{level}'")
     if len(dialogues) != len(preds):
         raise ValueError(f"{len(preds)} prediction sequences for {len(dialogues)} dialogues")
-    buckets = {True: [0, 0], False: [0, 0]}  # shift? -> [correct, total]
     for d, p in zip(dialogues, preds):
-        p = np.asarray(p)
-        if p.shape != (len(d),):
+        if np.shape(p) != (len(d),):
             raise ValueError(f"dialogue '{d.dialogue_id}' has {len(d)} utterances "
-                             f"but {p.shape} predictions")
-        prev_any: int | None = None
-        prev_by_speaker: dict[int, int] = {}
-        for u, pred_label in zip(d.utterances, p):
-            if not isinstance(u.label, (int, np.integer)):
-                raise ValueError("shift analysis needs a single-label corpus")
-            if level == "utterance":
-                ref = prev_any
-            else:
-                ref = prev_by_speaker.get(u.speaker)
-            is_shift = ref is not None and u.label != ref
-            buckets[is_shift][0] += int(pred_label == u.label)
-            buckets[is_shift][1] += 1
-            prev_any = u.label
-            prev_by_speaker[u.speaker] = u.label
-    shift_c, shift_n = buckets[True]
-    non_c, non_n = buckets[False]
+                             f"but {np.shape(p)} predictions")
+    utts = [u for d in dialogues for u in d.utterances]
+    labels = [u.label for u in utts]
+    if not all(issubclass(t, (int, np.integer)) for t in set(map(type, labels))):
+        raise ValueError("shift analysis needs a single-label corpus")
+    keys = [np.repeat(np.arange(len(dialogues)), [len(d) for d in dialogues])]
+    if level == "speaker":
+        keys.insert(0, np.array([u.speaker for u in utts]))
+    order = np.lexsort(keys)   # the last key is the primary one
+    keys, gold = np.stack(keys)[:, order], np.array(labels)[order]
+    shift = np.zeros(gold.size, dtype=bool)
+    shift[1:] = (keys[:, 1:] == keys[:, :-1]).all(axis=0) & (gold[1:] != gold[:-1])
+    correct = np.concatenate([np.zeros(0, np.int64), *preds])[order] == gold
+    shift_n, shift_c = int(shift.sum()), int((shift & correct).sum())
+    non_n, non_c = gold.size - shift_n, int(correct.sum()) - shift_c
     return ShiftSplit(
         shift_accuracy=shift_c / shift_n if shift_n else 0.0,
         non_shift_accuracy=non_c / non_n if non_n else 0.0,
@@ -124,11 +133,7 @@ def multilabel_f1(gold, pred) -> np.ndarray:
     if gold.shape != pred.shape or gold.ndim != 2:
         raise ValueError(f"gold/pred must be matching binary matrices, "
                          f"got {gold.shape} and {pred.shape}")
-    out = np.zeros(gold.shape[1])
-    for c in range(gold.shape[1]):
-        per_class, weighted = weighted_f1(gold[:, c], pred[:, c], 2)
-        out[c] = weighted
-    return out
+    return f1_scores(confusion_matrix(gold.T, pred.T, 2))[1]
 
 
 @dataclass
@@ -162,17 +167,16 @@ class EvalReport:
 def make_report(dialogues: Sequence[Dialogue], preds: Sequence[Sequence[int]],
                 label_names: Sequence[str], shift_level: str = "utterance") -> EvalReport:
     """Assemble the full report from per-dialogue gold labels and predictions."""
-    gold_flat = [u.label for d in dialogues for u in d.utterances]
-    pred_flat = [int(p) for seq in preds for p in seq]
-    c = len(label_names)
-    cm = confusion_matrix(gold_flat, pred_flat, c)
-    per_class, weighted = weighted_f1(gold_flat, pred_flat, c)
+    gold = [u.label for d in dialogues for u in d.utterances]
+    pred = np.concatenate([np.zeros(0, np.int64), *preds])
+    cm = confusion_matrix(gold, pred, len(label_names))
+    per_class, weighted = f1_scores(cm)
     split = shift_split(dialogues, preds, shift_level)
     return EvalReport(
-        accuracy=accuracy(gold_flat, pred_flat),
-        per_class_f1=[float(v) for v in per_class],
-        weighted_f1=weighted,
-        support=[int(v) for v in cm.sum(axis=1)],
+        accuracy=accuracy(gold, pred),
+        per_class_f1=per_class.tolist(),
+        weighted_f1=float(weighted),
+        support=cm.sum(axis=1).tolist(),
         confusion=cm.tolist(),
         shift_accuracy=split.shift_accuracy,
         non_shift_accuracy=split.non_shift_accuracy,

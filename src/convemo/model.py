@@ -92,8 +92,16 @@ class ForwardResult(ClassifierOutput):
     graph_out: Tensor     # features entering the classifier
 
 
-def fused_matrix(dialogue: Dialogue, active: str) -> np.ndarray:
-    return np.stack([fuse_features(u, active) for u in dialogue.utterances])
+def fused_matrix(dialogue: Dialogue | Sequence[Dialogue], active: str) -> np.ndarray:
+    """``fuse_features`` of a dialogue's utterances, n x d, or of B dialogues
+    of one length n at once, stacked B x n x d."""
+    if isinstance(dialogue, Dialogue):
+        return fuse_features(dialogue.utterances, active)
+    lengths = sorted({len(d) for d in dialogue})
+    if len(lengths) != 1:
+        raise T.ShapeError(f"fused_matrix: a stack takes dialogues of one length, not {lengths}")
+    fused = fuse_features([u for d in dialogue for u in d.utterances], active)
+    return fused.reshape(len(dialogue), lengths[0], -1)
 
 
 def dialogue_gold(dialogue: Dialogue, task_mode: str) -> np.ndarray:
@@ -152,9 +160,7 @@ def forward_dialogue(dialogue: Dialogue | Sequence[Dialogue], params: ModelParam
                      capture: dict | None = None) -> ForwardResult:
     """Forward of one dialogue, or a stacked forward of a sequence of
     dialogues of one length, each with its own graph."""
-    if isinstance(dialogue, Dialogue):
-        x, speakers = fused_matrix(dialogue, config.active_modalities), dialogue.speakers
-    else:
-        x = np.stack([fused_matrix(d, config.active_modalities) for d in dialogue])
-        speakers = [d.speakers for d in dialogue]
-    return forward_fused(Tensor(x), speakers, params, config, training, rng, tape, capture)
+    speakers = (dialogue.speakers if isinstance(dialogue, Dialogue)
+                else [d.speakers for d in dialogue])
+    return forward_fused(Tensor(fused_matrix(dialogue, config.active_modalities)), speakers,
+                         params, config, training, rng, tape, capture)

@@ -527,14 +527,16 @@ def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:
 def _softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, in place in ``x``, stabilized by the row max;
     with a boolean ``mask`` broadcast against ``x``, over its true entries only,
-    a row with none coming out all-zero."""
-    where = True if mask is None else mask
-    x -= x.max(axis=-1, keepdims=True, initial=-np.inf, where=where)
-    np.exp(x, out=x, where=where)
+    the others set to -inf first, and a row with none comes out all-zero."""
     if mask is not None:
-        np.copyto(x, 0.0, where=~mask)
+        x += np.where(mask, 0.0, -np.inf)
+    top = x.max(axis=-1, keepdims=True)
+    top[top == -np.inf] = 0.0     # a row with no true entry: exp(-inf) is 0 throughout
+    x -= top
+    np.exp(x, out=x)
     denom = x.sum(axis=-1, keepdims=True)
-    return np.divide(x, denom, out=x, where=denom > 0)
+    denom[denom == 0.0] = 1.0     # only such a row sums to 0, and its zeros stay
+    return np.divide(x, denom, out=x)
 
 
 def softmax_rows(x: Tensor, tape: Tape | None = None) -> Tensor:

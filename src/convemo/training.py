@@ -277,9 +277,7 @@ def _validation_score(dialogues: list[Dialogue], model: ModelParams,
     preds = predict_dialogues(dialogues, model, config)
     if model.dims.task_mode == "single":
         gold = [u.label for d in dialogues for u in d.utterances]
-        flat = [int(p) for seq in preds for p in seq]
-        _, wf1 = metrics.weighted_f1(gold, flat, model.dims.num_classes)
-        return wf1
+        return metrics.weighted_f1(gold, np.concatenate(preds), model.dims.num_classes)[1]
     gold = np.concatenate([dialogue_gold(d, "multi") for d in dialogues])
     flat = np.concatenate(preds)
     return float(metrics.multilabel_f1(gold, flat).mean())
@@ -404,7 +402,8 @@ def mask_importance(dialogue: Dialogue, model: ModelParams,
 
     The n+1 inputs (copy 0 unmasked, copy k+1 with utterance k zeroed) run
     stacked through ``forward_fused``, ``copies_per_forward`` at a time, each
-    with the dialogue's speakers, so its graph (one memoised object) per copy.
+    with the dialogue's speakers, so its graph (one memoised object) per copy;
+    a chunk's copies are scored from one confusion matrix per copy, counted at once.
     """
     if model.dims.task_mode != "single":
         raise ConfigError(f"mask_importance needs a single-label corpus, "
@@ -420,7 +419,8 @@ def mask_importance(dialogue: Dialogue, model: ModelParams,
         j = np.arange(max(lo, 1), lo + len(copies))   # copy j > 0 zeroes utterance j-1
         copies[j - lo, j - 1] = 0.0
         preds = forward_fused(Tensor(copies), [dialogue.speakers] * len(copies), model, config).preds
-        f1 += [metrics.weighted_f1(gold, p, model.dims.num_classes)[1] for p in preds]
+        cm = metrics.confusion_matrix(gold, preds, model.dims.num_classes)   # one per copy
+        f1 += metrics.f1_scores(cm)[1].tolist()
     return MaskReport(f1[0], f1[1:])
 
 

@@ -8,6 +8,7 @@ from convemo.metrics import (
     EvalReport,
     accuracy,
     confusion_matrix,
+    f1_scores,
     make_report,
     multilabel_f1,
     shift_split,
@@ -68,6 +69,39 @@ def test_weighted_f1_matches_confusion_oracle():
         want_pc, want_w = f1_oracle(gold.tolist(), pred.tolist(), c)
         np.testing.assert_allclose(per_class, want_pc, atol=1e-12)
         assert abs(weighted - want_w) < 1e-12
+
+
+def test_row_wise_scores_equal_weighted_f1_of_each_row_to_the_bit():
+    # mask_importance scores a chunk of copies at once: R rows of predictions
+    # against one gold sequence, from one R x c x c confusion tensor
+    rng = np.random.default_rng(8)
+    c, n = 6, 30
+    gold = rng.integers(0, 4, size=n)           # classes 4 and 5 never in gold
+    preds = rng.integers(0, 5, size=(9, n))     # class 5 never predicted
+    preds[3] = 2                                # every pred in one class
+    preds[4] = gold
+    cm = confusion_matrix(gold, preds, c)
+    per_class, weighted = f1_scores(cm)
+    assert cm.shape == (9, c, c) and per_class.shape == (9, c) and weighted.shape == (9,)
+    for r in range(9):
+        np.testing.assert_array_equal(cm[r], confusion_oracle(gold, preds[r], c))
+        want_pc, want_w = weighted_f1(gold, preds[r], c)
+        assert per_class[r].tobytes() == want_pc.tobytes()
+        assert weighted[r].tobytes() == np.float64(want_w).tobytes()
+    assert weighted[4] == 1.0 and (per_class[3, [0, 1, 3, 4, 5]] == 0.0).all()
+    # R x n golds: each row of predictions against its own
+    golds = rng.integers(0, c, size=(9, n))
+    per_class, weighted = f1_scores(confusion_matrix(golds, preds, c))
+    for r in range(9):
+        want_pc, want_w = weighted_f1(golds[r], preds[r], c)
+        assert per_class[r].tobytes() == want_pc.tobytes()
+        assert weighted[r].tobytes() == np.float64(want_w).tobytes()
+    for bad_gold, bad_pred in ((gold[:-1], preds), (gold, preds[None]), (golds[:3], preds),
+                               (np.int64(1), preds[0])):
+        with pytest.raises(ValueError, match="gold and pred lengths differ"):
+            confusion_matrix(bad_gold, bad_pred, c)
+    with pytest.raises(ValueError, match="out of range for 4 classes"):   # a pred of 4
+        confusion_matrix(gold, preds, 4)
 
 
 def test_accuracy_cases():
@@ -143,6 +177,11 @@ def test_shift_matches_naive_scan():
         labels = rng.integers(0, 4, size=n).tolist()
         dialogues.append(_dialogue(labels, [s for s in speakers], did=f"d{i}"))
         preds.append(rng.integers(0, 4, size=n).tolist())
+    # speaker ids reused by the next dialogue: "r1" opens with speakers 0 and 1,
+    # whose last labels in "r0" (2 and 1) differ from theirs, so a reference
+    # carried over from "r0" would count them as shifts
+    dialogues += [_dialogue([1, 1, 2], [0, 1, 0], did="r0"), _dialogue([3, 2, 2], [0, 1, 1], did="r1")]
+    preds += [[1, 1, 2], [3, 0, 2]]
     for level in ("utterance", "speaker"):
         got = shift_split(dialogues, preds, level)
         shift = [0, 0]
@@ -164,10 +203,10 @@ def test_shift_matches_naive_scan():
                 bucket[1] += 1
         assert got.shift_count == shift[1] and got.non_shift_count == non[1]
         assert got.shift_count + got.non_shift_count == sum(len(d) for d in dialogues)
-        if shift[1]:
-            assert abs(got.shift_accuracy - shift[0] / shift[1]) < 1e-12
-        if non[1]:
-            assert abs(got.non_shift_accuracy - non[0] / non[1]) < 1e-12
+        assert got.shift_accuracy == (shift[0] / shift[1] if shift[1] else 0.0)
+        assert got.non_shift_accuracy == (non[0] / non[1] if non[1] else 0.0)
+        only = shift_split(dialogues[-1:], preds[-1:], level)   # "r1" alone
+        assert (only.shift_count, only.non_shift_count) == ((1, 2) if level == "utterance" else (0, 3))
 
 
 def test_shift_alignment_errors():

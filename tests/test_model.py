@@ -6,7 +6,7 @@ import pytest
 from convemo import tensor as T
 from convemo.classifier import classify
 from convemo.config import TrainConfig
-from convemo.dataset import Corpus, Dialogue, SynthSpec, Utterance, synth_corpus
+from convemo.dataset import Corpus, CorpusError, Dialogue, SynthSpec, Utterance, synth_corpus
 from convemo.encoder import encode
 from convemo.gnn import graph_transformer_forward, rgcn_forward
 from convemo.graph import collapse_relations, graph_from_speakers, speaker_graph
@@ -88,6 +88,42 @@ def test_forward_dialogue_stacks_a_sequence_of_dialogues():
     for b, d in enumerate(corpus.dialogues[:3]):
         want = forward_dialogue(d, model, config).logits.data
         assert np.abs(stacked.logits.data[b] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("active", ["a", "t", "v", "at", "av", "tv", "atv"])
+def test_stacked_fused_matrix_equals_per_dialogue_stacking(active):
+    widths = {"a": 2, "t": 3, "v": 5}
+    corpus = synth_corpus(SynthSpec(num_dialogues=5, utterances_per_dialogue=4, dims=widths,
+                                    seed=3))
+    want = np.stack([np.stack([np.concatenate([{"a": u.audio, "t": u.text, "v": u.video}[k]
+                                               for k in "atv" if k in active])
+                               for u in d.utterances]) for d in corpus.dialogues])
+    got = fused_matrix(corpus.dialogues, active)
+    assert got.shape == want.shape == (5, 4, sum(widths[k] for k in active))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for d, one in zip(corpus.dialogues, want):
+        assert fused_matrix(d, active).tobytes() == one.tobytes()
+
+
+def test_stacked_fused_matrix_refuses_a_missing_modality_and_mixed_lengths():
+    corpus = synth_corpus(SynthSpec(num_dialogues=3, utterances_per_dialogue=5,
+                                    dims={"a": 2, "t": 3, "v": 5}, seed=4))
+    d0, d1, d2 = corpus.dialogues
+    d1.utterances[2] = replace(d1.utterances[2], video=None)
+    for given in ([d0, d1, d2], d1):
+        with pytest.raises(CorpusError) as info:
+            fused_matrix(given, "atv")
+        assert str(info.value) == "utterance is missing requested modality 'v'"
+    assert fused_matrix([d0, d1, d2], "ta").shape == (3, 5, 5)
+    # 3 + 5 rows would fill a (2, 4, d) stack: refused, not reshaped
+    short = Dialogue("short", 2, "test", d0.utterances[:3])
+    for given in ([short, d2], [d2, short, d2], []):
+        with pytest.raises(T.ShapeError) as info:
+            fused_matrix(given, "atv")
+        assert len(str(info.value).splitlines()) == 1 and "one length" in str(info.value)
+    _, config, model = _small_setup()
+    with pytest.raises(T.ShapeError, match=r"one length, not \[3, 5\]"):
+        forward_dialogue([short, d2], model, config)
 
 
 @pytest.mark.parametrize("ablation", ["full", "no_relations", "no_gnn"])

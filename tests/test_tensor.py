@@ -91,6 +91,52 @@ def test_softmax_rows_sum_to_one():
     assert (out.data >= 0).all()
 
 
+def _where_softmax(x, mask=None):
+    """The masked-ufunc softmax that ``_softmax`` replaced, kept as a bit-level
+    oracle: max, exp and divide restricted by ``where=``, masked entries zeroed."""
+    where = True if mask is None else mask
+    x -= x.max(axis=-1, keepdims=True, initial=-np.inf, where=where)
+    np.exp(x, out=x, where=where)
+    if mask is not None:
+        np.copyto(x, 0.0, where=~mask)
+    denom = x.sum(axis=-1, keepdims=True)
+    return np.divide(x, denom, out=x, where=denom > 0)
+
+
+def _softmax_cases():
+    """(scores, mask) pairs of the attention shape (B, H, n, n) with one mask
+    per copy, (B, 1, n, n): rows with no, one and every true entry; rows whose
+    largest true score is -0.0; scores near +-1e15 that differ by up to 600,
+    and scores near 1e-300."""
+    rng = np.random.default_rng(31)
+    mask = rng.random((3, 1, 6, 9)) < 0.5
+    mask[:, :, 2] = False
+    mask[:, :, 3] = True
+    mask[:, :, 4] = np.arange(9) == 5
+    plain = rng.standard_normal((3, 2, 6, 9)) * 4
+    plain[:, :, 0] = -np.abs(plain[:, :, 0])
+    plain[:, :, 0, ::2] = -0.0
+    mask[:, :, 0, 0] = True
+    large = rng.integers(-300, 301, (3, 2, 6, 9)) + np.array([1e15, -1e15, 3e14])[:, None, None, None]
+    return [(plain, mask), (large, mask), (plain * 1e-300, mask)]
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_softmax_is_bit_identical_to_the_masked_ufunc_form(masked):
+    for scores, mask in _softmax_cases():
+        mask = mask if masked else None
+        with np.errstate(all="raise"):
+            got = T._softmax(scores.copy(), mask)
+            want = _where_softmax(scores.copy(), mask)
+        assert got.tobytes() == want.tobytes()
+        if masked:   # a row with no true entry is all +0.0, a row with one is 1 there
+            assert got[:, :, 2].tobytes() == np.zeros((3, 2, 9)).tobytes()
+            np.testing.assert_array_equal(got[:, :, 4], np.broadcast_to(mask[:, :, 4], (3, 2, 9)))
+    with np.errstate(all="raise"):   # the same through softmax_rows, on a 2-D input
+        got = T.softmax_rows(Tensor(scores[0, 0])).data
+    assert got.tobytes() == _where_softmax(scores[0, 0].copy()).tobytes()
+
+
 def test_layer_norm_constant_row_collapses_to_beta():
     x = Tensor([[5.0, 5.0, 5.0, 5.0]])
     out = T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))

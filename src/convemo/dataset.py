@@ -214,7 +214,7 @@ def load_corpus(path) -> Corpus:
                               f"(first at line {first_line[did]})")
         first_line[did] = lineno
         num_speakers = rec.get("num_speakers")
-        if not isinstance(num_speakers, int) or num_speakers < 1:
+        if type(num_speakers) is not int or num_speakers < 1:
             raise CorpusError(f"{where}: dialogue '{did}' needs a positive num_speakers")
         split = rec.get("split")
         if split not in SPLITS:
@@ -228,7 +228,7 @@ def load_corpus(path) -> Corpus:
             if not isinstance(u, dict):
                 raise CorpusError(f"{spot}: an utterance must be a JSON object")
             speaker = u.get("speaker")
-            if not isinstance(speaker, int) or not 0 <= speaker < num_speakers:
+            if type(speaker) is not int or not 0 <= speaker < num_speakers:
                 raise CorpusError(f"{spot}: speaker index {speaker!r} not in [0, {num_speakers})")
             utterances.append(Utterance(
                 speaker=speaker,

@@ -2,7 +2,7 @@
 
 The conversation model runs entirely on the primitives in this module:
 matmul (and row blocks of matmuls sharing one input: one batched matmul
-per run of a layer's adjacent weights in their arena, or one GEMM per
+over a layer's weights, read as one span of their arena, or one GEMM per
 weight over the rows its block picks), multi-head attention
 over such blocks (plain or graph-masked), row softmax, layer norm, relu,
 inverted dropout, bias adds, and the two classification losses. Forward
@@ -335,18 +335,6 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return _make(out, (a, b), "matmul", tape, grad_fn)
 
 
-def weight_runs(weights: Sequence[Tensor]) -> list[tuple[int, int, np.ndarray]]:
-    """Maximal runs ``(lo, hi, stack)`` of same-shape ``weights``: ``weights[lo:hi]``
-    adjacent in one arena, each still its own view there (``t.data is t._view``),
-    and ``stack`` their (hi-lo, d, k) view of its ``data``; any other weight alone."""
-    viewed = [type(w) is Parameter and w.data is w._view for w in weights]
-    cuts = [i for i, (a, b) in enumerate(zip(weights, weights[1:]), 1) if not (
-        viewed[i - 1] and viewed[i] and a.arena is b.arena and b._at == a._at + a.data.size)]
-    return [(lo, hi, weights[lo].data[None] if hi - lo == 1
-             else _span(weights[lo].arena.data, weights[lo], hi - lo))
-            for lo, hi in zip([0, *cuts], [*cuts, len(weights)])]
-
-
 def _span(flat: np.ndarray, first: Parameter, count: int) -> np.ndarray:
     """The part of ``flat``, laid out like ``first``'s arena, of it and the next count-1."""
     return flat[first._at:first._at + count * first.data.size].reshape(count, *first.shape)
@@ -356,12 +344,15 @@ def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None,
                  rows: Sequence[np.ndarray] | None = None, at: np.ndarray | None = None) -> Tensor:
     """The products ``x @ w`` of one input with P same-shape 2-D weights, stacked
     by rows: a (P*n) x k matrix whose i-th block of n rows is ``x @ weights[i]``.
-    One tape op, bit-identical to separate matmuls: each run (``weight_runs``) is
-    one batched matmul into its blocks; backward, one into ``x``'s adjoint (blocks
-    summed last first) and, when no member has a grad yet, one into the run's view
-    of the gradient arena (else each accumulates its own). B >= 2 stacked copies
-    run one GEMM over all B*n rows per weight, reading each weight once, and a
-    weight's adjoint sums over those rows.
+    One tape op, bit-identical to separate matmuls, over the weights as one
+    (P, d, k) array: their view of the arena when they lie end to end in one and
+    are each still its view (``t.data is t._view``), else a stacked copy, as for
+    a member that a finite-difference probe rebinds. One copy runs one batched
+    matmul; B >= 2 stacked copies one GEMM over all B*n rows per weight, reading
+    each weight once. Backward runs one batched matmul into ``x``'s adjoint
+    (blocks summed last first) and, when the weights are one arena span and none
+    has a grad yet, one into that span of the gradient arena (else each
+    accumulates its own); a weight's adjoint sums over every copy's rows.
 
     With ``rows``, one 1-D array per weight of row numbers into ``x``'s rows,
     every copy's end to end (copy b's row j is b*n + j), block i is those rows
@@ -381,32 +372,31 @@ def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None,
     if rows is not None:
         return _picked_matmul(x, weights, rows, at, adj_w, tape)
     p, (n, d), k = len(weights), x.shape[-2:], weights[0].shape[-1]
+    first = weights[0]
+    spanned = all(type(w) is Parameter and w.data is w._view and w.arena is first.arena
+                  and w._at == first._at + i * first.data.size for i, w in enumerate(weights))
+    stack = (_span(first.arena.data, first, p) if spanned
+             else np.stack([w.data for w in weights]))
     out, flat = np.empty((*x.shape[:-2], p * n, k)), x.data.reshape(-1, d)
-    runs = weight_runs(weights)
     if len(flat) == n:   # one copy
-        for lo, hi, stack in runs:
-            np.matmul(flat, stack, out=out.reshape(p, n, k)[lo:hi])
+        np.matmul(flat, stack, out=out.reshape(p, n, k))
     else:
         for i, w in enumerate(weights):
             out[:, i * n:(i + 1) * n] = (flat @ w.data).reshape(-1, n, k)
 
     def grad_fn(g):
         # weight i's blocks of every copy, (p, B*n, k), against ``flat``, (B*n, d)
-        blocks, d_w = g.reshape(-1, p, n, k).swapaxes(0, 1).reshape(p, -1, k), [None] * p
-        parts = np.empty((p, *flat.shape)) if x.requires_grad else None   # x's: block i's in slot p-1-i
-        for lo, hi, stack in runs:
-            if parts is not None:
-                np.matmul(blocks[lo:hi][::-1], stack[::-1].swapaxes(-1, -2),
-                          out=parts[p - hi:p - lo])
-            if all(a is _Product and w.grad is None for a, w in zip(adj_w[lo:hi], weights[lo:hi])):
-                grads = _span(weights[lo].arena.alloc_grad(), weights[lo], hi - lo)
-                np.matmul(flat.T, blocks[lo:hi], out=grads)
-                for w in weights[lo:hi]:
-                    w.grad = w._buf
-            else:
-                d_w[lo:hi] = [adj(flat.T, blk) if adj else None
-                              for adj, blk in zip(adj_w[lo:hi], blocks[lo:hi])]
-        return (None if parts is None else np.add.reduce(parts, axis=0).reshape(x.shape), *d_w)
+        blocks = g.reshape(-1, p, n, k).swapaxes(0, 1).reshape(p, -1, k)
+        d_x = None
+        if x.requires_grad:   # block i's part in slot p-1-i
+            parts = np.matmul(blocks[::-1], stack[::-1].swapaxes(-1, -2))
+            d_x = np.add.reduce(parts, axis=0).reshape(x.shape)
+        if spanned and all(a is _Product and w.grad is None for a, w in zip(adj_w, weights)):
+            np.matmul(flat.T, blocks, out=_span(first.arena.alloc_grad(), first, p))
+            for w in weights:
+                w.grad = w._buf
+            return (d_x, *[None] * p)
+        return (d_x, *(adj(flat.T, blk) if adj else None for adj, blk in zip(adj_w, blocks)))
 
     return _make(out, (x, *weights), "block_matmul", tape, grad_fn)
 

@@ -68,14 +68,15 @@ class Adam:
     The map is every member of one arena (``tensor.Arena``), in arena order:
     a model's ``named()``, or a lone parameter; anything else is refused. The
     moments are two flat arrays laid out alike, ``m`` and ``v`` name -> view
-    dicts into them. ``step`` walks the parameter, gradient and moment arrays
-    in ``ADAM_CHUNK``-element pieces through two scratch buffers, so a step
-    allocates nothing parameter-sized. A step that updates at least
-    ``ADAM_SPLIT`` elements is cut into one contiguous part per CPU the
-    process may use: the calling thread updates the first, short-lived helper
-    threads the rest, each through scratch of its own, and the result is the
-    same to the bit. A training loop releases the gradient arena between
-    epochs (``Arena.release_grad``); the next backward allocates it again.
+    dicts into them. ``step`` walks the whole parameter, gradient and moment
+    arrays in ``ADAM_CHUNK``-element pieces, cut once when the optimizer is
+    made, through two scratch buffers, so a step allocates nothing
+    parameter-sized. A step over at least ``ADAM_SPLIT`` elements is cut into
+    one contiguous part per CPU the process may use: the calling thread
+    updates the first, short-lived helper threads the rest, each through
+    scratch of its own, and the result is the same to the bit. A training
+    loop releases the gradient arena between epochs (``Arena.release_grad``);
+    the next backward allocates it again.
     The optimizer owns the moments; the parameter arena belongs to the model.
     Betas outside [0, 1) and an ``eps`` that is not positive are refused.
     """
@@ -104,6 +105,8 @@ class Adam:
         self.m = dict(zip(params, self.arena.views(self._m)))
         self.v = dict(zip(params, self.arena.views(self._v)))
         self._scratch = np.empty((2, min(self.arena.data.size, ADAM_CHUNK)))
+        self._chunks = [(at, min(at + ADAM_CHUNK, self.arena.data.size))
+                        for at in range(0, self.arena.data.size, ADAM_CHUNK)]
 
     def step(self) -> None:
         """One update, bit-identical to ``m = b1*m + (1-b1)*g``,
@@ -112,34 +115,28 @@ class Adam:
         and ``bias_i = 1 - b_i**t`` at step t. That equals the textbook
         ``p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)`` but for rounding.
 
-        Tensors without a gradient are skipped, so the update runs over maximal
-        runs of adjacent tensors that have one; a gradient assigned by hand is
-        first copied into the gradient arena. The runs' chunks are cut into
-        contiguous parts, one per CPU (``os.sched_getaffinity``), when they
-        hold at least ``ADAM_SPLIT`` elements, and are updated in one part on
-        the calling thread otherwise. Every element takes the same operations
-        in the same order either way, and every helper has finished before
-        ``step`` returns or raises. Raises ``NonFiniteError`` naming the
-        parameter of the first element whose gradient, moment or update is NaN
-        or Inf; the optimizer state and parameters are then undefined.
+        The update runs over the whole arena. A gradient assigned by hand is
+        first copied into the gradient arena, and a tensor without a gradient
+        takes a zero one: its moments decay, and one that has never had a
+        gradient stays as it is. The chunks are cut into contiguous parts,
+        one per CPU (``os.sched_getaffinity``), when the arena holds at least
+        ``ADAM_SPLIT`` elements, and are updated in one part on the calling
+        thread otherwise. Every element takes the same operations in the same
+        order either way, and every helper has finished before ``step``
+        returns or raises. Raises ``NonFiniteError`` naming the parameter of
+        the first element whose gradient, moment or update is NaN or Inf; the
+        optimizer state and parameters are then undefined.
         """
         self.step_count += 1
-        arena = self.arena
-        runs: list[list[int]] = []   # [lo, hi) element ranges
-        for t, lo, hi in zip(self.params.values(), arena.bounds, arena.bounds[1:]):
+        arena, chunks = self.arena, self._chunks
+        arena.alloc_grad()
+        for t in self.params.values():
             if t.grad is None:
-                continue
-            if t.grad is not t._buf:
-                arena.alloc_grad()
+                t._buf.fill(0.0)
+            elif t.grad is not t._buf:
                 np.copyto(t._buf, t.grad)
-            if runs and runs[-1][1] == lo:
-                runs[-1][1] = hi
-            else:
-                runs.append([lo, hi])
-        chunks = [(at, min(at + ADAM_CHUNK, hi)) for lo, hi in runs
-                  for at in range(lo, hi, ADAM_CHUNK)]
         parts = 1
-        if sum(hi - lo for lo, hi in runs) >= ADAM_SPLIT and hasattr(os, "sched_getaffinity"):
+        if arena.data.size >= ADAM_SPLIT and hasattr(os, "sched_getaffinity"):
             parts = min(len(os.sched_getaffinity(0)), len(chunks))
         if parts < 2:
             bad = [self._update(chunks, self._scratch)]

@@ -233,6 +233,24 @@ def test_malformed_corpus_is_refused_at_load_naming_the_line(tmp_path, keys, val
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("keys, value, line, message", [
+    ((1, "num_speakers"), True, 2, "dialogue 'dlg-a' needs a positive num_speakers"),
+    ((2, "utterances", 1, "speaker"), True, 3,
+     "dialogue 'dlg-b' utterance 1: speaker index True not in [0, 2)"),
+    ((1, "utterances", 0, "speaker"), False, 2,
+     "dialogue 'dlg-a' utterance 0: speaker index False not in [0, 2)"),
+])
+def test_json_booleans_are_not_speaker_counts_or_indices(tmp_path, keys, value, line, message):
+    # Python counts a bool as an int, so a true num_speakers once loaded as 1,
+    # trained, and wrote a checkpoint that eval then refused
+    path = tmp_path / "bad.jsonl"
+    save_corpus(path, _tiny_corpus())
+    _set(path, keys, value)
+    with pytest.raises(CorpusError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}:{line}: {message}"
+
+
 @pytest.mark.parametrize("literal, spots, line, message", [
     ("1e999", [(1, 2, "text", 1)], 2, "dialogue 'dlg-a' utterance 2: modality 't'"),
     ("-1e999", [(2, 1, "audio", 0)], 3, "dialogue 'dlg-b' utterance 1: modality 'a'"),

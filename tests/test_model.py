@@ -288,10 +288,11 @@ def test_default_forward_records_one_op_per_attention_layer():
     assert ops.count("attention") == config.seq_context_layers + 1
 
 
-def test_each_layer_multiplies_its_weights_as_runs_of_the_arena(tmp_path):
-    # every encoder layer's q/k/v and the graph transformer's matrices are one
-    # batched matmul over one view of the arena, in a fresh model and in a
-    # loaded one; the RGCN's present relation types, one per contiguous piece
+def test_each_layer_multiplies_its_weights_as_one_span_of_the_arena(tmp_path):
+    # every encoder layer's q/k/v and the graph transformer's matrices lie end
+    # to end in the arena, each still its view, so one batched matmul reads
+    # them as one span, in a fresh model and in a loaded one; the RGCN picks
+    # its present relation types, more than one piece of its thetas
     corpus = synth_corpus(SynthSpec(num_dialogues=2, utterances_per_dialogue=3, num_speakers=2,
                                     num_classes=3, dims={"a": 2, "t": 3, "v": 2}, seed=2))
     d = corpus.dialogues[0]
@@ -316,12 +317,15 @@ def test_each_layer_multiplies_its_weights_as_runs_of_the_arena(tmp_path):
                                for h in range(m.graph_attention.num_heads)
                                for w in ("w_self", "w_msg", "w_key_self", "w_key_nbr")]
         present = [next(r for r, th in enumerate(m.rgcn.thetas) if th is w) for w in thetas]
-        pieces = 1 + int(np.count_nonzero(np.diff(present) != 1))
-        assert pieces >= 2
-        for weights, want in [*((ws, 1) for ws in qkv), (projections, 1), (thetas, pieces)]:
-            runs = T.weight_runs(weights)
-            assert len(runs) == want
-            assert all(stack.base is m.arena.data for _, _, stack in runs if len(stack) > 1)
+        assert 1 + int(np.count_nonzero(np.diff(present) != 1)) >= 2
+        for weights in (*qkv, projections):
+            size = weights[0].data.size
+            assert all(w.arena is m.arena and w.data is w._view for w in weights)
+            assert [w._at for w in weights] == [weights[0]._at + i * size
+                                                for i in range(len(weights))]
+            span = T._span(m.arena.data, weights[0], len(weights))
+            assert span.base is m.arena.data
+            assert all(np.shares_memory(s, w.data) for s, w in zip(span, weights))
 
 
 def test_graph_memo_key_covers_every_graph_field():

@@ -722,8 +722,8 @@ def _operands(inputs):
 
 def _as_parameters(inputs):
     """(operands, parameters): the float inputs as parameters laid out in one
-    arena in order, so that block_matmul's adjacent weights run as one batched
-    matmul, and each mask as it is."""
+    arena in order, so that block_matmul reads its weights as one span of it,
+    and each mask as it is."""
     floats = {str(i): a for i, a in enumerate(inputs) if a.dtype.kind == "f"}
     params = arena_params(floats)
     return [params.get(str(i), a) for i, a in enumerate(inputs)], list(params.values())
@@ -1034,11 +1034,12 @@ def _separate_reference(x_data, ws_data, d):
             [x_data.T @ blk for blk in blocks])
 
 
-def test_block_matmul_over_a_placed_run_equals_separate_matmuls_to_the_bit():
+def test_block_matmul_over_a_placed_run_equals_separate_matmuls_to_the_bit(monkeypatch):
+    # the weights lie end to end in their arena, so block_matmul reads that
+    # span as they are and copies none of them
     rng = np.random.default_rng(31)
     _bias, *ws = _placed(rng, 6)
-    (lo, hi, stack), = T.weight_runs(ws)
-    assert (lo, hi, stack.shape) == (0, 6, (6, 5, 6)) and stack.base is ws[0].arena.data
+    monkeypatch.setattr(T.np, "stack", None)
     x_data, d = rng.standard_normal((4, 5)), rng.standard_normal((24, 6))
     out, d_x, d_ws = _blocked_backward(x_data, ws, d)
     want_out, want_x, want_ws = _separate_reference(x_data, [w.data for w in ws], d)
@@ -1049,11 +1050,11 @@ def test_block_matmul_over_a_placed_run_equals_separate_matmuls_to_the_bit():
         assert got is w._buf and got.base is w.arena.grad   # written straight into the arena
 
 
-def test_block_matmul_over_a_gap_runs_twice_and_leaves_absent_weights_without_grad():
+def test_block_matmul_over_a_gap_leaves_absent_weights_without_grad():
+    # weights 0-2 and 5-6 of an arena are not one span of it
     rng = np.random.default_rng(32)
     _bias, *placed = _placed(rng, 7)
     ws = [placed[i] for i in (0, 1, 2, 5, 6)]
-    assert [(lo, hi) for lo, hi, _ in T.weight_runs(ws)] == [(0, 3), (3, 5)]
     x_data, d = rng.standard_normal((3, 5)), rng.standard_normal((15, 6))
     out, d_x, d_ws = _blocked_backward(x_data, ws, d)
     want_out, want_x, want_ws = _separate_reference(x_data, [w.data for w in ws], d)
@@ -1065,8 +1066,8 @@ def test_block_matmul_over_a_gap_runs_twice_and_leaves_absent_weights_without_gr
 
 
 def test_block_matmul_reads_a_rebound_member_at_call_time():
-    # a finite-difference probe rebinds one weight's data mid-run, as the
-    # benchmark's gradient check does: the run splits and the loss moves
+    # a finite-difference probe rebinds one weight's data, as the benchmark's
+    # gradient check does: the layer is no longer one span, and the loss moves
     rng = np.random.default_rng(33)
     _bias, *ws = _placed(rng, 4)
     x = Tensor(rng.standard_normal((3, 5)))
@@ -1083,19 +1084,18 @@ def test_block_matmul_reads_a_rebound_member_at_call_time():
     analytic = float((t.grad * direction).sum())
     base, step = t.data, 1e-5
     t.data = base + step * direction
-    assert [(lo, hi) for lo, hi, _ in T.weight_runs(ws)] == [(0, 2), (2, 3), (3, 4)]
     f_plus = loss().item()
     t.data = base - step * direction
     f_minus = loss().item()
     t.data = base
-    assert len(T.weight_runs(ws)) == 1
+    assert loss().item() == base_loss.item()
     assert f_plus != base_loss.item() != f_minus
     numeric = (f_plus - f_minus) / (2 * step)
     assert abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-6) < FD_TOL
 
 
 def test_block_matmul_grads_accumulate_without_zero_grad_to_the_bit():
-    # two backwards, then a third over a run whose members are half fresh
+    # two backwards, then a third over a layer whose members are half fresh
     # and half holding a gradient: each sum is the allocating ``grad + g``
     rng = np.random.default_rng(34)
     _bias, *ws = _placed(rng, 4)

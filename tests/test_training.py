@@ -126,8 +126,8 @@ def test_adam_stays_within_1e12_of_the_textbook_update_over_many_steps(split_ste
 
 def test_adam_step_bit_identical_to_reference_across_chunks():
     # laid end to end, the first chunk straddles one|bias|small|large, and
-    # "small" (mid-run, step 2) and "tail" (after the last chunk boundary,
-    # step 3) go without a gradient
+    # "small" (mid-arena, step 2) and "tail" (after the last chunk boundary,
+    # step 3) go without a gradient: they take a zero one
     shapes = {"one": (1,), "bias": (7,), "small": (5, 6), "large": (300, 250), "tail": (3, 4)}
     large = 300 * 250
     assert large > ADAM_CHUNK and large % ADAM_CHUNK  # several chunks, a ragged last one
@@ -140,9 +140,8 @@ def test_adam_step_bit_identical_to_reference_across_chunks():
     for step in (1, 2, 3):
         for name, t in params.items():
             t.grad = None if skipped.get(step) == name else rng.standard_normal(t.shape)
-            if t.grad is not None:
-                ref[name] = _adam_reference_step(*ref[name], t.grad, step, 1e-2)
-        kept = {k: (opt.m[k].copy(), opt.v[k].copy()) for k in params}
+            g = np.zeros(t.shape) if t.grad is None else t.grad
+            ref[name] = _adam_reference_step(*ref[name], g, step, 1e-2)
         opt.step()
         for name, t in params.items():
             p, m, v = ref[name]
@@ -150,9 +149,41 @@ def test_adam_step_bit_identical_to_reference_across_chunks():
             np.testing.assert_array_equal(opt.m[name], m)
             np.testing.assert_array_equal(opt.v[name], v)
             if skipped.get(step) == name:
-                assert opt.m[name].tobytes() == kept[name][0].tobytes()
-                assert opt.v[name].tobytes() == kept[name][1].tobytes()
+                assert t.grad is None
     assert opt.step_count == 3
+
+
+def test_a_missing_gradient_is_a_zero_one_not_the_stale_buffer():
+    # "late" has a gradient, written into its buffer as backward does, at step
+    # 1 and none at step 2, while its buffer still holds step 1's: step 2 must
+    # update it as a zero gradient does, so its moments decay. "never" has no
+    # gradient at all and keeps its value and moments to the bit.
+    rng = np.random.default_rng(9)
+    params = arena_params({"late": rng.standard_normal((4, 5)), "never": rng.standard_normal(6),
+                           "always": rng.standard_normal(3)})
+    opt = Adam(params, lr=1e-2)
+    opt.arena.alloc_grad()
+    never = tuple(a.tobytes() for a in (params["never"].data, opt.m["never"], opt.v["never"]))
+    ref = {k: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for k, t in params.items()}
+    for step, names in ((1, ("late", "always")), (2, ("always",))):
+        opt.zero_grad()
+        for name in names:
+            t = params[name]
+            np.copyto(t._buf, rng.standard_normal(t.shape))
+            t.grad = t._buf
+        g = params["late"].grad if step == 1 else np.zeros((4, 5))
+        ref["late"] = _adam_reference_step(*ref["late"], g, step, 1e-2)
+        ref["always"] = _adam_reference_step(*ref["always"], params["always"].grad, step, 1e-2)
+        kept = opt.m["late"].copy(), opt.v["late"].copy()
+        opt.step()
+        for name in ("late", "always"):
+            for got, want in zip((params[name].data, opt.m[name], opt.v[name]), ref[name]):
+                np.testing.assert_array_equal(got, want)
+        assert tuple(a.tobytes() for a in (params["never"].data, opt.m["never"],
+                                           opt.v["never"])) == never
+    assert params["late"].grad is None and params["never"].grad is None
+    np.testing.assert_array_equal(opt.m["late"], 0.9 * kept[0])
+    np.testing.assert_array_equal(opt.v["late"], 0.999 * kept[1])
 
 
 def test_hand_assigned_gradient_gives_the_reference_update_and_is_not_written():
@@ -243,9 +274,9 @@ def _two_large(rng):
 
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_split_adam_step_bit_identical_to_reference(split_steps, cpus):
-    # "mid" goes without a gradient at step 2, which splits the runs and
-    # leaves ragged chunks on both sides of it; at step 3 the gradients of
-    # "wide" and "one" are assigned by hand, the rest written into the arena
+    # "mid" goes without a gradient at step 2 and takes a zero one in the
+    # middle of a part; at step 3 the gradients of "wide" and "one" are
+    # assigned by hand, the rest written into the arena
     affinity, pools = split_steps
     affinity(cpus)
     shapes = {"one": (1,), "large": (300, 250), "mid": (5, 6), "wide": (400, 300), "tail": (3, 4)}
@@ -258,6 +289,7 @@ def test_split_adam_step_bit_identical_to_reference(split_steps, cpus):
         for name, t in params.items():
             if step == 2 and name == "mid":
                 t.grad = None
+                ref[name] = _adam_reference_step(*ref[name], np.zeros(t.shape), step, 1e-2)
                 continue
             g = rng.standard_normal(t.shape)
             if step == 3 and name not in ("wide", "one"):
@@ -354,8 +386,8 @@ def test_split_steps_stay_bit_identical_under_rapid_thread_switches(split_steps,
                 skipped = list(params)[step % len(params)]
                 for name, t in params.items():
                     t.grad = None if name == skipped else rng.standard_normal(t.shape)
-                    if t.grad is not None:
-                        ref[name] = _adam_reference_step(*ref[name], t.grad, step, 1e-2)
+                    g = np.zeros(t.shape) if t.grad is None else t.grad
+                    ref[name] = _adam_reference_step(*ref[name], g, step, 1e-2)
                 opt.step()
                 for name, t in params.items():
                     for got, want in zip((t.data, opt.m[name], opt.v[name]), ref[name]):
@@ -390,8 +422,9 @@ def _driven_step(model, config, dialogue, optimizer, rng):
 
 def test_absent_relation_keeps_no_gradient_after_a_step_that_had_one():
     # both speakers talk in the first dialogue, one alone in the second: the
-    # second step's missing relation types get no gradient and no Adam update,
-    # although their buffers exist
+    # second step's missing relation types get no gradient, although their
+    # buffers exist and hold the first step's, and Adam updates them as with
+    # a zero gradient
     cfg = _fast_config(window_past=1, window_future=1, dropout=0.0)
     corpus = _none_corpus(n=2, utts=4)
     both, alone = corpus.dialogues
@@ -403,16 +436,18 @@ def test_absent_relation_keeps_no_gradient_after_a_step_that_had_one():
     _driven_step(model, cfg, both, opt, rng)
     thetas = model.rgcn.named()
     had_gradient = {k for k, t in thetas.items() if t._buf is not None}
-    moments = {k: (opt.m[k].copy(), opt.v[k].copy()) for k in thetas}
     tape = T.Tape()
     out = forward_dialogue(alone, model, cfg, training=True, rng=rng, tape=tape)
     T.backward(clf.loss(out.logits, dialogue_gold(alone, "single"), "single", tape), tape)
     absent = [k for k in had_gradient if thetas[k].grad is None]
     assert absent and len(absent) < len(had_gradient) - 1
+    want = {k: _adam_reference_step(thetas[k].data, opt.m[k], opt.v[k], np.zeros(thetas[k].shape),
+                                    2, cfg.learning_rate) for k in absent}
     opt.step()
     for k in absent:
-        np.testing.assert_array_equal(opt.m[k], moments[k][0])
-        np.testing.assert_array_equal(opt.v[k], moments[k][1])
+        assert thetas[k].grad is None
+        for got, ref in zip((thetas[k].data, opt.m[k], opt.v[k]), want[k]):
+            np.testing.assert_array_equal(got, ref)
 
 
 def test_train_holds_gradient_buffers_only_while_stepping(monkeypatch):

@@ -72,16 +72,10 @@ def _resolve_config(args) -> TrainConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(values, dict):
             raise ConfigError(f"config file {path} must hold a flat JSON object")
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "epochs": getattr(args, "epochs", None),
-        "ablation": getattr(args, "ablation", None),
-        "active_modalities": getattr(args, "modalities", None),
-        "learning_rate": getattr(args, "lr", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
+    for key, flag in (("seed", "seed"), ("epochs", "epochs"), ("ablation", "ablation"),
+                      ("active_modalities", "modalities"), ("learning_rate", "lr")):
+        if getattr(args, flag, None) is not None:
+            values[key] = getattr(args, flag)
     if getattr(args, "past", None) is not None:
         values["window_past"] = _parse_window(args.past, "--past")
     if getattr(args, "future", None) is not None:

@@ -73,6 +73,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1)")
         if self.adam_eps <= 0:
             raise ConfigError("adam_eps must be positive")
+        if not 0.0 < self.multilabel_threshold < 1.0:
+            raise ConfigError("multilabel_threshold must be in (0, 1)")
         for name in ("gnn_heads", "seq_context_layers", "encoder_heads", "ffn_mult",
                      "epochs", "grad_accum"):
             if getattr(self, name) < 1:

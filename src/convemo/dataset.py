@@ -131,14 +131,14 @@ def normalize_modalities(active: str) -> str:
 
 def _parse_label(raw, num_classes: int, task_mode: str, where: str):
     if task_mode == "single":
-        if not isinstance(raw, int) or isinstance(raw, bool):
+        if type(raw) is not int:
             raise CorpusError(f"{where}: single-label corpus needs integer labels")
         if not 0 <= raw < num_classes:
             raise CorpusError(f"{where}: label {raw} out of range for {num_classes} classes")
         return raw
     if not isinstance(raw, list) or len(raw) != num_classes:
         raise CorpusError(f"{where}: multi-label corpus needs a length-{num_classes} 0/1 vector")
-    if any(v not in (0, 1) for v in raw):
+    if any(type(v) is not int or v not in (0, 1) for v in raw):
         raise CorpusError(f"{where}: multi-label vector entries must be 0 or 1")
     return np.asarray(raw, dtype=np.float64)
 
@@ -185,6 +185,8 @@ def load_corpus(path) -> Corpus:
     label_names, dims = header["label_names"], header["dims"]
     if not isinstance(label_names, list) or not all(isinstance(n, str) for n in label_names):
         raise CorpusError(f"{path}:1: label_names must be a list of strings")
+    if not label_names:
+        raise CorpusError(f"{path}:1: label_names must name at least one class")
     dims = {k: dims.get(k, 0) for k in MODALITIES} if isinstance(dims, dict) else None
     if dims is None or any(type(v) is not int or v < 0 for v in dims.values()):
         raise CorpusError(f"{path}:1: dims must map 'a', 't' and 'v' to widths >= 0")

@@ -76,13 +76,10 @@ class EncoderParams:
             base = f"{prefix}.layer{li}"
             for i, w in enumerate(layer.w_qkv):
                 out[f"{base}.head{i // 3}.{roles[i % 3]}"] = w
-            out[f"{base}.wo"] = layer.w_o
-            out[f"{base}.ffn1"] = layer.w_ffn1
-            out[f"{base}.ffn2"] = layer.w_ffn2
-            out[f"{base}.gamma1"] = layer.gamma1
-            out[f"{base}.beta1"] = layer.beta1
-            out[f"{base}.gamma2"] = layer.gamma2
-            out[f"{base}.beta2"] = layer.beta2
+            for key, t in zip(("wo", "ffn1", "ffn2", "gamma1", "beta1", "gamma2", "beta2"),
+                              (layer.w_o, layer.w_ffn1, layer.w_ffn2, layer.gamma1,
+                               layer.beta1, layer.gamma2, layer.beta2)):
+                out[f"{base}.{key}"] = t
         return out
 
 

@@ -3,18 +3,19 @@
 ``rgcn_forward`` is a plain relational graph convolution: a root
 transform of each node plus, for every relation type, the mean of the
 type's in-neighbor features pushed through that type's own weight
-matrix. It computes one message ``z_j @ theta_r`` per distinct (relation
-r, source j) pair that some edge of type r uses, all of them in one
-``block_matmul`` op whose block r picks the sources of type r, and one
-constant n x M mean matrix over those M message rows, holding
-count/|N_r(i)| at [i, row of (r, j)] for each edge j -> i of type r,
-averages them for every node at once. Each graph keeps its message rows
-and the mean's nonzero entries (``ConversationGraph.rgcn_layout``), and
-its neighborhood mask, from its first forward on; a forward only
-scatters them. A stack's message rows are every copy's own, with no
-padding, as in a disjoint union of its graphs: each relation is one GEMM
-over all copies' rows of that type, gathered to a (B, M, k) block whose
-copy b holds its own rows, M the most any copy has, zero past them.
+matrix, slice r of one (R, d, d') parameter. It computes one message
+``z_j @ theta[r]`` per distinct (relation r, source j) pair that some edge
+of type r uses, all of them in one ``relation_matmul`` op whose block r
+picks the sources of type r, and one constant n x M mean matrix over
+those M message rows, holding count/|N_r(i)| at [i, row of (r, j)] for
+each edge j -> i of type r, averages them for every node at once. Each
+graph keeps its message rows and the mean's nonzero entries
+(``ConversationGraph.rgcn_layout``), and its neighborhood mask, from its
+first forward on; a forward only scatters them. A stack's message rows
+are every copy's own, with no padding, as in a disjoint union of its
+graphs: each relation is one GEMM over all copies' rows of that type,
+gathered to a (B, M, k) block whose copy b holds its own rows, M the
+most any copy has, zero past them.
 
 ``graph_transformer_forward`` then runs dot-product attention restricted
 to graph neighborhoods (relation types ignored at this layer), combining
@@ -42,11 +43,16 @@ from .tensor import Tape, Tensor
 @dataclass
 class RgcnParams:
     theta_root: Tensor          # d x d'
-    thetas: list[Tensor]        # one d x d' matrix per relation type
+    theta: Tensor               # R x d x d': one d x d' matrix per relation type
 
     @property
     def relation_count(self) -> int:
-        return len(self.thetas)
+        return self.theta.shape[0]
+
+    @property
+    def thetas(self) -> list[Tensor]:
+        """Each relation's matrix, a view of ``theta``."""
+        return [Tensor(th) for th in self.theta.data]
 
     @classmethod
     def init(cls, d_in: int, d_out: int, relation_count: int,
@@ -55,13 +61,10 @@ class RgcnParams:
             raise ValueError("need at least one relation type")
         init = T.Init.of(rng)
         return cls(theta_root=init.xavier((d_in, d_out)),
-                   thetas=[init.xavier((d_in, d_out)) for _ in range(relation_count)])
+                   theta=init.xavier((relation_count, d_in, d_out)))
 
     def named(self, prefix: str = "rgcn") -> dict[str, Tensor]:
-        out = {f"{prefix}.theta_root": self.theta_root}
-        for r, th in enumerate(self.thetas):
-            out[f"{prefix}.theta_rel{r}"] = th
-        return out
+        return {f"{prefix}.theta_root": self.theta_root, f"{prefix}.theta": self.theta}
 
 
 @dataclass
@@ -96,14 +99,10 @@ class GraphTransformerParams:
 Graphs = ConversationGraph | Sequence[ConversationGraph]
 
 
-def _graphs(g: Graphs) -> list[ConversationGraph]:
-    return [g] if isinstance(g, ConversationGraph) else list(g)
-
-
 def _check_nodes(x: Tensor, g: Graphs, name: str) -> list[ConversationGraph]:
     """The graphs of ``x``'s copies: one for a 2-D ``x``, or a sequence of one
     per copy of a stacked ``x``, each with as many nodes as ``x`` has rows."""
-    graphs = _graphs(g)
+    graphs = [g] if isinstance(g, ConversationGraph) else list(g)
     stacked = x.data.ndim == 3
     if isinstance(g, ConversationGraph) == stacked or stacked and len(graphs) != x.shape[0]:
         raise T.ShapeError(f"{name}: {len(graphs)} graph(s) for input of shape {x.shape}; "
@@ -120,7 +119,7 @@ def rgcn_layout(graphs: list[ConversationGraph], relation_count: int, stacked: b
     """The message rows of a forward over ``graphs``: every copy's own
     (relation, source) rows from its kept layout, and no others. Returns the
     relation ids present in any copy, sorted; per id, its rows' sources over
-    every copy in turn, copy b's node j as b*n + j (``block_matmul``'s
+    every copy in turn, copy b's node j as b*n + j (``relation_matmul``'s
     ``rows``, one GEMM per id); ``at``, the (B, M) gather that hands each copy
     its own rows, M the most any copy has, with zero rows past a copy's own
     (None for a single graph, whose rows are its layout's as they are); and
@@ -166,7 +165,7 @@ def rgcn_forward(z: Tensor, g: Graphs, params: RgcnParams,
     out = T.matmul(z, params.theta_root, tape)
     if not present.size:
         return out
-    messages = T.block_matmul(z, [params.thetas[r] for r in present], tape, rows, at)
+    messages = T.relation_matmul(z, params.theta, present, rows, at, tape)
     return T.add(out, T.matmul(Tensor(mean), messages, tape), tape)
 
 

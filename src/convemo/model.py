@@ -74,13 +74,8 @@ class ModelParams:
         return model
 
     def named(self) -> dict[str, Tensor]:
-        out = self.encoder.named()
-        if self.rgcn is not None:
-            out.update(self.rgcn.named())
-        if self.graph_attention is not None:
-            out.update(self.graph_attention.named())
-        out.update(self.classifier.named())
-        return out
+        parts = (self.encoder, self.rgcn, self.graph_attention, self.classifier)
+        return {k: t for part in parts if part is not None for k, t in part.named().items()}
 
     def zero_grads(self) -> None:
         self.arena.zero_grad()

@@ -2,10 +2,11 @@
 
 The conversation model runs entirely on the primitives in this module:
 matmul (and row blocks of matmuls sharing one input: one batched matmul
-over a layer's weights, read as one span of their arena, or one GEMM per
-weight over the rows its block picks), multi-head attention
-over such blocks (plain or graph-masked), row softmax, layer norm, relu,
-inverted dropout, bias adds, and the two classification losses. Forward
+over a layer's weights, read as one span of their arena), multi-head
+attention over such blocks (plain or graph-masked), a relational matmul
+(picked rows times their relation's slice of one (R, d, k) weight, one
+GEMM per present relation), row softmax, layer norm, relu, inverted
+dropout, bias adds, and the two classification losses. Forward
 ops record onto an explicit ``Tape``; ``backward`` replays the tape in
 reverse and accumulates adjoints, so a tensor consumed by several ops
 receives the sum of all contributions.
@@ -194,9 +195,10 @@ class Init:
         return rng if isinstance(rng, Init) else cls(rng, defer=False)
 
     def xavier(self, shape: tuple[int, ...]) -> Parameter:
-        """Uniform in +-sqrt(6/(fan_in+fan_out)), equal to the bit to
-        ``rng.uniform(-bound, bound, shape)``: low + (high - low) * U."""
-        bound, rng = math.sqrt(6.0 / (shape[0] + shape[-1])), self.rng
+        """Uniform in +-sqrt(6/(fan_in+fan_out)), the last two axes' sizes,
+        equal to the bit to ``rng.uniform(-bound, bound, shape)``: low + (high
+        - low) * U. A leading axis stacks matrices drawn one after another."""
+        bound, rng = math.sqrt(6.0 / (shape[-2] + shape[-1])), self.rng
 
         def draw(out: np.ndarray) -> None:   # holds no reference to the Init
             flat = out.reshape(-1)
@@ -282,14 +284,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 t.grad = g if t.grad is None else t.grad + g
 
 
-def _finite_or_raise(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"op '{op}' produced non-finite values")
-
-
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], op: str,
           tape: Tape | None, grad_fn: Callable) -> Tensor:
-    _finite_or_raise(out_data, op)
+    if not np.isfinite(out_data).all():
+        raise NonFiniteError(f"op '{op}' produced non-finite values")
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires)
     if tape is not None and requires:
@@ -340,8 +338,7 @@ def _span(flat: np.ndarray, first: Parameter, count: int) -> np.ndarray:
     return flat[first._at:first._at + count * first.data.size].reshape(count, *first.shape)
 
 
-def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None,
-                 rows: Sequence[np.ndarray] | None = None, at: np.ndarray | None = None) -> Tensor:
+def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None) -> Tensor:
     """The products ``x @ w`` of one input with P same-shape 2-D weights, stacked
     by rows: a (P*n) x k matrix whose i-th block of n rows is ``x @ weights[i]``.
     One tape op, bit-identical to separate matmuls, over the weights as one
@@ -352,16 +349,7 @@ def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None,
     each weight once. Backward runs one batched matmul into ``x``'s adjoint
     (blocks summed last first) and, when the weights are one arena span and none
     has a grad yet, one into that span of the gradient arena (else each
-    accumulates its own); a weight's adjoint sums over every copy's rows.
-
-    With ``rows``, one 1-D array per weight of row numbers into ``x``'s rows,
-    every copy's end to end (copy b's row j is b*n + j), block i is those rows
-    times ``weights[i]`` instead, one GEMM per weight, and the output is the
-    S x k blocks. With ``at`` too, an int array of shape (*lead, M) that names
-    each of those S rows at most once, the output is (*lead, M, k): row
-    ``at[..., m]`` of the blocks, or zero where ``at`` holds S. In backward,
-    the picked rows' adjoints are summed into ``x``'s, so a row that no block
-    picks gets zero."""
+    accumulates its own); a weight's adjoint sums over every copy's rows."""
     _check_2d("block_matmul", x)
     if not weights or any(w.shape != (x.shape[-1], weights[0].shape[-1]) for w in weights):
         raise ShapeError(f"block_matmul needs k >= 1 weights of one 2-D shape with "
@@ -369,8 +357,6 @@ def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None,
     # adjoints as matmul gives them: none, deferred into a parameter's buffer, or computed
     adj_w = [w.requires_grad and (_Product if type(w) is Parameter else np.matmul)
              for w in weights]
-    if rows is not None:
-        return _picked_matmul(x, weights, rows, at, adj_w, tape)
     p, (n, d), k = len(weights), x.shape[-2:], weights[0].shape[-1]
     first = weights[0]
     spanned = all(type(w) is Parameter and w.data is w._view and w.arena is first.arena
@@ -401,44 +387,65 @@ def block_matmul(x: Tensor, weights: Sequence[Tensor], tape: Tape | None = None,
     return _make(out, (x, *weights), "block_matmul", tape, grad_fn)
 
 
-def _picked_matmul(x: Tensor, weights: Sequence[Tensor], rows: Sequence[np.ndarray],
-                   at: np.ndarray | None, adj_w: list, tape: Tape | None) -> Tensor:
-    """``block_matmul`` with ``rows``: the picked rows, (S, d), are gathered in
-    forward and again in backward, so that neither the tape nor ``at``'s gather
-    holds them, and their adjoints are summed into ``x``'s by one ``bincount``."""
-    d, k = x.shape[-1], weights[0].shape[-1]
-    if len(rows) != len(weights) or any(r.ndim != 1 for r in rows):
-        raise ShapeError(f"block_matmul needs one index array of shape (S,) per weight, "
-                         f"got {[r.shape for r in rows]} for {len(weights)}")
+def relation_matmul(x: Tensor, theta: Tensor, rels: np.ndarray, rows: Sequence[np.ndarray],
+                    at: np.ndarray | None = None, tape: Tape | None = None) -> Tensor:
+    """Rows of ``x`` times their relation's slice of ``theta``, (R, d, k): block i
+    is the rows ``rows[i]`` names, every copy's end to end (copy b's row j is
+    b*n + j), times ``theta[rels[i]]``, one GEMM over a view per present relation,
+    and the output is the S x k blocks. With ``at``, an int array of shape
+    (*lead, M) that names each of those S rows at most once, the output is
+    (*lead, M, k): row ``at[..., m]`` of the blocks, or zero where ``at`` holds S.
+    The picked rows are gathered in forward and again in backward, so neither the
+    tape nor ``at``'s gather holds them. Backward sums their adjoints into ``x``'s
+    by one ``bincount``, so a row no block picks gets zero, and writes relation
+    r's adjoint straight into slice r of ``theta``'s gradient buffer: a first
+    contribution zeroes the absent relations' slices, a later one adds into the
+    present slices only. A ``theta`` that takes a gradient is a parameter."""
+    _check_2d("relation_matmul", x)
+    d, k = x.shape[-1], theta.shape[-1]
+    if (theta.data.ndim != 3 or theta.shape[1] != d or not len(rels) or len(rows) != len(rels)
+            or any(r.ndim != 1 for r in rows) or theta.requires_grad and type(theta) is not Parameter):
+        raise ShapeError(f"relation_matmul needs an (R, {d}, k) theta, a parameter if it takes a "
+                         f"gradient, and one index array of shape (S,) per relation, got "
+                         f"{theta.shape} and {[r.shape for r in rows]} for {len(rels)}")
     ends = np.cumsum([r.size for r in rows]).tolist()
-    spans, s = list(zip([0, *ends], ends)), ends[-1]
+    spans, s = list(zip(rels, [0, *ends], ends)), ends[-1]
     index = np.concatenate(rows)
     prods = np.empty((s + 1, k))
     prods[s] = 0.0   # the zero row of ``at``
-    _span_matmuls(x.data.reshape(-1, d)[index], [w.data for w in weights], spans, prods)
+    picked = x.data.reshape(-1, d)[index]
+    for r, lo, hi in spans:
+        np.matmul(picked[lo:hi], theta.data[r], out=prods[lo:hi])
+    del picked   # before ``at``'s gather
 
     def grad_fn(g):
         if at is not None:
             g, g_at = np.zeros((s + 1, k)), g
             g[at] = g_at
-        picked = x.data.reshape(-1, d)[index]
-        d_w = [adj(picked[lo:hi].T, g[lo:hi]) if adj else None
-               for adj, (lo, hi) in zip(adj_w, spans)]
+        if theta.requires_grad:   # each slice summed as ``Parameter._accumulate`` sums
+            picked = x.data.reshape(-1, d)[index]
+            theta.arena.alloc_grad()
+            buf, grad = theta._buf, theta.grad
+            if grad is None:
+                buf[np.bincount(rels, minlength=len(buf)) == 0] = 0.0
+            elif grad is not buf:   # assigned by hand: read, never written into
+                np.copyto(buf, grad)
+            for r, lo, hi in spans:
+                if grad is None:
+                    np.matmul(picked[lo:hi].T, g[lo:hi], out=buf[r])
+                else:
+                    buf[r] += picked[lo:hi].T @ g[lo:hi]
+            theta.grad = buf
         if not x.requires_grad:
-            return (None, *d_w)
-        parts = _span_matmuls(g, [w.data.T for w in weights], spans, np.empty((s, d)))
+            return None, None
+        parts = np.empty((s, d))
+        for r, lo, hi in spans:
+            np.matmul(g[lo:hi], theta.data[r].T, out=parts[lo:hi])
         d_x = np.bincount((index[:, None] * d + np.arange(d)).ravel(), parts.ravel(), x.data.size)
-        return (d_x.reshape(x.shape), *d_w)
+        return d_x.reshape(x.shape), None
 
-    return _make(prods[:s] if at is None else prods[at], (x, *weights), "block_matmul",
+    return _make(prods[:s] if at is None else prods[at], (x, theta), "relation_matmul",
                  tape, grad_fn)
-
-
-def _span_matmuls(a: np.ndarray, ws: Sequence[np.ndarray], spans, out: np.ndarray) -> np.ndarray:
-    """``out``, whose rows lo:hi are ``a``'s times ``ws[i]`` for the i-th span (lo, hi)."""
-    for (lo, hi), w in zip(spans, ws):
-        np.matmul(a[lo:hi], w, out=out[lo:hi])
-    return out
 
 
 def transpose(x: Tensor, tape: Tape | None = None) -> Tensor:

@@ -511,8 +511,12 @@ def load_checkpoint(path) -> Checkpoint:
         model = ModelParams.init(config, ModelDims(**header["dims"]), None)
         named = model.named()
         layout = [[name, list(t.shape)] for name, t in named.items()]
+        # a file written while the RGCN kept a parameter per relation lists
+        # slice r of rgcn.theta as rgcn.theta_rel{r}: the same elements in order
+        per_relation = [[f"{k}_rel{r}", s[1:]] if k == "rgcn.theta" else [k, s]
+                        for k, s in layout for r in range(s[0] if k == "rgcn.theta" else 1)]
         for i, pair in enumerate(itertools.zip_longest(header["params"], layout)):
-            if pair[0] != pair[1]:
+            if pair[0] != pair[1] and header["params"] != per_relation:
                 theirs, ours = ("nothing" if e is None else json.dumps(e) for e in pair)
                 raise ValueError(f"checkpoint {path} does not fit the model of its config: "
                                  f"parameter {i} is {theirs} in the file, {ours} in the model")

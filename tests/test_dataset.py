@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,37 @@ def test_json_booleans_are_not_speaker_counts_or_indices(tmp_path, keys, value, 
     with pytest.raises(CorpusError) as info:
         load_corpus(path)
     assert str(info.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("task_mode, label, message", [
+    ("multi", [True, 0], "multi-label vector entries must be 0 or 1"),
+    ("multi", [1, 0.0], "multi-label vector entries must be 0 or 1"),
+    ("multi", [1, 1.0], "multi-label vector entries must be 0 or 1"),
+    ("single", 1.0, "single-label corpus needs integer labels"),
+    ("single", True, "single-label corpus needs integer labels"),
+], ids=["multi_true", "multi_float_zero", "multi_float_one", "single_float", "single_true"])
+def test_a_label_entry_that_is_not_a_json_integer_is_refused(tmp_path, task_mode, label, message):
+    # [true, 0.0] once loaded as the vector [1., 0.]
+    path = tmp_path / "bad.jsonl"
+    save_corpus(path, _tiny_corpus(task_mode))
+    _set(path, (2, "utterances", 1, "label"), label)
+    with pytest.raises(CorpusError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}:3: dialogue 'dlg-b' utterance 1: {message}"
+
+
+@pytest.mark.parametrize("task_mode", ["single", "multi"])
+def test_an_empty_label_names_is_refused_at_load(tmp_path, task_mode):
+    # it once loaded, and train then failed naming no file
+    corpus = _tiny_corpus(task_mode)
+    for d in corpus.dialogues:
+        for u in d.utterances:
+            u.label = 0 if task_mode == "single" else np.zeros(0)
+    path = tmp_path / "empty.jsonl"
+    save_corpus(path, replace(corpus, label_names=[]))
+    with pytest.raises(CorpusError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}:1: label_names must name at least one class"
 
 
 @pytest.mark.parametrize("literal, spots, line, message", [

@@ -70,8 +70,7 @@ def _random_graph(rng, n, m, **kw):
 
 def test_rgcn_edgeless_identity():
     g = ConversationGraph(3, [], 2)
-    params = RgcnParams(theta_root=T.parameter(np.eye(4)),
-                        thetas=[T.parameter(np.zeros((4, 4))) for _ in range(2)])
+    params = RgcnParams(theta_root=T.parameter(np.eye(4)), theta=T.parameter(np.zeros((2, 4, 4))))
     z = np.random.default_rng(0).standard_normal((3, 4))
     out = rgcn_forward(Tensor(z), g, params)
     np.testing.assert_array_equal(out.data, z)
@@ -80,9 +79,8 @@ def test_rgcn_edgeless_identity():
 def test_rgcn_single_message():
     g = ConversationGraph(2, [(0, 1, 1)], 3)
     params = RgcnParams(theta_root=T.parameter(np.zeros((3, 3))),
-                        thetas=[T.parameter(np.zeros((3, 3))),
-                                T.parameter(np.eye(3)),
-                                T.parameter(np.zeros((3, 3)))])
+                        theta=T.parameter(np.stack([np.zeros((3, 3)), np.eye(3),
+                                                    np.zeros((3, 3))])))
     z = np.random.default_rng(1).standard_normal((2, 3))
     out = rgcn_forward(Tensor(z), g, params)
     np.testing.assert_allclose(out.data[1], z[0], atol=1e-15)
@@ -211,8 +209,8 @@ def test_rgcn_on_a_stack_of_distinct_graphs_matches_the_loop_oracle_and_finite_d
     def loss(tape):
         return T.sum_all(T.mul(rgcn_forward(z, graphs, params, tape), probe, tape), tape)
 
+    assert check_grads(loss, [z, params.theta_root, params.theta]) < FD_TOL
     present = sorted({rel for g in graphs for *_, rel in g.edges})
-    assert check_grads(loss, [z, params.theta_root, *(params.thetas[r] for r in present)]) < FD_TOL
     # the messages are each copy's own rows, (B, M, k) for M the most any copy
     # has: a copy's rows past its own are zero and read by none of its nodes,
     # so they move no gradient
@@ -229,16 +227,20 @@ def test_rgcn_on_a_stack_of_distinct_graphs_matches_the_loop_oracle_and_finite_d
 
 
 def test_rgcn_absent_relations_get_no_gradient():
+    # an absent relation's slice of theta's gradient is an exact zero, a present
+    # one's is not
     rng = np.random.default_rng(9)
     g = graph_from_speakers([0, 0, 1], 3, 1, 1)
     params = RgcnParams.init(3, 3, g.relation_count, rng)
+    params.theta.arena.alloc_grad().fill(np.nan)   # a stale buffer must not show through
     z = T.parameter(rng.standard_normal((3, 3)))
     tape = Tape()
     backward(T.sum_all(rgcn_forward(z, g, params, tape), tape), tape)
     present = {rel for _, _, rel in g.edges}
     assert 0 < len(present) < g.relation_count
-    for r, theta in enumerate(params.thetas):
-        assert (theta.grad is not None) == (r in present)
+    assert params.theta.grad is params.theta._buf
+    for r, grad in enumerate(params.theta.grad):
+        assert grad.any() == (r in present) and np.isfinite(grad).all()
     assert params.theta_root.grad is not None and z.grad is not None
 
 
@@ -249,10 +251,11 @@ def test_rgcn_records_one_message_op_over_present_relations():
     params = RgcnParams.init(4, 4, g.relation_count, np.random.default_rng(10))
     tape = Tape()
     rgcn_forward(T.parameter(np.ones((len(speakers), 4))), g, params, tape)
-    # root, the messages of every present type in one op, the mean and the sum
-    assert [op for op, *_ in tape.entries] == ["matmul", "block_matmul", "matmul", "add"]
+    # root, the messages of every present type in one op over (z, theta), the
+    # mean and the sum
+    assert [op for op, *_ in tape.entries] == ["matmul", "relation_matmul", "matmul", "add"]
     _op, inputs, out, _fn = tape.entries[1]
-    assert inputs[1:] == tuple(params.thetas[r] for r in present)
+    assert inputs[1] is params.theta and len(inputs) == 2
     # one message row per (relation, source) pair an edge uses
     assert out.shape == (len({(rel, src) for src, _, rel in g.edges}), 4)
     assert len(present) > 40 and out.shape[0] < len(present) * len(speakers)

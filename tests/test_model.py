@@ -16,6 +16,7 @@ from convemo.model import (
     dialogue_gold,
     forward_dialogue,
     forward_fused,
+    forward_graphs,
     fused_matrix,
 )
 from convemo.tensor import Tensor
@@ -176,8 +177,16 @@ def test_taped_stacked_forward_gradients_equal_the_sum_of_per_dialogue_backwards
 
     stacked = grads((np.stack(xs), speakers, probe))
     per_dialogue = grads(*zip(xs, speakers, probe))
-    # only the relation types no dialogue uses get no gradient
-    assert all(g is not None for name, g in per_dialogue.items() if "theta_rel" not in name)
+    # every parameter gets a gradient, and the relation types no dialogue uses
+    # an exact zero slice of theta's, in both runs
+    assert all(g is not None for g in per_dialogue.values())
+    if model.rgcn is not None:
+        graphs = forward_graphs(speakers, (3, 3, 0), model, config)
+        unused = sorted(set(range(model.rgcn.relation_count))
+                        - {rel for g in graphs for *_, rel in g.edges})
+        assert unused or ablation == "no_relations"
+        for grads in (stacked, per_dialogue):
+            assert not grads["rgcn.theta"][unused].any()
     for name, want in per_dialogue.items():
         got = stacked[name]
         if want is None:
@@ -291,8 +300,8 @@ def test_default_forward_records_one_op_per_attention_layer():
 def test_each_layer_multiplies_its_weights_as_one_span_of_the_arena(tmp_path):
     # every encoder layer's q/k/v and the graph transformer's matrices lie end
     # to end in the arena, each still its view, so one batched matmul reads
-    # them as one span, in a fresh model and in a loaded one; the RGCN picks
-    # its present relation types, more than one piece of its thetas
+    # them as one span, in a fresh model and in a loaded one; the RGCN's one
+    # op reads its (R, d, d') theta, also a view of the arena
     corpus = synth_corpus(SynthSpec(num_dialogues=2, utterances_per_dialogue=3, num_speakers=2,
                                     num_classes=3, dims={"a": 2, "t": 3, "v": 2}, seed=2))
     d = corpus.dialogues[0]
@@ -308,7 +317,7 @@ def test_each_layer_multiplies_its_weights_as_one_span_of_the_arena(tmp_path):
         tape = T.Tape()
         forward_dialogue(d, m, config, training=True, rng=np.random.default_rng(1), tape=tape)
         lists = [list(inputs[1:]) for op, inputs, *_ in tape.entries if op == "block_matmul"]
-        *qkv, thetas, projections = lists
+        *qkv, projections = lists
         named = m.named()
         assert qkv == [[named[f"encoder.layer{li}.head{h}.{w}"]
                         for h in range(m.encoder.num_heads) for w in ("wq", "wk", "wv")]
@@ -316,8 +325,9 @@ def test_each_layer_multiplies_its_weights_as_one_span_of_the_arena(tmp_path):
         assert projections == [named[f"graph_attention.head{h}.{w}"]
                                for h in range(m.graph_attention.num_heads)
                                for w in ("w_self", "w_msg", "w_key_self", "w_key_nbr")]
-        present = [next(r for r, th in enumerate(m.rgcn.thetas) if th is w) for w in thetas]
-        assert 1 + int(np.count_nonzero(np.diff(present) != 1)) >= 2
+        [theta] = [inputs[1] for op, inputs, *_ in tape.entries if op == "relation_matmul"]
+        assert theta is named["rgcn.theta"] and theta.data is theta._view
+        assert theta.data.base is m.arena.data and theta.shape == (8, m.dims.width, m.dims.width)
         for weights in (*qkv, projections):
             size = weights[0].data.size
             assert all(w.arena is m.arena and w.data is w._view for w in weights)

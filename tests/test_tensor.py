@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -667,7 +668,8 @@ TWO_D_ONLY = {"cross_entropy_logits", "bce_with_logits"}
 
 def _stacked_cases(rng):
     """(cases, reseed). Each case is (op, fn(*operands, tape), inputs): float
-    inputs of ndim 3 are stacked copies and the rest are shared by every copy;
+    inputs of ndim 3 are stacked copies and the rest are shared by every copy,
+    but for the (4, d, k) relation weight, whose leading axis is not the stack's 3;
     a boolean input is a mask and an integer one a row index, each passed as it
     is (one per copy), not as a tensor.
     ``reseed()`` restarts the dropout case's generator, so a stacked dropout and
@@ -688,10 +690,12 @@ def _stacked_cases(rng):
         ("matmul stacked @ stacked", T.matmul, [stacked(4, 5), stacked(5, 2)]),
         ("block_matmul", lambda a, b, c, tape: T.block_matmul(a, [b, c], tape),
          [stacked(4, 5), rng.standard_normal((5, 6)), rng.standard_normal((5, 6))]),
-        # rows picked per copy, of sizes 3 and 2: repeated in a copy, and some unused
-        ("block_matmul, rows", lambda a, b, c, r, s, tape: T.block_matmul(
-            a, [b, c], tape, *_flat_picks(a, [[r, s]] if a.data.ndim == 2 else list(zip(r, s)))),
-         [stacked(4, 5), rng.standard_normal((5, 6)), rng.standard_normal((5, 6)),
+        # rows picked per copy for relations 1 and 3 of 4, 3 and 2 of them: repeated
+        # in a copy, and some unused; relations 0 and 2 are absent
+        ("relation_matmul", lambda a, th, r, s, tape: T.relation_matmul(
+            a, th, np.array([1, 3]), *_flat_picks(a, [[r, s]] if a.data.ndim == 2
+                                                 else list(zip(r, s))), tape),
+         [stacked(4, 5), rng.standard_normal((4, 5, 6)),
           np.array([[0, 2, 3], [1, 1, 3], [3, 0, 0]]), np.array([[1, 2], [0, 3], [2, 2]])]),
         ("transpose", T.transpose, [stacked(4, 5)]),
         ("add", T.add, [stacked(4, 5), stacked(4, 5)]),
@@ -711,9 +715,13 @@ def _stacked_cases(rng):
     ], reseed
 
 
+def _stacked(a):
+    return a.ndim == 3 and len(a) == 3
+
+
 def _copy(inputs, b):
     """Copy ``b`` of the inputs: a stacked one's b-th slice, a shared one whole."""
-    return [a[b] if a.ndim == 3 or a.dtype.kind == "i" else a for a in inputs]
+    return [a[b] if _stacked(a) or a.dtype.kind == "i" else a for a in inputs]
 
 
 def _operands(inputs):
@@ -722,7 +730,8 @@ def _operands(inputs):
 
 def _as_parameters(inputs):
     """(operands, parameters): the float inputs as parameters laid out in one
-    arena in order, so that block_matmul reads its weights as one span of it,
+    arena in order, so that block_matmul reads its weights as one span of it
+    and relation_matmul writes its weight's adjoint into its buffer,
     and each mask as it is."""
     floats = {str(i): a for i, a in enumerate(inputs) if a.dtype.kind == "f"}
     params = arena_params(floats)
@@ -771,7 +780,7 @@ def test_stacked_tape_gradients_equal_per_copy_gradients_and_finite_differences(
             mine, mine_params = _as_parameters(_copy(inputs, b))
             taped(mine, probe[b] if probe.ndim == 3 else probe)
             for w, p, a in zip(want, mine_params, floats):
-                if a.ndim == 3:
+                if _stacked(a):
                     w[b] = p.grad
                 else:
                     w += p.grad
@@ -935,8 +944,8 @@ def test_block_matmul_gradients():
 
 
 def _flat_picks(x, picks):
-    """``block_matmul``'s ``rows`` and ``at`` from ``picks[b][i]``, copy b's own
-    rows for weight i: per weight, every copy's rows in turn, copy b's row j as
+    """``relation_matmul``'s ``rows`` and ``at`` from ``picks[b][i]``, copy b's own
+    rows for present relation i: per weight, every copy's rows in turn, copy b's row j as
     b*n + j; and for a stack, at[b, m], the place among those of copy b's m-th
     row in weight order, or their count past copy b's rows (for 2-D, None)."""
     n = x.shape[-2]
@@ -954,8 +963,9 @@ def _flat_picks(x, picks):
 
 
 def _picked_reference(x, ws, picks):
-    """``block_matmul`` with ``rows`` by its definition, copy by copy: each
-    copy's own rows in weight order, zero past them to the most any copy has."""
+    """``relation_matmul`` by its definition, copy by copy, ``ws`` the present
+    relations' matrices: each copy's own rows in relation order, zero past them
+    to the most any copy has."""
     xs = x.reshape(-1, *x.shape[-2:])
     outs = [np.concatenate([xb[p[i]] @ w for i, w in enumerate(ws)]) for xb, p in zip(xs, picks)]
     width = max(len(o) for o in outs)
@@ -966,32 +976,89 @@ def _picked_reference(x, ws, picks):
 
 
 @pytest.mark.parametrize("stack", [(), (3,)])
-def test_block_matmul_with_rows_matches_its_definition_and_finite_differences(stack):
-    # three weights, the copies picking different rows, and different numbers of
-    # them: 5, 4 and 6, one row twice, and the middle weight only some copies'
-    # rows; row 4 of copy 0 is picked by no block
+def test_relation_matmul_matches_its_definition_and_finite_differences(stack):
+    # relations 0, 2 and 4 of 5 present, the copies picking different rows, and
+    # different numbers of them: 5, 4 and 6, one row twice, and relation 2 only
+    # some copies' rows; row 4 of copy 0 is picked by no block
     rng = np.random.default_rng(35)
     x = parameter(rng.standard_normal((*stack, 5, 4)))
-    ws = [parameter(rng.standard_normal((4, 3))) for _ in range(3)]
+    theta, rels = parameter(rng.standard_normal((5, 4, 3))), np.array([0, 2, 4])
     picks = [[[0, 2], [], [1, 2, 3]], [[1, 4], [2, 0], []], [[3, 3], [1], [4, 1, 0]]]
     picks = picks[:1] if not stack else picks
     rows, at = _flat_picks(x, picks)
-    out = T.block_matmul(x, ws, None, rows, at)
-    want = _picked_reference(x.data, [w.data for w in ws], picks)
+    out = T.relation_matmul(x, theta, rels, rows, at)
+    want = _picked_reference(x.data, theta.data[rels], picks)
     assert out.shape == (*stack, 5 if not stack else 6, 3)
     assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
     probe = Tensor(rng.standard_normal(out.shape))
 
     def loss(tape):
-        return T.sum_all(T.mul(T.block_matmul(x, ws, tape, rows, at), probe, tape), tape)
+        return T.sum_all(T.mul(T.relation_matmul(x, theta, rels, rows, at, tape), probe, tape),
+                         tape)
 
-    assert check_grads(loss, [x, *ws]) < FD_TOL
+    assert check_grads(loss, [x, theta]) < FD_TOL
     unused = x.grad[..., 0, 4, :] if stack else x.grad[4]
     assert np.array_equal(unused, np.zeros(4))   # picked by no block: an exact zero
-    with pytest.raises(ShapeError, match="one index array"):
-        T.block_matmul(x, ws, None, rows[:2], at)
-    with pytest.raises(ShapeError, match="one index array"):
-        T.block_matmul(x, ws, None, [r[:, None] for r in rows], at)
+    assert not theta.grad[[1, 3]].any()          # absent relations: exact zeros
+    for bad in ((theta, rels, rows[:2]), (theta, rels, [r[:, None] for r in rows]),
+                (theta, rels[:0], []), (parameter(theta.data[0]), rels, rows),
+                (Tensor(theta.data, requires_grad=True), rels, rows)):
+        with pytest.raises(ShapeError, match="relation_matmul needs"):
+            T.relation_matmul(x, *bad, at)
+
+
+def _relation_backward(x_data, theta, rels, picks, d):
+    """One backward of ``relation_matmul`` over a 2-D ``x_data``, ``picks[i]``
+    the rows of relation ``rels[i]``, under a loss whose output adjoint is ``d``;
+    returns each present relation's separate adjoint, ``x.T @ d`` of its block."""
+    rows = [np.array(p, dtype=np.intp) for p in picks]
+    tape = Tape()
+    out = T.relation_matmul(Tensor(x_data), theta, np.array(rels), rows, None, tape)
+    backward(T.sum_all(T.mul(out, Tensor(d), tape), tape), tape)
+    ends = np.cumsum([len(p) for p in picks]).tolist()
+    return {r: x_data[p].T @ d[lo:hi] for r, p, lo, hi in zip(rels, picks, [0, *ends], ends)}
+
+
+def test_relation_matmul_accumulates_each_slice_as_separate_gemms_to_the_bit():
+    # two backwards without zero_grad: relation 1 present then absent, 3 absent
+    # then present, 2 in both, and 0 in neither. Each slice must be what one
+    # parameter per relation held: its first product as it is, then the
+    # allocating sum ``grad + g`` of its contributions, and an exact zero where
+    # it has none
+    rng = np.random.default_rng(37)
+    theta = parameter(rng.standard_normal((4, 5, 3)))
+    theta.arena.alloc_grad().fill(np.nan)   # a stale buffer must not show through
+    want = {}
+    for rels, picks in (([1, 2], [[0, 2], [1, 1, 3]]), ([2, 3], [[3, 0], [2]])):
+        x_data = rng.standard_normal((4, 5))
+        d = rng.standard_normal((sum(map(len, picks)), 3))
+        for r, g in _relation_backward(x_data, theta, rels, picks, d).items():
+            want[r] = g if r not in want else want[r] + g
+        assert theta.grad is theta._buf and theta.grad.base is theta.arena.grad
+    for r in range(4):
+        np.testing.assert_array_equal(theta.grad[r], want.get(r, np.zeros((5, 3))))
+    assert want[1].any() and want[3].any() and not theta.grad[0].any()
+
+
+def test_relation_matmul_writes_its_adjoint_with_no_theta_sized_temporary():
+    # 8 relations of 96 x 96, 2 of them present: a first contribution (after
+    # zero_grad, into the kept buffer) and a later one each stay far below one
+    # (R, d, d') array; one relation's slice is 1/8 of it
+    rng = np.random.default_rng(38)
+    theta = parameter(rng.standard_normal((8, 96, 96)))
+    x_data, d = rng.standard_normal((6, 96)), rng.standard_normal((5, 96))
+    _relation_backward(x_data, theta, [2, 5], [[0, 1, 4], [3, 5]], d)
+    peaks = []
+    for zero in (True, False):
+        if zero:
+            theta.arena.zero_grad()
+        tracemalloc.start()
+        try:
+            _relation_backward(x_data, theta, [2, 5], [[0, 1, 4], [3, 5]], d)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < theta.data.nbytes / 3, peaks
 
 
 def test_block_matmul_shape_errors():

@@ -422,9 +422,9 @@ def _driven_step(model, config, dialogue, optimizer, rng):
 
 def test_absent_relation_keeps_no_gradient_after_a_step_that_had_one():
     # both speakers talk in the first dialogue, one alone in the second: the
-    # second step's missing relation types get no gradient, although their
-    # buffers exist and hold the first step's, and Adam updates them as with
-    # a zero gradient
+    # second step's missing relation types get an exact zero slice of theta's
+    # gradient, although its buffer holds the first step's there, and Adam
+    # updates them as with a zero gradient
     cfg = _fast_config(window_past=1, window_future=1, dropout=0.0)
     corpus = _none_corpus(n=2, utts=4)
     both, alone = corpus.dialogues
@@ -434,20 +434,19 @@ def test_absent_relation_keeps_no_gradient_after_a_step_that_had_one():
     opt = Adam(model.named(), cfg.learning_rate)
     rng = np.random.default_rng(1)
     _driven_step(model, cfg, both, opt, rng)
-    thetas = model.rgcn.named()
-    had_gradient = {k for k, t in thetas.items() if t._buf is not None}
+    theta = model.rgcn.theta
+    had_gradient = [r for r, g in enumerate(theta._buf) if g.any()]
     tape = T.Tape()
     out = forward_dialogue(alone, model, cfg, training=True, rng=rng, tape=tape)
     T.backward(clf.loss(out.logits, dialogue_gold(alone, "single"), "single", tape), tape)
-    absent = [k for k in had_gradient if thetas[k].grad is None]
+    absent = [r for r in had_gradient if not theta.grad[r].any()]
     assert absent and len(absent) < len(had_gradient) - 1
-    want = {k: _adam_reference_step(thetas[k].data, opt.m[k], opt.v[k], np.zeros(thetas[k].shape),
-                                    2, cfg.learning_rate) for k in absent}
+    m, v = opt.m["rgcn.theta"], opt.v["rgcn.theta"]
+    want = _adam_reference_step(theta.data[absent], m[absent], v[absent],
+                                np.zeros((len(absent), *theta.shape[1:])), 2, cfg.learning_rate)
     opt.step()
-    for k in absent:
-        assert thetas[k].grad is None
-        for got, ref in zip((thetas[k].data, opt.m[k], opt.v[k]), want[k]):
-            np.testing.assert_array_equal(got, ref)
+    for got, ref in zip((theta.data[absent], m[absent], v[absent]), want):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_train_holds_gradient_buffers_only_while_stepping(monkeypatch):
@@ -547,6 +546,15 @@ def test_classifier_hidden_below_one_is_refused_naming_the_key(hidden):
     assert "classifier_hidden" in str(info.value) and "\n" not in str(info.value)
     assert TrainConfig(classifier_hidden=None).validate().classifier_hidden is None
     assert TrainConfig(classifier_hidden=1).validate().classifier_hidden == 1
+
+
+@pytest.mark.parametrize("threshold", [7.0, 1.0, 0.0, -0.5])
+def test_multilabel_threshold_outside_zero_one_is_refused(threshold):
+    # a threshold of 7 once made every multi-label prediction 0, silently
+    with pytest.raises(ConfigError) as info:
+        TrainConfig.from_dict({"multilabel_threshold": threshold})
+    assert str(info.value) == "multilabel_threshold must be in (0, 1)"
+    assert TrainConfig(multilabel_threshold=0.45).validate().multilabel_threshold == 0.45
 
 
 def test_paper_default_hyperparameters():
@@ -692,8 +700,7 @@ def _xavier_draw_order(model):
             names += [f"{base}.head{h}.{w}" for h in range(model.encoder.num_heads)]
         names += [f"{base}.wo", f"{base}.ffn1", f"{base}.ffn2"]
     if model.rgcn is not None:
-        names += ["rgcn.theta_root"]
-        names += [f"rgcn.theta_rel{r}" for r in range(model.rgcn.relation_count)]
+        names += ["rgcn.theta_root", "rgcn.theta"]   # theta: R matrices, one after another
         for h in range(model.graph_attention.num_heads):
             names += [f"graph_attention.head{h}.{w}"
                       for w in ("w_self", "w_msg", "w_key_self", "w_key_nbr")]
@@ -724,7 +731,7 @@ def test_init_and_load_return_packed_models(tmp_path, ablation):
     drawn = _xavier_draw_order(model)
     for name in drawn:
         shape = named[name].shape
-        bound = np.sqrt(6.0 / (shape[0] + shape[-1]))
+        bound = np.sqrt(6.0 / (shape[-2] + shape[-1]))
         assert named[name].data.tobytes() == rng.uniform(-bound, bound, size=shape).tobytes()
     for name in set(named) - set(drawn):
         fill = 1.0 if ".gamma" in name else 0.0
@@ -906,7 +913,9 @@ def test_a_committed_version_3_checkpoint_loads_and_predicts_its_logits():
         assert header["version"] == 3
         layout = header["params"]
     ckpt = load_checkpoint(path)
-    assert layout == [[k, list(t.shape)] for k, t in ckpt.model.named().items()]
+    # its layout is today's with the RGCN's relation matrices one entry each
+    assert layout == _per_relation([[k, list(t.shape)] for k, t in ckpt.model.named().items()])
+    assert ckpt.model.rgcn.relation_count == 8
     corpus = load_corpus(fixtures / "tiny_corpus.jsonl")
     outs = [forward_dialogue(d, ckpt.model, ckpt.config) for d in corpus.split("test")]
     logits = np.concatenate([out.logits.data for out in outs])
@@ -915,6 +924,60 @@ def test_a_committed_version_3_checkpoint_loads_and_predicts_its_logits():
     assert logits.shape == want.shape
     assert np.abs(logits - want).max() <= 1e-12 * np.abs(want).max()
     np.testing.assert_array_equal(np.concatenate([out.preds for out in outs]), want.argmax(axis=1))
+
+
+def _per_relation(layout):
+    """``layout`` with ``rgcn.theta`` listed as one entry per relation matrix,
+    as version-3 files written while the RGCN kept a parameter per relation list
+    it: the same elements in the same order."""
+    out = []
+    for name, shape in layout:
+        out += ([[f"rgcn.theta_rel{r}", shape[1:]] for r in range(shape[0])]
+                if name == "rgcn.theta" else [[name, shape]])
+    return out
+
+
+def test_a_checkpoint_lists_theta_once_and_reads_a_per_relation_header_alike(tmp_path):
+    model, opt, path = _saved_checkpoint(tmp_path)
+    shape = [model.rgcn.relation_count, model.dims.width, model.dims.width]
+    with T.open_params(path, training.CHECKPOINT_FORMAT) as (header, _):
+        assert ["rgcn.theta", shape] in header["params"]
+        assert not any("theta_rel" in name for name, _ in header["params"])
+    ckpt = load_checkpoint(path)
+    _assert_same_checkpoint(ckpt, model, opt.state_dict())
+    again = tmp_path / "again.json"
+    save_checkpoint(again, ckpt.model, ckpt.config, ckpt.optimizer_state, 0, 0.5, ["a", "b", "c"])
+    assert again.read_bytes() == path.read_bytes()
+    # the same members under an older file's per-relation header load alike
+    _resave_with_header(path, model, opt.state_dict(),
+                        lambda h: h.__setitem__("params", _per_relation(h["params"])))
+    _assert_same_checkpoint(load_checkpoint(path), model, opt.state_dict())
+
+
+@pytest.mark.parametrize("case", ["partial_run", "wrong_count"])
+def test_a_partial_per_relation_run_or_a_theta_of_the_wrong_count_is_refused(tmp_path, case):
+    # 7 of the model's 8 rgcn.theta_rel entries, or an rgcn.theta of 7 relations
+    model, opt, path = _saved_checkpoint(tmp_path)
+    d = model.dims.width
+    assert model.rgcn.relation_count == 8
+
+    def edit(header):
+        if case == "partial_run":
+            header["params"] = [e for e in _per_relation(header["params"])
+                                if e[0] != "rgcn.theta_rel7"]
+        else:
+            header["params"] = [[n, [7, d, d] if n == "rgcn.theta" else s]
+                                for n, s in header["params"]]
+
+    _resave_with_header(path, model, opt.state_dict(), edit)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    i = list(model.named()).index("rgcn.theta")
+    theirs = (f'["rgcn.theta_rel0", [{d}, {d}]]' if case == "partial_run"
+              else f'["rgcn.theta", [7, {d}, {d}]]')
+    assert str(info.value) == (f"checkpoint {path} does not fit the model of its config: "
+                               f"parameter {i} is {theirs} in the file, "
+                               f'["rgcn.theta", [8, {d}, {d}]] in the model')
 
 
 def test_version_2_checkpoint_is_refused_in_one_line(tmp_path):
@@ -1428,19 +1491,18 @@ def test_multiparty_long_eval_runs_three_copies_a_forward_over_their_own_message
     cfg = TrainConfig(window_past=None, window_future=None).validate()
     model = ModelParams.init(cfg, ModelDims.for_corpus(corpus, cfg), np.random.default_rng(5))
     assert model.dims.width == 64
-    chunks, gemm_rows, block_matmul = [], [], T.block_matmul
+    chunks, gemm_rows, relation_matmul = [], [], T.relation_matmul
 
     def dialogue(dialogues, *args, **kwargs):
         chunks.append((dialogues, forward_dialogue(dialogues, *args, **kwargs)))
         return chunks[-1][1]
 
-    def counting(x, weights, tape=None, rows=None, at=None):
-        if rows is not None:
-            gemm_rows.append(sum(r.size for r in rows))
-        return block_matmul(x, weights, tape, rows, at)
+    def counting(x, theta, rels, rows, at=None, tape=None):
+        gemm_rows.append(sum(r.size for r in rows))
+        return relation_matmul(x, theta, rels, rows, at, tape)
 
     monkeypatch.setattr(training, "forward_dialogue", dialogue)
-    monkeypatch.setattr(T, "block_matmul", counting)
+    monkeypatch.setattr(T, "relation_matmul", counting)
     peak = _traced_peak(lambda: training.predict_dialogues(corpus.dialogues, model, cfg))
     assert peak <= 1.5 * training.STACK_BLOCK * 8
     sizes = [len(c) for c, _ in chunks]

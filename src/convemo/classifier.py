@@ -2,9 +2,9 @@
 
 A ReLU hidden layer followed by a linear output layer. Single-label
 mode turns logits into a softmax distribution and predicts the argmax
-(lowest class index wins ties); multi-label mode applies element-wise
-logistic probabilities thresholded into a binary vector. Losses are
-always computed from logits, never from materialized probabilities.
+(lowest class index wins ties); multi-label mode thresholds element-wise
+logistic probabilities into a binary vector. Losses read only the logits,
+so only they go on a tape: probabilities and predictions are read off them.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ class ClassifierParams:
     b1: Tensor   # h
     w2: Tensor   # h x C
     b2: Tensor   # C
-
-    @property
-    def num_classes(self) -> int:
-        return self.w2.shape[1]
 
     @classmethod
     def init(cls, d_in: int, num_classes: int, rng: np.random.Generator | T.Init,
@@ -59,10 +55,10 @@ def classify(h: Tensor, params: ClassifierParams, mode: str = "single",
              threshold: float = 0.5, tape: Tape | None = None) -> ClassifierOutput:
     logits = logits_of(h, params, tape)
     if mode == "single":
-        probs = T.softmax_rows(logits, tape)
+        probs = T.softmax_rows(logits)
         preds = probs.data.argmax(axis=-1)  # argmax takes the first max: lowest index
     elif mode == "multi":
-        probs = T.sigmoid(logits, tape)
+        probs = Tensor(T._stable_sigmoid(logits.data))
         preds = (probs.data >= threshold).astype(np.int64)
     else:
         raise ValueError(f"mode must be 'single' or 'multi', got '{mode}'")

@@ -129,6 +129,11 @@ def normalize_modalities(active: str) -> str:
 # ---------------------------------------------------------------------------
 # JSONL load / save
 
+def repeated_name(names: Sequence[str]) -> str | None:
+    """The first name in ``names`` that an earlier one repeats, or None."""
+    return next((n for i, n in enumerate(names) if n in names[:i]), None)
+
+
 def _parse_label(raw, num_classes: int, task_mode: str, where: str):
     if task_mode == "single":
         if type(raw) is not int:
@@ -187,6 +192,8 @@ def load_corpus(path) -> Corpus:
         raise CorpusError(f"{path}:1: label_names must be a list of strings")
     if not label_names:
         raise CorpusError(f"{path}:1: label_names must name at least one class")
+    if (twice := repeated_name(label_names)) is not None:
+        raise CorpusError(f"{path}:1: label_names repeats '{twice}'")
     dims = {k: dims.get(k, 0) for k in MODALITIES} if isinstance(dims, dict) else None
     if dims is None or any(type(v) is not int or v < 0 for v in dims.values()):
         raise CorpusError(f"{path}:1: dims must map 'a', 't' and 'v' to widths >= 0")
@@ -232,6 +239,8 @@ def load_corpus(path) -> Corpus:
             speaker = u.get("speaker")
             if type(speaker) is not int or not 0 <= speaker < num_speakers:
                 raise CorpusError(f"{spot}: speaker index {speaker!r} not in [0, {num_speakers})")
+            if not isinstance(u.get("raw_text"), str | None):   # null reads as absent
+                raise CorpusError(f"{spot}: raw_text must be a string")
             utterances.append(Utterance(
                 speaker=speaker,
                 label=_parse_label(u.get("label"), len(label_names), task_mode, spot),

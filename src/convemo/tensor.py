@@ -512,15 +512,6 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:
-    out = _stable_sigmoid(x.data)
-
-    def grad_fn(d):
-        return (d * out * (1.0 - out),)
-
-    return _make(out, (x,), "sigmoid", tape, grad_fn)
-
-
 def _softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, in place in ``x``, stabilized by the row max;
     with a boolean ``mask`` broadcast against ``x``, over its true entries only,

@@ -23,10 +23,9 @@ import numpy as np
 from . import classifier as clf
 from . import metrics
 from .config import ConfigError, TrainConfig
-from .dataset import TASK_MODES, Corpus, Dialogue
+from .dataset import TASK_MODES, Corpus, Dialogue, repeated_name
 from .graph import ConversationGraph
 from .model import (
-    ForwardResult,
     ModelDims,
     ModelParams,
     dialogue_gold,
@@ -475,8 +474,8 @@ class Checkpoint:
 
 
 def _check_header(path, header: dict) -> None:
-    """Raise a one-line ``ValueError`` naming ``path`` and the key unless a
-    checkpoint header holds every key ``load_checkpoint`` reads, each of its type."""
+    """Raise a one-line ``ValueError`` naming ``path`` and the key unless a checkpoint
+    header holds every key ``load_checkpoint`` reads, of its type, and a label name per class."""
     get, dims, names = header.get, header.get("dims"), header.get("label_names")
     valid = {
         "config": type(get("config")) is dict,
@@ -494,6 +493,9 @@ def _check_header(path, header: dict) -> None:
     if bad:
         raise ValueError(f"malformed {CHECKPOINT_FORMAT} file {path}: header key '{bad[0]}' "
                          "is missing or of the wrong type")
+    if len(names) != dims["num_classes"] or repeated_name(names) is not None:
+        raise ValueError(f"malformed {CHECKPOINT_FORMAT} file {path}: header key 'label_names' "
+                         f"must name each of the model's {dims['num_classes']} classes once")
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -284,6 +284,30 @@ def test_an_empty_label_names_is_refused_at_load(tmp_path, task_mode):
     assert str(info.value) == f"{path}:1: label_names must name at least one class"
 
 
+@pytest.mark.parametrize("task_mode", ["single", "multi"])
+def test_a_repeated_label_name_is_refused_at_load(tmp_path, task_mode):
+    # it once loaded, and a multi-label report keyed by name then dropped a class
+    path = tmp_path / "twice.jsonl"
+    save_corpus(path, replace(_tiny_corpus(task_mode), label_names=["angry", "angry"]))
+    with pytest.raises(CorpusError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}:1: label_names repeats 'angry'"
+
+
+@pytest.mark.parametrize("raw_text", [5, ["utt"], {"text": "utt"}, True],
+                         ids=["int", "list", "object", "bool"])
+def test_a_raw_text_that_is_not_a_string_is_refused(tmp_path, raw_text):
+    # 5 once loaded and was kept as the int 5; null reads as no raw_text
+    path = tmp_path / "bad.jsonl"
+    save_corpus(path, _tiny_corpus())
+    _set(path, (1, "utterances", 0, "raw_text"), None)
+    assert load_corpus(path).dialogues[0].utterances[0].raw_text is None
+    _set(path, (1, "utterances", 2, "raw_text"), raw_text)
+    with pytest.raises(CorpusError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}:2: dialogue 'dlg-a' utterance 2: raw_text must be a string"
+
+
 @pytest.mark.parametrize("literal, spots, line, message", [
     ("1e999", [(1, 2, "text", 1)], 2, "dialogue 'dlg-a' utterance 2: modality 't'"),
     ("-1e999", [(2, 1, "audio", 0)], 3, "dialogue 'dlg-b' utterance 1: modality 'a'"),

@@ -279,7 +279,7 @@ def test_default_forward_records_one_op_per_attention_layer():
     # at the default config (4 encoder layers of 4 heads, 7 graph heads) an
     # attention layer is one projection op and one attention op, not a few
     # ops per head: 12 ops per encoder layer, 4 for the RGCN, 3 for the graph
-    # transformer and 7 for the classifier and the loss
+    # transformer and 6 for the classifier's logits and the loss
     from convemo.classifier import loss as clf_loss
 
     corpus = synth_corpus(SynthSpec(num_dialogues=2, utterances_per_dialogue=6, num_speakers=2,
@@ -293,8 +293,29 @@ def test_default_forward_records_one_op_per_attention_layer():
                            tape=tape)
     clf_loss(out.logits, dialogue_gold(d, "single"), "single", tape)
     ops = [op for op, *_ in tape.entries]
-    assert len(ops) <= 62
+    assert len(ops) == 61
     assert ops.count("attention") == config.seq_context_layers + 1
+
+
+@pytest.mark.parametrize("task_mode", ["single", "multi"])
+@pytest.mark.parametrize("ablation", ["full", "no_relations", "no_gnn"])
+def test_a_training_tape_holds_the_logits_but_not_the_probabilities(ablation, task_mode):
+    # losses read the logits only, so nothing on a tape differentiates the
+    # probabilities; they and the predictions are read off the logits' values
+    corpus, config, _ = _small_setup(ablation=ablation)
+    dims = replace(ModelDims.for_corpus(corpus, config), task_mode=task_mode)
+    model = ModelParams.init(config, dims, np.random.default_rng(4))
+    d = corpus.dialogues[0]
+    tape = T.Tape()
+    taped = forward_dialogue(d, model, config, training=True, rng=np.random.default_rng(5),
+                             tape=tape)
+    ops = [op for op, *_ in tape.entries]
+    assert "softmax_rows" not in ops and "sigmoid" not in ops
+    assert tape.entries[-1][2] is taped.logits
+    untaped = forward_dialogue(d, model, config, training=True, rng=np.random.default_rng(5))
+    assert taped.probs.data.tobytes() == untaped.probs.data.tobytes()
+    assert taped.preds.tobytes() == untaped.preds.tobytes()
+    assert taped.preds.shape == ((len(d),) if task_mode == "single" else (len(d), 3))
 
 
 def test_each_layer_multiplies_its_weights_as_one_span_of_the_arena(tmp_path):

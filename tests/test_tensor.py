@@ -404,8 +404,10 @@ def test_bce_logits_at_zero():
 
 
 def test_sigmoid_values():
-    out = T.sigmoid(Tensor([[0.0, 100.0, -100.0]]))
-    np.testing.assert_allclose(out.data, [[0.5, 1.0, 0.0]], atol=1e-12)
+    # the numpy logistic behind bce_with_logits and multi-label probabilities
+    with np.errstate(all="raise"):
+        out = T._stable_sigmoid(np.array([[0.0, 100.0, -100.0]]))
+    np.testing.assert_allclose(out, [[0.5, 1.0, 0.0]], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +553,6 @@ def test_grad_bce(seed):
     _gradcheck_case("bce_with_logits", build, [logits])
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_grad_sigmoid_scale(seed):
-    rng = np.random.default_rng(900 + seed)
-    x = random_tensor(rng, 2, 5)
-
-    def build(tape):
-        return T.sum_all(T.sigmoid(T.mul_scalar(x, 1.7, tape), tape), tape)
-
-    _gradcheck_case("sigmoid/mul_scalar", build, [x])
-
-
 def test_grad_dropout_fixed_mask():
     # dropout is stochastic; check the backward gate against the saved mask
     rng = np.random.default_rng(1000)
@@ -703,7 +694,6 @@ def _stacked_cases(rng):
         ("mul", T.mul, [stacked(4, 5), stacked(4, 5)]),
         ("mul_scalar", lambda a, tape: T.mul_scalar(a, 1.7, tape), [stacked(4, 5)]),
         ("relu", T.relu, [off_kink]),
-        ("sigmoid", T.sigmoid, [stacked(4, 5)]),
         ("softmax_rows", T.softmax_rows, [stacked(4, 5)]),
         ("attention", lambda a, tape: T.attention(a, 2, 0.5, tape=tape)[0], [stacked(3 * 2 * 4, 3)]),
         ("attention, a mask per copy", lambda a, m, tape: T.attention(a, 2, 0.5, m, tape)[0],

@@ -980,6 +980,20 @@ def test_a_partial_per_relation_run_or_a_theta_of_the_wrong_count_is_refused(tmp
                                f'["rgcn.theta", [8, {d}, {d}]] in the model')
 
 
+@pytest.mark.parametrize("names", [["a", "b"], ["a", "b", "a"], ["a", "b", "c", "d"]],
+                         ids=["too_few", "repeated", "too_many"])
+def test_label_names_that_do_not_name_each_class_once_are_refused(tmp_path, names):
+    # two names for a 3-class model once loaded, and evaluation then failed
+    # naming no file
+    model, opt, path = _saved_checkpoint(tmp_path)
+    assert model.dims.num_classes == 3
+    _resave_with_header(path, model, opt.state_dict(), lambda h: h.__setitem__("label_names", names))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (f"malformed convemo-checkpoint file {path}: header key "
+                               "'label_names' must name each of the model's 3 classes once")
+
+
 def test_version_2_checkpoint_is_refused_in_one_line(tmp_path):
     import json
 

@@ -10,7 +10,7 @@ all driven from here or from the ``convemo`` command line tool.
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, TrainConfig, iemocap_defaults, mosei_defaults
+from .config import ConfigError, TrainConfig, mosei_defaults
 from .dataset import (
     Corpus,
     CorpusError,
@@ -23,7 +23,7 @@ from .dataset import (
     synth_corpus,
     truncate_context,
 )
-from .graph import ConversationGraph, build_graph, collapse_relations, relation_type_id
+from .graph import ConversationGraph, collapse_relations, graph_from_speakers, relation_type_id
 from .metrics import EvalReport, accuracy, multilabel_f1, shift_split, weighted_f1
 from .model import ModelDims, ModelParams, forward_dialogue
 from .tensor import NonFiniteError, ShapeError, Tape, Tensor, backward
@@ -39,10 +39,10 @@ from .training import (
 
 __all__ = [
     "__version__",
-    "ConfigError", "TrainConfig", "iemocap_defaults", "mosei_defaults",
+    "ConfigError", "TrainConfig", "mosei_defaults",
     "Corpus", "CorpusError", "Dialogue", "SynthSpec", "Utterance",
     "fuse_features", "load_corpus", "save_corpus", "synth_corpus", "truncate_context",
-    "ConversationGraph", "build_graph", "collapse_relations", "relation_type_id",
+    "ConversationGraph", "collapse_relations", "graph_from_speakers", "relation_type_id",
     "EvalReport", "accuracy", "multilabel_f1", "shift_split", "weighted_f1",
     "ModelDims", "ModelParams", "forward_dialogue",
     "NonFiniteError", "ShapeError", "Tape", "Tensor", "backward",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,53 +74,44 @@ class StudyResult:
         raise KeyError(f"no study row matching {cell}")
 
 
-def _train_and_score(corpus: Corpus, config: TrainConfig, seed: int) -> float:
-    test = corpus.split("test")
-    if not test:
-        raise ConfigError("corpus has no 'test' dialogues")
-    cfg = config.with_overrides(seed=seed)
-    return _validation_score(test, train(corpus, cfg).model, cfg)
+def _run_cells(kind: str, seeds: list[int], cells: Iterable[tuple]) -> StudyResult:
+    """Train each (cell, corpus, config) of ``cells`` once per seed and score its test split."""
+    result = StudyResult(kind, list(seeds))
+    for cell, corpus, config in cells:
+        test = corpus.split("test")
+        if not test:
+            raise ConfigError("corpus has no 'test' dialogues")
+        cfgs = [config.with_overrides(seed=s) for s in seeds]
+        result.rows.append(StudyRow(cell, [_validation_score(test, train(corpus, cfg).model, cfg)
+                                           for cfg in cfgs]))
+    return result
 
 
 def run_ablation(corpus: Corpus, base_config: TrainConfig, seeds: list[int],
                  variants: tuple[str, ...] = ABLATIONS,
                  modality_sets: list[str] | None = None) -> StudyResult:
     """Variant x modality-set grid of retrained models."""
-    modality_sets = modality_sets or [base_config.active_modalities]
-    result = StudyResult("ablation", list(seeds))
-    for modalities in modality_sets:
-        for variant in variants:
-            cfg = base_config.with_overrides(ablation=variant,
-                                             active_modalities=modalities)
-            scores = [_train_and_score(corpus, cfg, s) for s in seeds]
-            result.rows.append(StudyRow({"variant": variant, "modalities": modalities},
-                                        scores))
-    return result
+    return _run_cells("ablation", seeds, (
+        ({"variant": v, "modalities": m}, corpus,
+         base_config.with_overrides(ablation=v, active_modalities=m))
+        for m in modality_sets or [base_config.active_modalities] for v in variants))
 
 
 def run_context_sweep(corpus: Corpus, base_config: TrainConfig,
                       n_values: list[int | None], seeds: list[int]) -> StudyResult:
     """Truncate dialogues to n-utterance chunks (None keeps them whole),
-    retrain, and score."""
-    result = StudyResult("context", list(seeds))
-    for n in n_values:
-        sub = corpus if n is None else truncate_context(corpus, n)
-        scores = [_train_and_score(sub, base_config, s) for s in seeds]
-        result.rows.append(StudyRow({"context": "all" if n is None else n}, scores))
-    return result
+    retrain, and score; each truncated corpus is made when its cell runs."""
+    return _run_cells("context", seeds, (
+        ({"context": "all" if n is None else n},
+         corpus if n is None else truncate_context(corpus, n), base_config) for n in n_values))
 
 
 def run_window_sweep(corpus: Corpus, base_config: TrainConfig,
                      pf_values: list[tuple[int | None, int | None]],
                      seeds: list[int]) -> StudyResult:
-    result = StudyResult("window", list(seeds))
-    for past, future in pf_values:
-        cfg = base_config.with_overrides(window_past=past, window_future=future)
-        scores = [_train_and_score(corpus, cfg, s) for s in seeds]
-        result.rows.append(StudyRow(
-            {"past": "inf" if past is None else past,
-             "future": "inf" if future is None else future}, scores))
-    return result
+    return _run_cells("window", seeds, (
+        ({"past": "inf" if p is None else p, "future": "inf" if f is None else f}, corpus,
+         base_config.with_overrides(window_past=p, window_future=f)) for p, f in pf_values))
 
 
 def dump_embeddings(corpus: Corpus, model: ModelParams, config: TrainConfig,

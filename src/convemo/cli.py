@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Subcommands: ``train``, ``eval``, ``graph``, ``mask``, ``study``, and
-``synth``. Every run writes a manifest (resolved config, corpus
-fingerprint, seed, artifact paths, tool version) next to its outputs so
-it can be reproduced exactly. Exit codes: 0 success, 1 configuration or
-corpus errors, 2 numerical abort during training.
+Subcommands: ``train``, ``eval``, ``graph``, ``mask``, ``study``, ``embed`` and
+``synth``. Every run but ``graph`` and ``synth`` writes a manifest (resolved
+config, corpus fingerprint, seed, artifact paths, tool version) next to its
+outputs so it can be reproduced exactly. Exit codes: 0 success, 1 configuration,
+corpus or file errors, 2 numerical abort during training.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .analysis import (EMBED_STAGES, dump_embeddings, run_ablation, run_context_
 from .config import ABLATIONS, ConfigError, TrainConfig
 from .dataset import (DEPENDENCIES, SPLITS, CorpusError, SynthSpec, load_corpus, save_corpus,
                       synth_corpus)
-from .graph import EDGE_MODES, build_graph
+from .graph import EDGE_MODES, graph_from_speakers
 from .metrics import SHIFT_LEVELS
 from .tensor import NonFiniteError, atomic_open
 from .training import (
@@ -152,10 +152,9 @@ def cmd_eval(args) -> int:
     corpus, fingerprint, corpus_path = _require_corpus(args.corpus)
     ckpt = _checkpoint_for(corpus, args)
     if ckpt.corpus_fingerprint and ckpt.corpus_fingerprint != fingerprint and not args.force:
-        print(f"error: corpus fingerprint mismatch: checkpoint was trained on "
-              f"{ckpt.corpus_fingerprint}, this file is {fingerprint} "
-              f"(use --force to evaluate anyway)", file=sys.stderr)
-        return 1
+        raise ConfigError(f"corpus fingerprint mismatch: checkpoint was trained on "
+                          f"{ckpt.corpus_fingerprint}, this file is {fingerprint} "
+                          f"(use --force to evaluate anyway)")
     out = _out_dir(args)
     report_path = out / f"report_{args.split}.json"
     if corpus.task_mode == "multi":
@@ -178,9 +177,10 @@ def cmd_eval(args) -> int:
 def cmd_graph(args) -> int:
     corpus, _, _ = _require_corpus(args.corpus)
     dialogue = corpus.find_dialogue(args.dialogue_id)
-    g = build_graph(dialogue, _parse_window(args.past, "--past"),
-                    _parse_window(args.future, "--future"),
-                    edge_mode=args.edge_mode, self_loops=not args.no_self_loops)
+    g = graph_from_speakers(dialogue.speakers, dialogue.num_speakers,
+                            _parse_window(args.past, "--past"),
+                            _parse_window(args.future, "--future"),
+                            args.edge_mode, not args.no_self_loops)
     payload = json.dumps(g.to_json_dict(), sort_keys=True) + "\n"
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -373,10 +373,7 @@ def main(argv=None) -> int:
     except (TrainingAbort, NonFiniteError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, CorpusError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:   # ConfigError and CorpusError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -109,10 +109,6 @@ class TrainConfig:
         return replace(self, **kw).validate()
 
 
-def iemocap_defaults() -> TrainConfig:
-    return TrainConfig().validate()
-
-
 def mosei_defaults(modalities: str = "atv") -> TrainConfig:
     """Per-modality presets for the sentiment/emotion corpus."""
     table = {

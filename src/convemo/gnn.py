@@ -114,7 +114,7 @@ def _check_nodes(x: Tensor, g: Graphs, name: str) -> list[ConversationGraph]:
     return graphs
 
 
-def rgcn_layout(graphs: list[ConversationGraph], relation_count: int, stacked: bool
+def rgcn_layout(graphs: list[ConversationGraph], stacked: bool
                 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None, np.ndarray]:
     """The message rows of a forward over ``graphs``: every copy's own
     (relation, source) rows from its kept layout, and no others. Returns the
@@ -132,10 +132,6 @@ def rgcn_layout(graphs: list[ConversationGraph], relation_count: int, stacked: b
     mean = np.zeros((copies, n, max(m)))
     first = np.repeat(np.arange(copies) * n, [one[3].size for one in layouts])   # copy's row 0
     mean.reshape(-1)[(first + dst) * max(m) + row] = weights   # one flat index: cheapest scatter
-    bad = rels[(rels < 0) | (rels >= relation_count)]
-    if bad.size:
-        raise ValueError(f"graph uses relation id {bad.max()} but parameters "
-                         f"cover only {relation_count} types")
     at = None
     if copies > 1:   # each relation's rows of every copy in turn, for one GEMM per relation
         rel, m = np.repeat(rels, counts), np.array(m)
@@ -161,7 +157,7 @@ def rgcn_forward(z: Tensor, g: Graphs, params: RgcnParams,
     (``rgcn_layout``), and each copy's mean reads only its own rows.
     """
     graphs = _check_nodes(z, g, "rgcn_forward")
-    present, rows, at, mean = rgcn_layout(graphs, params.relation_count, z.data.ndim == 3)
+    present, rows, at, mean = rgcn_layout(graphs, z.data.ndim == 3)
     out = T.matmul(z, params.theta_root, tape)
     if not present.size:
         return out

@@ -26,11 +26,12 @@ includes the node itself).
 A graph stores its edges as one 3 x E int array (rows src, dst,
 relation id), built with numpy in the order a loop over destination
 nodes would give; the list of (src, dst, rel) triples is derived from it
-only when asked for. The graph layers' constants (the relational
-convolution's message rows and mean weights, and the neighborhood mask)
-are computed once per graph and kept with it, and ``graph_from_speakers``
-keeps the ``GRAPH_MEMO`` most recently used graphs, so a dialogue's graph
-is built once per process.
+only when asked for. Every graph refuses out-of-range nodes and relation
+ids when made, and ``speaker_graph`` a repeated edge too. The graph
+layers' constants (the relational convolution's message rows and mean
+weights, and the neighborhood mask) are computed once per graph and kept
+with it, and ``graph_from_speakers`` keeps the ``GRAPH_MEMO`` most recently
+used graphs, so a dialogue's graph is built once per process.
 Graphs are frozen and their arrays read-only, since callers share them.
 """
 
@@ -41,8 +42,6 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-
-from .dataset import Dialogue
 
 PAST = 0
 FUTURE = 1
@@ -70,7 +69,8 @@ class ConversationGraph:
     """A typed directed graph over ``num_nodes`` utterances.
 
     ``edge_arrays`` is given as a list of (src, dst, relation_type_id)
-    triples or as a 3 x E int array, and stored as a read-only int32
+    triples or as a 3 x E int array, checked to name nodes in [0, num_nodes)
+    and relation ids in [0, relation_count), and stored as a read-only int32
     array: rows src, dst, rel. The graph-layer constants derived from it
     are computed on first use and kept with the graph; a copy made with
     ``replace`` computes its own.
@@ -81,11 +81,17 @@ class ConversationGraph:
 
     def __post_init__(self):
         arr = self.edge_arrays
-        if isinstance(arr, np.ndarray):
-            arr = arr.astype(np.int32)
-        else:
-            arr = np.array(arr, dtype=np.int32).reshape(-1, 3).T
-        object.__setattr__(self, "edge_arrays", _read_only(arr))
+        if not isinstance(arr, np.ndarray):   # (src, dst, rel) triples
+            arr = np.array(arr, dtype=np.int64).reshape(-1, 3).T
+        src, dst, rel = arr   # checked before the int32 cast, which would wrap a large id
+        n, r = self.num_nodes, self.relation_count
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if bad.any():
+            raise ValueError(f"edge ({src[bad][0]}, {dst[bad][0]}) out of range for {n} nodes")
+        bad = (rel < 0) | (rel >= r)
+        if bad.any():
+            raise ValueError(f"relation id {rel[bad][0]} out of range for {r} types")
+        object.__setattr__(self, "edge_arrays", _read_only(arr.astype(np.int32)))
 
     @property
     def edges(self) -> list[tuple[int, int, int]]:
@@ -133,15 +139,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _validate(g: ConversationGraph) -> None:
+    """Refuse a repeated (src, dst, rel) edge; the graph checked its ranges when made."""
     src, dst, rel = g.edge_arrays.astype(np.intp)
     n, r = g.num_nodes, g.relation_count
-    bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-    if bad.any():
-        k = bad.argmax()
-        raise ValueError(f"edge ({src[k]}, {dst[k]}) out of range for {n} nodes")
-    bad = (rel < 0) | (rel >= r)
-    if bad.any():
-        raise ValueError(f"relation id {rel[bad.argmax()]} out of range for {r} types")
     key = np.sort((src * n + dst) * r + rel)
     dup = key[1:][key[1:] == key[:-1]]
     if dup.size:
@@ -199,19 +199,6 @@ def speaker_graph(speakers: tuple[int, ...], num_speakers: int | None, past: int
     g = ConversationGraph(n, np.stack([src, dst, rel]), num_relation_types(m))
     _validate(g)
     return collapse_relations(g) if untyped else g
-
-
-def build_graph(dialogue: Dialogue, past: int | None = 10, future: int | None = 10,
-                edge_mode: str = "both_directions", self_loops: bool = True,
-                num_speakers: int | None = None) -> ConversationGraph:
-    """Conversation graph for one dialogue.
-
-    ``num_speakers`` widens the relation id space beyond the dialogue's
-    own speaker count so graphs from one corpus share typed parameters.
-    """
-    return graph_from_speakers(dialogue.speakers,
-                               num_speakers or dialogue.num_speakers,
-                               past, future, edge_mode, self_loops)
 
 
 def collapse_relations(g: ConversationGraph) -> ConversationGraph:

@@ -18,7 +18,8 @@ input times a 2-D weight is one GEMM over all B*n rows, and stacked @
 stacked is numpy's batched matmul. Each op has one backward, in which the
 adjoint of an operand shared by every copy (a weight, a bias, a layer-norm
 affine) sums over the rows of all copies; a 2-D operand is a stack of one.
-A stack carries one graph mask per copy, and a 2-D @ stacked matmul is
+A stack carries one graph mask per copy; a 2-D @ stacked matmul, stacks
+of unequal copy counts and repeated or out-of-range relation ids are
 refused, each with a one-line ``ShapeError``.
 
 Parameters live in arenas (``Arena``): one flat float64 array holds the
@@ -315,6 +316,8 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     if a.data.ndim < b.data.ndim:
         raise ShapeError(f"matmul of a 2-D {a.shape} by a stacked {b.shape}: stack the left one")
+    if b.data.ndim == 3 and a.shape[0] != b.shape[0]:
+        raise ShapeError(f"matmul of stacks of unequal copy counts: {a.shape} x {b.shape}")
     # a 2-D b is shared by every copy: one GEMM over all their rows, forward and for b's adjoint
     a_data, b_data = a.data.reshape(-1, a.shape[-1]) if b.data.ndim == 2 else a.data, b.data
     # An operand that takes no gradient gets no adjoint (None), and a
@@ -400,7 +403,8 @@ def relation_matmul(x: Tensor, theta: Tensor, rels: np.ndarray, rows: Sequence[n
     by one ``bincount``, so a row no block picks gets zero, and writes relation
     r's adjoint straight into slice r of ``theta``'s gradient buffer: a first
     contribution zeroes the absent relations' slices, a later one adds into the
-    present slices only. A ``theta`` that takes a gradient is a parameter."""
+    present slices only. A ``theta`` that takes a gradient is a parameter, and
+    ``rels`` increases within [0, R), or a one-line ``ShapeError`` names the id."""
     _check_2d("relation_matmul", x)
     d, k = x.shape[-1], theta.shape[-1]
     if (theta.data.ndim != 3 or theta.shape[1] != d or not len(rels) or len(rows) != len(rels)
@@ -408,6 +412,11 @@ def relation_matmul(x: Tensor, theta: Tensor, rels: np.ndarray, rows: Sequence[n
         raise ShapeError(f"relation_matmul needs an (R, {d}, k) theta, a parameter if it takes a "
                          f"gradient, and one index array of shape (S,) per relation, got "
                          f"{theta.shape} and {[r.shape for r in rows]} for {len(rels)}")
+    if rels[0] < 0 or rels[-1] >= theta.shape[0] or (rels[1:] <= rels[:-1]).any():
+        bad = np.flatnonzero(np.diff(rels, prepend=-1, append=theta.shape[0]) <= 0)[0]
+        why = "repeats or comes out of order" if 0 < bad < len(rels) else "is out of range"
+        raise ShapeError(f"relation id {rels[min(bad, len(rels) - 1)]} {why} "
+                         f"(ids must increase within [0, {theta.shape[0]}))")
     ends = np.cumsum([r.size for r in rows]).tolist()
     spans, s = list(zip(rels, [0, *ends], ends)), ends[-1]
     index = np.concatenate(rows)

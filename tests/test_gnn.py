@@ -156,12 +156,12 @@ def test_kept_rgcn_constants_equal_the_dense_formula_bitwise():
     for g in singles:
         # one graph, 2-D or a stack of one, is its own layout; copies of it repeat it
         for graphs, stacked in (([g], False), ([g], True), ([g] * 3, True)):
-            _assert_same_layout(rgcn_layout(graphs, g.relation_count, stacked),
+            _assert_same_layout(rgcn_layout(graphs, stacked),
                                 dense_layout_oracle(graphs, stacked))
         rels, _, sources = g.rgcn_layout[:3]
-        present, rows, _, _ = rgcn_layout([g], g.relation_count, False)
+        present, rows, _, _ = rgcn_layout([g], False)
         assert present is rels and all(r.base is sources for r in rows)
-    assert 0.4 in rgcn_layout([parallel], 1, False)[3]   # a parallel pair of a degree-5 node
+    assert 0.4 in rgcn_layout([parallel], False)[3]   # a parallel pair of a degree-5 node
     # one graph per copy, whose present relation types and source sets differ
     stacks = [[graph_from_speakers(s, 3, 1, None) for s in
                ([0, 1, 2, 0, 1], [1, 1, 1, 1, 1], [2, 0, 2, 0, 2])],
@@ -172,7 +172,7 @@ def test_kept_rgcn_constants_equal_the_dense_formula_bitwise():
     for graphs in stacks:
         layouts = [g.rgcn_layout for g in graphs]
         assert len({(tuple(k[0]), tuple(k[2])) for k in layouts}) == len(graphs)
-        got = rgcn_layout(graphs, graphs[0].relation_count, True)
+        got = rgcn_layout(graphs, True)
         _assert_same_layout(got, dense_layout_oracle(graphs, True))
         # a stack's GEMM rows are its copies' own rows, with no padding
         assert sum(r.size for r in got[1]) == sum(k[2].size for k in layouts)
@@ -267,10 +267,27 @@ def test_rgcn_relation_id_beyond_params():
     params = RgcnParams.init(3, 3, 2, rng)
     with pytest.raises(ValueError, match="relation id 5"):
         rgcn_forward(Tensor(rng.standard_normal((2, 3))), g, params)
-    # a negative id would otherwise index the relation list from its end
-    g = ConversationGraph(2, [(0, 1, -1)], 6)
+    # a negative id would otherwise index the relation list from its end; the
+    # graph refuses it when made
     with pytest.raises(ValueError, match="relation id -1"):
-        rgcn_forward(Tensor(rng.standard_normal((2, 3))), g, params)
+        ConversationGraph(2, [(0, 1, -1)], 6)
+
+
+def test_a_graph_with_a_node_past_its_last_cannot_reach_another_copy_of_a_stack():
+    # copy 0's edge into node 3 of 3 would scatter its mean weight, by the stack's
+    # flat index, into copy 1's node 0, which has no in-edges, and change copy 1's
+    # output; the graph is refused when made, so each copy reads only its own rows
+    rng = np.random.default_rng(12)
+    good = graph_from_speakers([0, 0, 0], 1, 1, 1, "single_direction", False)
+    assert not (good.edge_arrays[1] == 0).any()
+    params = RgcnParams.init(3, 4, good.relation_count, rng)
+    z = Tensor(rng.standard_normal((2, 3, 3)))
+    alone = rgcn_forward(Tensor(z.data[1]), good, params).data
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for 3 nodes"):
+        out = rgcn_forward(z, [ConversationGraph(3, [(0, 3, 0)], 2), good], params)
+        np.testing.assert_allclose(out.data[1], alone, rtol=0, atol=1e-12)
+    out = rgcn_forward(z, [ConversationGraph(3, [(0, 2, 0)], 2), good], params)
+    np.testing.assert_allclose(out.data[1], alone, rtol=0, atol=1e-12)
 
 
 def test_rgcn_linearity():

@@ -10,7 +10,6 @@ from convemo.graph import (
     PAST,
     ConversationGraph,
     _validate,
-    build_graph,
     collapse_relations,
     graph_from_speakers,
     num_relation_types,
@@ -164,7 +163,8 @@ def test_structure_ignores_features():
     utts2 = [Utterance(speaker=i % 2, label=1, audio=rng.standard_normal(3) * 100) for i in range(5)]
     d1 = Dialogue("a", 2, "train", utts1)
     d2 = Dialogue("b", 2, "train", utts2)
-    assert build_graph(d1, 2, 2).edges == build_graph(d2, 2, 2).edges
+    assert (graph_from_speakers(d1.speakers, d1.num_speakers, 2, 2).edges
+            == graph_from_speakers(d2.speakers, d2.num_speakers, 2, 2).edges)
 
 
 def test_num_speakers_override_widens_type_space():
@@ -253,10 +253,26 @@ def test_graph_from_speakers_rejects_bad_input(speakers, kwargs, message):
     ([(0, 1, 0), (2, 0, 0)], r"edge \(2, 0\) out of range for 2 nodes"),
     ([(0, 1, 0), (0, -1, 0)], r"edge \(0, -1\) out of range for 2 nodes"),
     ([(0, 1, 2)], "relation id 2 out of range for 2 types"),
+    ([(0, 2, 0)], r"edge \(0, 2\) out of range for 2 nodes"),
+    ([(-1, 1, 0), (0, 1, 0)], r"edge \(-1, 1\) out of range for 2 nodes"),
+    ([(0, 1, 0), (1, 0, -1)], "relation id -1 out of range for 2 types"),
+    ([(0, 2**32 + 1, 0)], r"edge \(0, 4294967297\) out of range for 2 nodes"),
+    ([(0, 1, 2**32)], "relation id 4294967296 out of range for 2 types"),
 ])
 def test_validate_names_the_bad_edge(edges, message):
-    with pytest.raises(ValueError, match=message):
-        _validate(ConversationGraph(2, edges, 2))
+    # every graph, a user-built one too, refuses out-of-range nodes and relation
+    # ids when made, from triples or a 3 x E array; ``_validate`` adds the
+    # duplicate-edge rule for the graphs speakers make (a collapsed graph keeps
+    # its parallel edges, so construction allows them)
+    if message.startswith("duplicate"):
+        g = ConversationGraph(2, edges, 2)
+        with pytest.raises(ValueError, match=message):
+            _validate(g)
+        return
+    for given in (edges, np.array(edges).T):
+        with pytest.raises(ValueError, match=message) as err:
+            ConversationGraph(2, given, 2)
+        assert "\n" not in str(err.value)
 
 
 def test_graph_json_dict():

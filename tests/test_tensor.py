@@ -821,6 +821,20 @@ def test_a_stack_refuses_a_shared_graph_a_shared_mask_and_a_2d_left_operand():
             assert tape is None or len(tape) == 0
 
 
+@pytest.mark.parametrize("left, right", [((3, 4, 2), (1, 2, 5)), ((1, 4, 2), (3, 2, 5)),
+                                         ((2, 4, 2), (3, 2, 5))])
+def test_a_stacked_matmul_refuses_stacks_of_unequal_copy_counts(left, right):
+    # numpy would broadcast a stack of one in forward, and the stack of one would
+    # then get a gradient with the other's copy count
+    rng = np.random.default_rng(29)
+    for tape in (None, Tape()):
+        with pytest.raises(ShapeError, match="matmul of stacks of unequal copy counts") as info:
+            T.matmul(parameter(rng.standard_normal(left)), parameter(rng.standard_normal(right)),
+                     tape)
+        assert len(str(info.value).splitlines()) == 1
+        assert tape is None or len(tape) == 0
+
+
 def _masked_softmax(x, mask):
     """Row by row: a softmax over the row's masked-in entries, zeros elsewhere."""
     out = np.zeros_like(x)
@@ -995,6 +1009,25 @@ def test_relation_matmul_matches_its_definition_and_finite_differences(stack):
                 (Tensor(theta.data, requires_grad=True), rels, rows)):
         with pytest.raises(ShapeError, match="relation_matmul needs"):
             T.relation_matmul(x, *bad, at)
+
+
+@pytest.mark.parametrize("rels, bad", [([0, 0], "0 repeats"), ([1, 2, 2], "2 repeats"),
+                                       ([2, 1], "1 repeats or comes out of order"),
+                                       ([-1], "-1 is out of range"), ([-2, 0], "-2 is out of range"),
+                                       ([0, 4], r"4 is out of range \(ids must increase within \[0, 4\)\)"),
+                                       ([7], "7 is out of range")])
+def test_relation_matmul_refuses_relation_ids_that_repeat_or_fall_outside_theta(rels, bad):
+    # a repeated id gives the right forward but overwrites the first span's
+    # gradient with the second's; -1 would multiply by the last slice
+    rng = np.random.default_rng(36)
+    x, theta = parameter(rng.standard_normal((5, 4))), parameter(rng.standard_normal((4, 4, 3)))
+    rows = [np.array([0, 1])] * len(rels)
+    for tape in (None, Tape()):
+        with pytest.raises(ShapeError, match=f"relation id {bad}") as info:
+            T.relation_matmul(x, theta, np.array(rels), rows, None, tape)
+        assert len(str(info.value).splitlines()) == 1
+        assert tape is None or len(tape) == 0
+    T.relation_matmul(x, theta, np.array([0, 3]), rows[:1] * 2)   # increasing, in range
 
 
 def _relation_backward(x_data, theta, rels, picks, d):
